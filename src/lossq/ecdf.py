@@ -145,9 +145,17 @@ def read_sample_file(path) -> Sample:
     A line that does not parse as a positive finite number raises
     :class:`ParseError` naming the offending line.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    # float() strips surrounding whitespace itself, so a file without bad
+    # lines converts in one pass once blank lines are dropped; Sample rejects
+    # non-positive, non-finite and empty input with a ValueError
+    try:
+        return Sample(np.fromiter(map(float, filter(str.strip, lines)), dtype=float))
+    except ValueError:
+        pass
+    # rescan line by line to name the offending line
     values: list[float] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .ecdf import EmpiricalCdf
 from .errors import NumericError
@@ -136,11 +135,17 @@ def _truncation_point(cdf: Callable, rate: float, order: int) -> float:
 
 
 def _by_parts_integral(cdf: Callable, rate: float, i: int, upper: float) -> float:
-    fact = math.factorial(i)
+    # SciPy is imported here so that only the quadrature route loads it
+    from scipy.integrate import quad
+
+    log_fact = math.lgamma(i + 1)
 
     def integrand(t: float) -> float:
         ax = rate * t
-        return rate * math.exp(-ax) * ax**i / fact * float(cdf(t))
+        if ax <= 0.0:
+            return rate * float(cdf(t)) if i == 0 else 0.0
+        # the Poisson kernel in log space: ax**i / i! overflows at high orders
+        return rate * math.exp(i * math.log(ax) - ax - log_fact) * float(cdf(t))
 
     value, abserr, *rest = quad(
         integrand, 0.0, upper, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from .ecdf import Sample, build_ecdf, ks_statistics
 
@@ -90,6 +89,9 @@ class ErlangK:
         return rng.gamma(self.shape, 1.0 / self.rate, size)
 
     def cdf(self, x):
+        # imported here so that SciPy loads only when an Erlang CDF is asked for
+        from scipy.special import gammainc
+
         xs = np.asarray(x, dtype=float)
         return gammainc(self.shape, self.rate * np.maximum(xs, 0.0))
 

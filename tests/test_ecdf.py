@@ -1,9 +1,12 @@
 """Empirical CDF construction and exact sup-deviation statistics."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lossq import (
     EmpiricalCdf,
@@ -222,3 +225,77 @@ def test_read_sample_file_rejects_empty(tmp_path):
     p.write_text("\n\n")
     with pytest.raises(ParseError):
         read_sample_file(p)
+
+
+def _line_scan(path) -> np.ndarray:
+    """The reference parse: one line at a time, as the reader's fallback."""
+    text = Path(path).read_text(encoding="utf-8")
+    values = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            v = float(line)
+        except ValueError:
+            raise ParseError(f"line {lineno}: not a number: {line!r}") from None
+        if not np.isfinite(v) or v <= 0.0:
+            raise ParseError(f"line {lineno}: observations must be positive, got {line!r}")
+        values.append(v)
+    if not values:
+        raise ParseError(f"no observations found in {path}")
+    return np.array(values)
+
+
+_POSITIVE = st.floats(min_value=5e-324, max_value=1e308)
+_PADDING = st.sampled_from(["", " ", "\t", "  \t ", "\u00a0", "\u2003", "\x1f", "\x0b"])
+_VALID = st.one_of(
+    _POSITIVE.map(repr),
+    _POSITIVE.map(lambda v: f"{v:.6g}"),
+    _POSITIVE.map(lambda v: f"{v:e}"),
+    _POSITIVE.map(lambda v: f"{v:E}"),
+    st.sampled_from([
+        "1_000", "2_5.0_1", "+2.5", ".5", "5.", "1e-320", "4.9e-324",
+        "\u0661\u0662", "\uff11.5",
+    ]),
+)
+_INVALID = st.one_of(
+    st.sampled_from([
+        "", "   ", "1__0", "_1", "1_", "nan", "NaN", "-nan", "inf", "-inf",
+        "Infinity", "1e999", "-1e999", "0", "-0", "0.0", "-0.0", "+0", "-1",
+        "-2.5e3", "1e-400", "0x10", "1.2.3", "1e", "e5", "abc", "--1", "1 2",
+    ]),
+    st.text(alphabet="0123456789.eE+-_ xn\t", max_size=8),
+)
+
+
+def _padded(lines):
+    return st.tuples(_PADDING, lines, _PADDING).map("".join)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    lines=st.one_of(
+        st.lists(_padded(_VALID), max_size=30),
+        # one bad line among good ones: the fast path alone must reject it
+        st.tuples(
+            st.lists(_padded(_VALID), max_size=15), _padded(_INVALID),
+            st.lists(_padded(_VALID), max_size=15),
+        ).map(lambda parts: parts[0] + [parts[1]] + parts[2]),
+        st.lists(_padded(st.one_of(_VALID, _INVALID)), max_size=30),
+    ),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    trailing=st.booleans(),
+)
+def test_read_sample_file_matches_the_line_scan(tmp_path, lines, newline, trailing):
+    p = tmp_path / "obs.txt"
+    p.write_bytes((newline.join(lines) + (newline if trailing else "")).encode("utf-8"))
+    try:
+        expected = _line_scan(p)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            read_sample_file(p)
+        assert str(got.value) == str(exc)
+    else:
+        assert read_sample_file(p).values.tobytes() == expected.tobytes()

@@ -124,6 +124,12 @@ def test_quadrature_matches_exponential_closed_form():
     assert np.max(np.abs(m.values - EXACT_EXPONENTIAL)) < 1e-8
 
 
+def test_quadrature_at_high_order_matches_the_closed_form():
+    # the kernel ax**i / i! overflows as a float product at order 200
+    m = moments_quadrature(Exponential(1.0).cdf, 1.0, 200)
+    assert np.max(np.abs(m.values - moments_exponential(1.0, 1.0, 200).values)) < 1e-9
+
+
 def test_quadrature_deterministic_unit_service():
     # A unit point mass has CDF 1[x >= 1]; coefficients are e^-a a^i / i!.
     m = moments_quadrature(lambda x: np.where(np.asarray(x) >= 1.0, 1.0, 0.0), 1.0, 4)

@@ -1,6 +1,7 @@
 """Tests for the service distributions, busy-cycle simulator and oracles."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -71,6 +72,47 @@ def test_distribution_cdfs_at_known_points():
     assert Deterministic(1.0).cdf(1.0) == 1.0
     out = Uniform(0.0, 2.0).cdf(np.array([-1.0, 0.5, 1.0, 3.0]))
     assert np.array_equal(out, [0.0, 0.25, 0.5, 1.0])
+
+
+def _poisson_tail(k: int, y: float) -> float:
+    """P(N >= k) for N ~ Poisson(y), summed in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        yd = Decimal(y)
+        term = total = Decimal(1)
+        for j in range(1, k):
+            term = term * yd / j
+            total += term
+        return float(1 - (-yd).exp() * total)
+
+
+@pytest.mark.parametrize("shape", [1, 2, 3, 10, 50, 200, 700, 1000])
+@pytest.mark.parametrize("rate", [0.37, 1.0, 2.5])
+def test_erlang_cdf_matches_the_poisson_tail(shape, rate):
+    # eleven decades of x, and the neighbourhood of the mean, where a large
+    # shape puts the CDF near 1/2 at y of several hundred
+    mean = shape / rate
+    x = np.sort(np.concatenate([np.logspace(-8, 3, 201),
+                                mean * np.linspace(0.8, 1.2, 41)]))
+    got = ErlangK(shape, rate).cdf(x)
+    expected = np.array([_poisson_tail(shape, rate * float(v)) for v in x])
+    assert np.max(np.abs(got - expected)) <= 1e-14
+    assert np.all(np.diff(got) >= 0.0)
+
+
+@pytest.mark.parametrize("shape", [1, 2, 3, 10, 50, 200])
+def test_erlang_cdf_at_and_below_zero_and_at_infinity(shape):
+    d = ErlangK(shape, 1.5)
+    assert d.cdf(0.0) == 0.0
+    assert np.array_equal(d.cdf(np.array([-np.inf, -1.0, -1e-300])), [0.0, 0.0, 0.0])
+    assert d.cdf(np.inf) == 1.0
+
+
+def test_erlang_cdf_keeps_relative_accuracy_in_the_lower_tail():
+    # P(N >= 3) for N ~ Poisson(y) is y^3/6 (1 - 3y/4 + 3y^2/10 - ...)
+    y = 1e-5
+    expected = y**3 / 6.0 * (1.0 - 0.75 * y + 0.3 * y * y)
+    assert ErlangK(3, 1.0).cdf(y) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 def test_labels_round_trip_through_the_parser():
