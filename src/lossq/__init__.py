@@ -6,6 +6,9 @@ with finite waiting room, from an observed sample of service or
 interarrival times.  Distribution-free confidence bounds come from the
 limit laws of the empirical-CDF sup deviations; everything is verifiable
 against exact oracles and a reproducible busy-cycle simulator.
+
+The package namespace re-exports the names the quick start and the
+simulator need; everything else is imported from its own module.
 """
 
 from .ecdf import (
@@ -17,52 +20,21 @@ from .ecdf import (
     read_sample_file,
 )
 from .errors import DegeneracyError, NumericError, ParseError
-from .intervals import (
-    BoundSequences,
-    IntervalRow,
-    IntervalTable,
-    Method,
-    bounds_one_sided,
-    bounds_two_sided,
-    interval_table,
-)
-from .kolmogorov import (
-    ConfidenceSpec,
-    LimitLaw,
-    conv_cdf,
-    crossing_point,
-    kolmogorov_cdf,
-    law_cdf,
-    normal_cdf,
-    one_sided_cdf,
-    quantile,
-    width_for,
-)
+from .intervals import Method, interval_table
 from .moments import (
     MomentVector,
     moments_empirical,
     moments_exponential,
     moments_quadrature,
 )
-from .recursion import (
-    Characteristic,
-    CharacteristicSpec,
-    RecursionResult,
-    estimate_characteristic,
-    solve_recursion,
-)
+from .recursion import CharacteristicSpec, estimate_characteristic
 from .simulate import (
     Deterministic,
     ErlangK,
-    EstimateStat,
     Exponential,
-    KsLawResult,
-    SimulationResult,
     Uniform,
     draw_samples,
     ks_law_experiment,
-    loss_probability_oracle,
-    parse_distribution,
     simulate_busy_period,
 )
 
@@ -81,47 +53,22 @@ __all__ = [
     "build_ecdf",
     "ks_statistics",
     "read_sample_file",
-    # limit laws
-    "LimitLaw",
-    "ConfidenceSpec",
-    "kolmogorov_cdf",
-    "one_sided_cdf",
-    "conv_cdf",
-    "normal_cdf",
-    "law_cdf",
-    "quantile",
-    "width_for",
-    "crossing_point",
     # moment coefficients
     "MomentVector",
     "moments_empirical",
     "moments_exponential",
     "moments_quadrature",
-    # point recursion
-    "Characteristic",
+    # point and interval estimates
     "CharacteristicSpec",
-    "RecursionResult",
-    "solve_recursion",
     "estimate_characteristic",
-    # interval estimators
     "Method",
-    "BoundSequences",
-    "IntervalRow",
-    "IntervalTable",
-    "bounds_two_sided",
-    "bounds_one_sided",
     "interval_table",
     # sampling and simulation
     "Exponential",
     "ErlangK",
     "Deterministic",
     "Uniform",
-    "EstimateStat",
-    "SimulationResult",
-    "KsLawResult",
-    "parse_distribution",
     "draw_samples",
     "simulate_busy_period",
-    "loss_probability_oracle",
     "ks_law_experiment",
 ]

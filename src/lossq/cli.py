@@ -18,27 +18,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .ecdf import build_ecdf, read_sample_file
 from .errors import DegeneracyError, NumericError
-from .intervals import (
-    IntervalTable,
-    Method,
-    bounds_one_sided,
-    bounds_two_sided,
-    interval_table,
-)
+from .intervals import IntervalTable, Method, interval_table
 from .kolmogorov import LimitLaw, quantile, width_for
 from .moments import MomentVector, moments_empirical, moments_exponential
-from .recursion import (
-    Characteristic,
-    CharacteristicSpec,
-    estimate_characteristic,
-    solve_recursion,
-)
+from .recursion import Characteristic, CharacteristicSpec, estimate_characteristic
 from .simulate import (
     SAMPLE_GENERATOR,
     Exponential,
@@ -47,7 +35,7 @@ from .simulate import (
     simulate_busy_period,
 )
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 SEED_ENV_VAR = "LOSSQ_SEED"
 
@@ -67,51 +55,36 @@ _ARRIVAL_SIDE = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of everything one estimation run needs."""
-
-    subcommand: str
-    system: str | None = None
-    characteristic: Characteristic | None = None
-    rate: float | None = None
-    mean_service: float | None = None
-    buffer: int | None = None
-    confidence: float | None = None
-    method: Method | None = None
-    input_path: str | None = None
-    output_format: str = "table"
-    seed: int = 0
-
-    def characteristic_spec(self) -> CharacteristicSpec:
-        """Cross-validate the fields and build the characteristic spec."""
-        if self.system not in _SYSTEMS:
-            raise ValueError(f"unknown system {self.system!r}")
-        if self.buffer is None or self.buffer < 1:
-            raise ValueError("--n must be at least 1")
-        if self.confidence is not None and not 0.0 < self.confidence < 1.0:
-            raise ValueError("--confidence must lie strictly between 0 and 1")
-        if self.rate is None:
-            raise ValueError("missing --rate")
-        if self.system == "mg1n":
-            if self.characteristic not in _ARRIVAL_SIDE:
-                raise ValueError(
-                    "loss-prob is estimated from the service side; "
-                    "use --system gim1n"
-                )
-            if self.mean_service is None:
-                raise ValueError("missing --mean-service (required for mg1n)")
-            if self.characteristic is Characteristic.BUSY_PERIOD:
-                return CharacteristicSpec.busy_period(self.rate, self.mean_service)
-            if self.characteristic is Characteristic.LOST_CUSTOMERS:
-                return CharacteristicSpec.lost_customers(self.rate, self.mean_service)
-            return CharacteristicSpec.served_customers(self.rate)
-        if self.characteristic is not Characteristic.LOSS_PROBABILITY:
+def _characteristic_spec(args: argparse.Namespace) -> CharacteristicSpec:
+    """Cross-validate the estimate arguments and build the characteristic spec."""
+    characteristic = Characteristic(args.characteristic)
+    if args.system not in _SYSTEMS:
+        raise ValueError(f"unknown system {args.system!r}")
+    if args.n is None or args.n < 1:
+        raise ValueError("--n must be at least 1")
+    if args.confidence is not None and not 0.0 < args.confidence < 1.0:
+        raise ValueError("--confidence must lie strictly between 0 and 1")
+    if args.rate is None:
+        raise ValueError("missing --rate")
+    if args.system == "mg1n":
+        if characteristic not in _ARRIVAL_SIDE:
             raise ValueError(
-                f"{self.characteristic.value} is estimated from the arrival "
-                f"side; use --system mg1n"
+                "loss-prob is estimated from the service side; "
+                "use --system gim1n"
             )
-        return CharacteristicSpec.loss_probability(self.rate)
+        if args.mean_service is None:
+            raise ValueError("missing --mean-service (required for mg1n)")
+        if characteristic is Characteristic.BUSY_PERIOD:
+            return CharacteristicSpec.busy_period(args.rate, args.mean_service)
+        if characteristic is Characteristic.LOST_CUSTOMERS:
+            return CharacteristicSpec.lost_customers(args.rate, args.mean_service)
+        return CharacteristicSpec.served_customers(args.rate)
+    if characteristic is not Characteristic.LOSS_PROBABILITY:
+        raise ValueError(
+            f"{characteristic.value} is estimated from the arrival "
+            f"side; use --system mg1n"
+        )
+    return CharacteristicSpec.loss_probability(args.rate)
 
 
 def _default_seed() -> int:
@@ -147,10 +120,10 @@ def _render_text_table(headers: list[str], rows: list[list[str]]) -> str:
 def _run_quantile(args: argparse.Namespace) -> int:
     law = LimitLaw(args.law)
     z = quantile(law, args.p)
+    width = None if args.n is None else width_for(law, args.p, args.n).width
     print(f"z* = {z:.6f}")
-    if args.n is not None:
-        spec = width_for(law, args.p, args.n)
-        print(f"width = {spec.width:.6f}")
+    if width is not None:
+        print(f"width = {width:.6f}")
     return 0
 
 
@@ -163,46 +136,33 @@ def _run_moments(args: argparse.Namespace) -> int:
 
 
 def _run_estimate(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        subcommand="estimate",
-        system=args.system,
-        characteristic=Characteristic(args.characteristic),
-        rate=args.rate,
-        mean_service=args.mean_service,
-        buffer=args.n,
-        confidence=args.confidence,
-        method=Method(args.method),
-        input_path=args.input,
-        output_format=args.format,
-    )
-    spec = config.characteristic_spec()
-    sample = read_sample_file(config.input_path)
-    order = args.order if args.order is not None else config.buffer
+    spec = _characteristic_spec(args)
+    sample = read_sample_file(args.input)
+    order = args.order if args.order is not None else args.n
     moments = moments_empirical(build_ecdf(sample), spec.weighting_rate, order)
 
-    if config.confidence is None:
-        result = estimate_characteristic(spec, moments, config.buffer)
-        print(_render_points(config, result.natural_values))
+    if args.confidence is None:
+        result = estimate_characteristic(spec, moments, args.n)
+        print(_render_points(args, result.natural_values))
         return 0
     table = interval_table(
-        spec, moments, config.confidence, sample.n_obs,
-        config.method, config.buffer,
+        spec, moments, args.confidence, sample.n_obs, Method(args.method), args.n,
     )
-    print(_render_intervals(config, table, sample.n_obs))
+    print(_render_intervals(args, table, sample.n_obs))
     return 0
 
 
-def _render_points(config: RunConfig, natural_values: np.ndarray) -> str:
-    if config.output_format == "table":
+def _render_points(args: argparse.Namespace, natural_values: np.ndarray) -> str:
+    if args.format == "table":
         rows = [[str(k), _fmt(float(v))] for k, v in enumerate(natural_values)]
         return _render_text_table(["n", "estimate"], rows)
-    if config.output_format == "csv":
+    if args.format == "csv":
         lines = ["n,estimate"]
         lines += [f"{k},{float(v)!r}" for k, v in enumerate(natural_values)]
         return "\n".join(lines)
     payload = {
-        "characteristic": config.characteristic.value,
-        "system": config.system,
+        "characteristic": args.characteristic,
+        "system": args.system,
         "rows": [
             {"level": k, "point": float(v)} for k, v in enumerate(natural_values)
         ],
@@ -210,15 +170,15 @@ def _render_points(config: RunConfig, natural_values: np.ndarray) -> str:
     return json.dumps(payload, indent=2)
 
 
-def _render_intervals(config: RunConfig, table: IntervalTable, n_obs: int) -> str:
-    if config.output_format == "table":
+def _render_intervals(args: argparse.Namespace, table: IntervalTable, n_obs: int) -> str:
+    if args.format == "table":
         rows = [
             [str(r.level), _fmt(r.lower), _fmt(r.point), _fmt(r.upper),
              ",".join(r.flags())]
             for r in table.rows
         ]
         return _render_text_table(["n", "lower", "point", "upper", "flags"], rows)
-    if config.output_format == "csv":
+    if args.format == "csv":
         lines = ["n,lower,point,upper,flags"]
         lines += [
             f"{r.level},{r.lower!r},{r.point!r},{r.upper!r},"
@@ -228,7 +188,7 @@ def _render_intervals(config: RunConfig, table: IntervalTable, n_obs: int) -> st
         return "\n".join(lines)
     payload = {
         "characteristic": table.characteristic.value,
-        "system": config.system,
+        "system": args.system,
         "method": table.method.value,
         "n_obs": n_obs,
         "confidence": [
@@ -288,8 +248,9 @@ def _run_simulate(args: argparse.Namespace) -> int:
 def _run_reproduce(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     order = 4
+    busy = CharacteristicSpec.busy_period(1.0, 1.0)
     theory = moments_exponential(1.0, 1.0, order)
-    theory_chain = solve_recursion(1.0, theory, order).natural_values
+    theory_chain = estimate_characteristic(busy, theory, order).natural_values
 
     if args.theoretical:
         empirical = None
@@ -328,36 +289,22 @@ def _run_reproduce(args: argparse.Namespace) -> int:
         eps_one = width_for(LimitLaw.ONE_SIDED, 0.95, args.n_obs).width
         gamma = width_for(LimitLaw.ONE_SIDED_SUM, 0.95, args.n_obs).width
 
-    points = solve_recursion(1.0, empirical, order).natural_values
-    for title, bounds in (
-        (
-            f"busy-period bounds, two-sided-statistic method (eps = {eps_two:g}):",
-            bounds_two_sided(1.0, empirical, eps_two, order),
-        ),
-        (
-            f"busy-period bounds, one-sided-statistics method "
-            f"(eps = {eps_one:g}, gamma = {gamma:g}):",
-            bounds_one_sided(1.0, empirical, eps_one, gamma, order),
-        ),
+    for title, widths in (
+        (f"busy-period bounds, two-sided-statistic method (eps = {eps_two:g}):",
+         (eps_two, 2.0 * eps_two)),
+        (f"busy-period bounds, one-sided-statistics method "
+         f"(eps = {eps_one:g}, gamma = {gamma:g}):", (eps_one, gamma)),
     ):
+        chains = busy.chains(empirical, order, *widths)
+        columns = zip(theory_chain[1:], *(
+            busy.to_natural(c) for c in (chains.point, chains.lower, chains.upper)
+        ))
+        block = [["0"] + [_fmt(1.0)] * 4]
+        block += [[str(k)] + [_fmt(float(v)) for v in row]
+                  for k, row in enumerate(columns, start=1)]
         print()
         print(title)
-        block = [["0", _fmt(1.0), _fmt(1.0), _fmt(1.0), _fmt(1.0)]]
-        for k in range(1, order + 1):
-            block.append(
-                [
-                    str(k),
-                    _fmt(float(theory_chain[k])),
-                    _fmt(float(points[k])),
-                    _fmt(float(bounds.lower[k - 1])),
-                    _fmt(float(bounds.upper[k - 1])),
-                ]
-            )
-        print(
-            _render_text_table(
-                ["n", "theoretical", "point", "lower", "upper"], block
-            )
-        )
+        print(_render_text_table(["n", "theoretical", "point", "lower", "upper"], block))
     return 0
 
 

@@ -1,37 +1,27 @@
-"""Interval estimators built on the convolution recursion.
+"""Interval estimators on top of the unit-seed recursion kernel.
 
-The bound recursions run the point recursion twice with the moment
-coefficients perturbed by confidence widths, each side consuming the
-opposite side at earlier levels: the lower chain divides by ``r_0 + eps``
-and subtracts inflated tail coefficients times earlier *upper* values; the
-upper chain divides by ``r_0 - eps`` and subtracts deflated tail
-coefficients times earlier *lower* values.  Two methods share this engine:
-the two-sided-statistic method perturbs the tail by twice its width, the
+:func:`lossq.recursion.solve_recursion` runs the point chain and the
+coupled lower/upper bound chains in one loop.  Two methods choose its
+widths: the two-sided-statistic method perturbs ``r_0`` by the width of the
+two-sided statistic and the tail by twice that width; the
 one-sided-statistics method uses the width of the one-sided statistic for
 ``r_0`` and the width of the *sum* of the two one-sided statistics for the
 tail.
-
-Degenerate configurations follow fixed conventions and are flagged, never
-raised: a width swallowing ``r_0`` makes every upper bound infinite; a
-negative leading coefficient ``1 - r_1 - gamma`` is clamped to zero; a
-lower-bound bracket total that turns negative is clamped to zero.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kolmogorov import ConfidenceSpec, LimitLaw, width_for
 from .moments import MomentVector
-from .recursion import Characteristic, CharacteristicSpec, solve_recursion
+from .recursion import BoundSequences, Characteristic, CharacteristicSpec, solve_recursion
 
 __all__ = [
     "Method",
-    "BoundSequences",
     "IntervalRow",
     "IntervalTable",
     "bounds_two_sided",
@@ -45,31 +35,6 @@ class Method(enum.Enum):
 
     TWO_SIDED_STATISTIC = "two-sided"
     ONE_SIDED_STATISTICS = "one-sided"
-
-
-@dataclass(frozen=True, eq=False)
-class BoundSequences:
-    """Recursion-scale lower/upper bounds for levels 1..order.
-
-    ``upper_infinite`` reports that the divider width swallowed the leading
-    coefficient, making every upper bound infinite; ``clamped`` marks levels
-    where a lower-bound clamping convention fired.
-    """
-
-    lower: np.ndarray
-    upper: np.ndarray
-    upper_infinite: bool
-    clamped: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("lower", "upper", "clamped"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def order(self) -> int:
-        return int(self.lower.size)
 
 
 @dataclass(frozen=True)
@@ -114,8 +79,6 @@ def bounds_two_sided(
 ) -> BoundSequences:
     """Bounds driven by the two-sided statistic: one width ``eps`` for the
     divider and twice that width for the tail coefficients."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
     return bounds_one_sided(seed, moments, eps, 2.0 * eps, order)
 
 
@@ -124,75 +87,10 @@ def bounds_one_sided(
 ) -> BoundSequences:
     """Bounds driven by the one-sided statistics: width ``eps`` for the
     divider, width ``gamma`` (from the sum of the two one-sided statistics)
-    for the tail coefficients.
-
-    The recursion is linear in the seed, so a negative seed reuses the
-    unit-seed chains with the roles of the two sides swapped; a zero seed
-    gives identically zero bounds.
-    """
+    for the tail coefficients, for seed Q_0 = ``seed``."""
     if eps <= 0.0 or gamma <= 0.0:
         raise ValueError("eps and gamma must be positive")
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    if moments.order < order - 1:
-        raise ValueError(
-            f"level {order} needs coefficients up to order {order - 1}, "
-            f"got {moments.order}"
-        )
-    if seed == 0.0:
-        zero = np.zeros(order)
-        return BoundSequences(
-            lower=zero, upper=zero.copy(), upper_infinite=False,
-            clamped=np.zeros(order, dtype=bool),
-        )
-    if seed < 0.0:
-        unit = _unit_seed_chains(moments.values, eps, gamma, order)
-        return BoundSequences(
-            lower=seed * unit.upper, upper=seed * unit.lower,
-            upper_infinite=False, clamped=unit.clamped.copy(),
-        )
-    unit = _unit_seed_chains(moments.values, eps, gamma, order)
-    return BoundSequences(
-        lower=seed * unit.lower, upper=seed * unit.upper,
-        upper_infinite=unit.upper_infinite, clamped=unit.clamped.copy(),
-    )
-
-
-def _unit_seed_chains(
-    r: np.ndarray, eps: float, gamma: float, order: int
-) -> BoundSequences:
-    low = np.empty(order + 1)
-    upp = np.empty(order + 1)
-    clamped = np.zeros(order + 1, dtype=bool)
-    upper_infinite = r[0] <= eps
-
-    low[1] = 1.0 / (r[0] + eps)
-    upp[1] = math.inf if upper_infinite else 1.0 / (r[0] - eps)
-    if order >= 2:
-        lead = 1.0 - r[1] - gamma
-        lead_clamped = lead < 0.0
-        lead_eff = max(lead, 0.0)
-        for k in range(2, order + 1):
-            acc = lead_eff * low[k - 1]
-            if k > 2:
-                acc -= float(np.dot(r[2:k] + gamma, upp[k - 2:0:-1]))
-            flag = lead_clamped
-            if acc < 0.0:
-                acc = 0.0
-                flag = True
-            low[k] = acc / (r[0] + eps)
-            if upper_infinite:
-                upp[k] = math.inf
-            else:
-                acc_u = (1.0 - r[1] + gamma) * upp[k - 1]
-                if k > 2:
-                    acc_u -= float(np.dot(r[2:k] - gamma, low[k - 2:0:-1]))
-                upp[k] = acc_u / (r[0] - eps)
-            clamped[k] = flag
-    return BoundSequences(
-        lower=low[1:], upper=upp[1:],
-        upper_infinite=upper_infinite, clamped=clamped[1:],
-    )
+    return solve_recursion(moments, order, eps, gamma).scaled(seed)
 
 
 def interval_table(
@@ -206,87 +104,47 @@ def interval_table(
     """Point and interval estimates on the natural scale for levels 0..order.
 
     Widths are resolved from the confidence level and sample size via the
-    matching limit laws, the bound and point recursions are run on the
-    recursion scale, and all three sequences are transformed to the
-    characteristic's own scale.  The loss-probability transform inverts and
-    therefore swaps the bounds; rows whose recursion-scale bounds cannot be
-    inverted are flagged degenerate and carry the trivial bracket (0, 1].
-    Lower bounds are floored at zero (flagged) for the nonnegative
-    characteristics, and a row whose values violate lower <= point <= upper
-    after the conventions is flagged degenerate rather than reordered.
+    matching limit laws, one kernel call gives the point and bound chains on
+    the recursion scale, and all three are mapped to the characteristic's
+    own scale.  The loss-probability map inverts and therefore swaps the
+    bounds, and caps the upper bound at 1 (flagged); rows whose
+    recursion-scale values cannot be inverted are flagged degenerate and
+    carry the trivial bracket (0, 1].  Lower bounds are floored at zero
+    (flagged) for the nonnegative characteristics, and a row whose values
+    violate lower <= point <= upper after the conventions is flagged
+    degenerate rather than reordered.
     """
-    if moments.rate != spec.weighting_rate:
-        raise ValueError(
-            f"moment vector was built at rate {moments.rate}, but this "
-            f"characteristic weights at rate {spec.weighting_rate}"
-        )
     if method is Method.TWO_SIDED_STATISTIC:
-        spec_two = width_for(LimitLaw.TWO_SIDED, confidence, n_obs)
-        widths = (spec_two,)
-        bounds = bounds_two_sided(spec.seed, moments, spec_two.width, order)
+        widths = (width_for(LimitLaw.TWO_SIDED, confidence, n_obs),)
+        eps, gamma = widths[0].width, 2.0 * widths[0].width
     else:
-        spec_one = width_for(LimitLaw.ONE_SIDED, confidence, n_obs)
-        spec_sum = width_for(LimitLaw.ONE_SIDED_SUM, confidence, n_obs)
-        widths = (spec_one, spec_sum)
-        bounds = bounds_one_sided(
-            spec.seed, moments, spec_one.width, spec_sum.width, order
-        )
-    points = solve_recursion(spec.seed, moments, order)
+        widths = tuple(width_for(law, confidence, n_obs)
+                       for law in (LimitLaw.ONE_SIDED, LimitLaw.ONE_SIDED_SUM))
+        eps, gamma = (w.width for w in widths)
+    chains = spec.chains(moments, order, eps, gamma)
 
-    seed_natural = spec.to_natural(spec.seed)
-    rows = [IntervalRow(level=0, lower=seed_natural, point=seed_natural,
-                        upper=seed_natural)]
-    for k in range(1, order + 1):
-        raw_low = float(bounds.lower[k - 1])
-        raw_upp = float(bounds.upper[k - 1])
-        raw_q = float(points.q_values[k - 1])
-        clamped = bool(bounds.clamped[k - 1])
-        if spec.kind is Characteristic.LOSS_PROBABILITY:
-            rows.append(_loss_probability_row(k, raw_low, raw_upp, raw_q, clamped))
-        else:
-            rows.append(
-                _monotone_row(spec, k, raw_low, raw_upp, raw_q, clamped)
-            )
+    # level 0 is the seed itself, which no convention below touches
+    q_low, q, q_upp = (np.concatenate(([spec.seed], c))
+                       for c in (chains.lower, chains.point, chains.upper))
+    clamped = np.concatenate(([False], chains.clamped))
+    if spec.kind is Characteristic.LOSS_PROBABILITY:
+        invalid = (q_low <= 0.0) | (q_upp <= 0.0) | (q <= 0.0)
+        with np.errstate(divide="ignore"):
+            lower, point, upper = (spec.to_natural(v) for v in (q_upp, q, q_low))
+        capped = ~invalid & (upper > 1.0)
+        lower, upper = np.where(invalid, 0.0, lower), np.where(invalid | capped, 1.0, upper)
+        clamped |= capped
+    else:
+        invalid = False
+        lower, point, upper = (spec.to_natural(v) for v in (q_low, q, q_upp))
+        floored = lower < 0.0
+        lower = np.where(floored, 0.0, lower)
+        clamped |= floored
+    degenerate = invalid | ~((lower <= point) & (point <= upper))
+    rows = map(IntervalRow, range(order + 1), lower.tolist(), point.tolist(),
+               upper.tolist(), np.isinf(upper).tolist(), clamped.tolist(),
+               degenerate.tolist())
     return IntervalTable(
         characteristic=spec.kind, method=method,
         confidence=widths, rows=tuple(rows),
-    )
-
-
-def _monotone_row(
-    spec: CharacteristicSpec, level: int,
-    raw_low: float, raw_upp: float, raw_q: float, clamped: bool,
-) -> IntervalRow:
-    lower = spec.to_natural(raw_low)
-    upper = spec.to_natural(raw_upp)
-    point = spec.to_natural(raw_q)
-    if lower < 0.0:
-        lower = 0.0
-        clamped = True
-    degenerate = not lower <= point <= upper
-    return IntervalRow(
-        level=level, lower=lower, point=point, upper=upper,
-        upper_infinite=math.isinf(upper), clamped=clamped,
-        degenerate=degenerate,
-    )
-
-
-def _loss_probability_row(
-    level: int, raw_low: float, raw_upp: float, raw_q: float, clamped: bool
-) -> IntervalRow:
-    point = 1.0 / raw_q if raw_q != 0.0 else math.inf
-    if raw_low <= 0.0 or raw_upp <= 0.0 or raw_q <= 0.0:
-        return IntervalRow(
-            level=level, lower=0.0, point=point, upper=1.0,
-            clamped=clamped, degenerate=True,
-        )
-    lower = 0.0 if math.isinf(raw_upp) else 1.0 / raw_upp
-    upper = 1.0 / raw_low
-    if upper > 1.0:
-        upper = 1.0
-        clamped = True
-    degenerate = not lower <= point <= upper
-    return IntervalRow(
-        level=level, lower=lower, point=point, upper=upper,
-        clamped=clamped, degenerate=degenerate,
     )

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,13 @@ def test_quantile_rejects_unknown_law(capsys):
 def test_quantile_rejects_degenerate_level(capsys):
     assert main(["quantile", "--law", "two-sided", "--p", "1.0"]) == 1
     assert "lossq: error:" in capsys.readouterr().err
+
+
+def test_quantile_rejects_an_empty_sample_before_printing(capsys):
+    assert main(["quantile", "--law", "two-sided", "--p", "0.95", "--n", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lossq: error:" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +216,51 @@ def test_estimate_degenerate_moments_exit_with_code_two(
                  "--rate", "1e9", "--mean-service", "1.0", "--n", "3",
                  "--input", str(path)]) == 2
     assert "lossq: error:" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def overflow_sample(tmp_path):
+    """2000 unit-exponential observations: at arrival rate 3 the busy chain
+    passes the largest double near level 640."""
+    values = np.random.default_rng(0).exponential(1.0, 2000)
+    path = tmp_path / "overflow.txt"
+    path.write_text("".join(f"{float(v)!r}\n" for v in values))
+    return path
+
+
+def _deep_csv(capsys, path, characteristic, rate, mean_service, *extra):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["estimate", "--system", "mg1n", "--characteristic",
+                     characteristic, "--rate", rate, "--mean-service", mean_service,
+                     "--n", "1000", "--input", str(path), "--format", "csv",
+                     *extra]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return captured.out.splitlines()[1:]
+
+
+def test_estimate_overflowed_chain_prints_inf_not_nan(capsys, overflow_sample):
+    points = _deep_csv(capsys, overflow_sample, "busy", "3", "1")
+    values = [line.split(",")[1] for line in points]
+    assert "nan" not in values
+    first = values.index("inf")
+    assert 600 < first < 700 and set(values[first:]) == {"inf"}
+
+    rows = _deep_csv(capsys, overflow_sample, "busy", "3", "1", "--confidence", "0.95")
+    assert not any("nan" in row for row in rows)
+    assert rows[first:] == [f"{k},0.0,inf,inf,upper-inf;clamped"
+                            for k in range(first, 1001)]
+
+
+def test_estimate_zero_seed_stays_at_one_past_an_overflowed_chain(
+        capsys, overflow_sample):
+    # lost count at lambda * m = 1 while the unit chain at rate 4 overflows
+    points = _deep_csv(capsys, overflow_sample, "lost", "4", "0.25")
+    assert [line.split(",")[1] for line in points] == ["1.0"] * 1001
+    rows = _deep_csv(capsys, overflow_sample, "lost", "4", "0.25",
+                     "--confidence", "0.95")
+    assert rows == [f"{k},1.0,1.0,1.0," for k in range(1001)]
 
 
 # ---------------------------------------------------------------------------

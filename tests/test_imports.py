@@ -1,9 +1,11 @@
-"""SciPy stays off the import and the CLI; the quadrature route loads it.
+"""Every exported name resolves; SciPy stays off the import and the CLI,
+and the quadrature route loads it.
 
-Each check runs in a fresh interpreter, because the test process itself has
-SciPy loaded already.
+The SciPy checks run in a fresh interpreter, because the test process
+itself has SciPy loaded already.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -30,6 +32,20 @@ def _run(code: str):
         check=True,
     )
     return json.loads(done.stdout.splitlines()[-1])
+
+
+MODULES = ["lossq", "lossq.cli", "lossq.ecdf", "lossq.intervals",
+           "lossq.kolmogorov", "lossq.moments", "lossq.recursion", "lossq.simulate"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_resolves(module):
+    # tools that walk __all__ (a tracer wrapping the public functions, say)
+    # abort on a stale name
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
+    assert len(set(mod.__all__)) == len(mod.__all__)
 
 
 @pytest.mark.parametrize("module", ["lossq", "lossq.cli"])

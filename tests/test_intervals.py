@@ -14,7 +14,12 @@ from lossq.intervals import (
 )
 from lossq.kolmogorov import LimitLaw, width_for
 from lossq.moments import MomentVector, moments_empirical, moments_exponential
-from lossq.recursion import Characteristic, CharacteristicSpec, solve_recursion
+from lossq.recursion import (
+    Characteristic,
+    CharacteristicSpec,
+    estimate_characteristic,
+    solve_recursion,
+)
 from lossq.simulate import Exponential, draw_samples
 
 from support import (
@@ -112,10 +117,11 @@ def test_bound_arrays_are_read_only():
 
 
 def test_vanishing_width_collapses_to_the_point_chain():
-    points = solve_recursion(1.0, FIXTURE_MOMENTS, 4)
+    points = solve_recursion(FIXTURE_MOMENTS, 4).point
     b = bounds_two_sided(1.0, FIXTURE_MOMENTS, 1e-13, 4)
-    assert b.lower == pytest.approx(points.q_values, abs=1e-9)
-    assert b.upper == pytest.approx(points.q_values, abs=1e-9)
+    assert b.lower == pytest.approx(points, abs=1e-9)
+    assert b.upper == pytest.approx(points, abs=1e-9)
+    assert np.array_equal(b.point, points)
 
 
 def test_zero_seed_gives_zero_bounds():
@@ -132,9 +138,10 @@ def test_negative_seed_swaps_the_unit_chains():
     neg = bounds_one_sided(-0.5, FIXTURE_MOMENTS, 0.01, 0.02, 4)
     assert np.array_equal(neg.lower, -0.5 * unit.upper)
     assert np.array_equal(neg.upper, -0.5 * unit.lower)
-    points = solve_recursion(-0.5, FIXTURE_MOMENTS, 4)
-    assert np.all(neg.lower <= points.q_values)
-    assert np.all(points.q_values <= neg.upper)
+    assert np.array_equal(neg.point, -0.5 * unit.point)
+    assert not neg.upper_infinite
+    assert np.all(neg.lower <= neg.point)
+    assert np.all(neg.point <= neg.upper)
 
 
 def _random_config(rng):
@@ -154,7 +161,8 @@ def test_bounds_sandwich_the_point_chain():
     for _ in range(200):
         seed, moments, eps, gamma, order = _random_config(rng)
         b = bounds_one_sided(seed, moments, eps, gamma, order)
-        q = solve_recursion(seed, moments, order).q_values
+        q = seed * solve_recursion(moments, order).point
+        assert np.array_equal(b.point, q)
         assert np.all(b.lower <= q + 1e-12)
         assert np.all(q <= b.upper + 1e-12)
 
@@ -191,7 +199,7 @@ def test_table_rows_restate_the_engine_on_the_natural_scale():
                            Method.TWO_SIDED_STATISTIC, 4)
     eps = width_for(LimitLaw.TWO_SIDED, 0.95, 10_000).width
     engine = bounds_two_sided(1.0, FIXTURE_MOMENTS, eps, 4)
-    points = solve_recursion(1.0, FIXTURE_MOMENTS, 4)
+    points = solve_recursion(FIXTURE_MOMENTS, 4).point
     assert table.order == 4
     assert table.characteristic is Characteristic.BUSY_PERIOD
     assert table.method is Method.TWO_SIDED_STATISTIC
@@ -200,8 +208,32 @@ def test_table_rows_restate_the_engine_on_the_natural_scale():
         assert row.level == k
         assert row.lower == engine.lower[k - 1]
         assert row.upper == engine.upper[k - 1]
-        assert row.point == points.q_values[k - 1]
+        assert row.point == points[k - 1]
         assert row.flags() == ()
+
+
+@pytest.mark.parametrize("spec", [
+    CharacteristicSpec.busy_period(0.8, 0.7),
+    CharacteristicSpec.served_customers(0.8),
+    CharacteristicSpec.lost_customers(0.8, 0.7),
+    CharacteristicSpec.lost_customers(0.8, 1.25),
+    CharacteristicSpec.lost_customers(0.8, 1.5),
+])
+def test_table_is_the_seed_map_of_the_engine(spec):
+    # one kernel run per table: the points repeat estimate_characteristic
+    # exactly, and the bounds are the seeded engine chains on the natural
+    # scale (lost-count seeds -0.44, 0 and 0.2 cover the swap and zero rules)
+    moments = moments_exponential(0.8, 1.0, 6)
+    table = interval_table(spec, moments, 0.95, 500, Method.ONE_SIDED_STATISTICS, 6)
+    points = estimate_characteristic(spec, moments, 6).natural_values
+    assert [row.point for row in table.rows] == points.tolist()
+    eps = width_for(LimitLaw.ONE_SIDED, 0.95, 500).width
+    gamma = width_for(LimitLaw.ONE_SIDED_SUM, 0.95, 500).width
+    engine = bounds_one_sided(spec.seed, moments, eps, gamma, 6)
+    upper = spec.to_natural(engine.upper)
+    lower = np.maximum(spec.to_natural(engine.lower), 0.0)
+    assert [row.upper for row in table.rows[1:]] == upper.tolist()
+    assert [row.lower for row in table.rows[1:]] == lower.tolist()
 
 
 def test_table_level_zero_is_the_seed_on_the_natural_scale():

@@ -1,16 +1,17 @@
 """Tests for the convolution recursion and characteristic point estimates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from lossq.ecdf import Sample, build_ecdf
 from lossq.errors import DegeneracyError
-from lossq.moments import MomentVector, moments_exponential
+from lossq.moments import MomentVector, moments_empirical, moments_exponential
 from lossq.recursion import (
     Characteristic,
     CharacteristicSpec,
-    RecursionResult,
     estimate_characteristic,
     solve_recursion,
 )
@@ -87,21 +88,17 @@ def test_to_natural_maps():
 
 
 # ---------------------------------------------------------------------------
-# RecursionResult container
+# Result containers
 # ---------------------------------------------------------------------------
 
 
-def test_result_rejects_mismatched_sizes():
-    with pytest.raises(ValueError, match="sizes"):
-        RecursionResult(q_values=np.ones(3), natural_values=np.ones(4), order=4)
-    with pytest.raises(ValueError, match="sizes"):
-        RecursionResult(q_values=np.ones(4), natural_values=np.ones(4), order=4)
-
-
 def test_result_arrays_are_read_only():
-    res = solve_recursion(1.0, moments_exponential(1.0, 1.0, 3), 3)
-    with pytest.raises(ValueError):
-        res.q_values[0] = 9.9
+    moments = moments_exponential(1.0, 1.0, 3)
+    chains = solve_recursion(moments, 3, 0.01, 0.02)
+    for arr in (chains.point, chains.lower, chains.upper, chains.clamped):
+        with pytest.raises(ValueError):
+            arr[0] = 9.9
+    res = estimate_characteristic(CharacteristicSpec.busy_period(1.0, 1.0), moments, 3)
     with pytest.raises(ValueError):
         res.natural_values[0] = 9.9
 
@@ -113,21 +110,40 @@ def test_result_arrays_are_read_only():
 
 def test_order_below_one_is_rejected():
     with pytest.raises(ValueError, match="at least 1"):
-        solve_recursion(1.0, moments_exponential(1.0, 1.0, 3), 0)
+        solve_recursion(moments_exponential(1.0, 1.0, 3), 0)
 
 
 def test_insufficient_coefficients_are_rejected():
     moments = moments_exponential(1.0, 1.0, 2)  # r_0..r_2
     with pytest.raises(ValueError, match="order"):
-        solve_recursion(1.0, moments, 4)
+        solve_recursion(moments, 4)
     # order 3 needs exactly r_0..r_2 and must work
-    assert solve_recursion(1.0, moments, 3).order == 3
+    assert solve_recursion(moments, 3).order == 3
+
+
+def test_negative_widths_are_rejected():
+    moments = moments_exponential(1.0, 1.0, 3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_recursion(moments, 3, -0.01, 0.02)
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_recursion(moments, 3, 0.01, -0.02)
 
 
 def test_zero_leading_coefficient_raises_degeneracy():
     moments = MomentVector(rate=1.0, values=np.array([0.0, 0.5, 0.25]))
     with pytest.raises(DegeneracyError):
-        solve_recursion(1.0, moments, 2)
+        solve_recursion(moments, 2)
+
+
+def test_zero_widths_give_the_point_chain_alone():
+    moments = MomentVector(rate=1.0, values=np.array(FIXTURE_R))
+    chains = solve_recursion(moments, 4)
+    assert np.array_equal(chains.lower, chains.point)
+    assert np.array_equal(chains.upper, chains.point)
+    assert not chains.upper_infinite and not chains.clamped.any()
+    # the point chain does not depend on the widths
+    bounded = solve_recursion(moments, 4, 0.01, 0.02)
+    assert np.array_equal(bounded.point, chains.point)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +157,7 @@ def test_unit_rate_exponential_busy_chain_is_integer():
     moments = moments_exponential(1.0, 1.0, 4)
     res = estimate_characteristic(CharacteristicSpec.busy_period(1.0, 1.0), moments, 4)
     assert np.array_equal(res.natural_values, [1.0, 2.0, 3.0, 4.0, 5.0])
-    assert np.array_equal(res.q_values, [2.0, 3.0, 4.0, 5.0])
+    assert np.array_equal(solve_recursion(moments, 4).point, [2.0, 3.0, 4.0, 5.0])
     assert res.sign_anomalies == ()
 
 
@@ -155,10 +171,9 @@ def test_unit_rate_exponential_lost_chain_is_one():
     # At arrival rate = service rate the seed vanishes, so every recursion
     # value is 0 and the expected lost count per busy cycle is exactly 1.
     moments = moments_exponential(1.0, 1.0, 4)
-    res = estimate_characteristic(
-        CharacteristicSpec.lost_customers(1.0, 1.0), moments, 4
-    )
-    assert np.array_equal(res.q_values, np.zeros(4))
+    spec = CharacteristicSpec.lost_customers(1.0, 1.0)
+    res = estimate_characteristic(spec, moments, 4)
+    assert np.array_equal(spec.chains(moments, 4).point, np.zeros(4))
     assert np.array_equal(res.natural_values, np.ones(5))
 
 
@@ -169,7 +184,7 @@ def test_loss_probability_chain_at_balanced_rates():
     res = estimate_characteristic(
         CharacteristicSpec.loss_probability(1.0), moments, 4
     )
-    assert np.array_equal(res.q_values, [2.0, 3.0, 4.0, 5.0])
+    assert np.array_equal(solve_recursion(moments, 4).point, [2.0, 3.0, 4.0, 5.0])
     assert np.array_equal(
         res.natural_values, [1.0, 1.0 / 2.0, 1.0 / 3.0, 1.0 / 4.0, 1.0 / 5.0]
     )
@@ -222,15 +237,25 @@ def _random_moments(rng, rate, order=5):
     return MomentVector(rate=rate, values=raw)
 
 
+def _seeded_chain(seed, r, order):
+    # the recursion run directly from Q_0 = seed, one level at a time
+    q = [seed, seed / r[0]]
+    for k in range(2, order + 1):
+        tail = sum(r[i] * q[k - i] for i in range(2, k))
+        q.append(((1.0 - r[1]) * q[k - 1] - tail) / r[0])
+    return np.array(q[1:])
+
+
 def test_recursion_is_linear_in_the_seed():
     rng = np.random.default_rng(5)
     moments = _random_moments(rng, 1.0)
-    base = solve_recursion(1.0, moments, 5)
-    doubled = solve_recursion(2.0, moments, 5)
+    unit = solve_recursion(moments, 5)
     # scaling by a power of two is exact in every float operation
-    assert np.array_equal(doubled.q_values, 2.0 * base.q_values)
-    tripled = solve_recursion(3.0, moments, 5)
-    assert tripled.q_values == pytest.approx(3.0 * base.q_values, rel=1e-12)
+    assert np.array_equal(_seeded_chain(1.0, moments.values, 5), unit.point)
+    assert np.array_equal(_seeded_chain(2.0, moments.values, 5), unit.scaled(2.0).point)
+    assert unit.scaled(3.0).point == pytest.approx(
+        _seeded_chain(3.0, moments.values, 5), rel=1e-12
+    )
 
 
 def test_resubstitution_recovers_each_level():
@@ -240,8 +265,7 @@ def test_resubstitution_recovers_each_level():
         rate = rng.uniform(0.3, 2.5)
         moments = _random_moments(rng, rate, order=6)
         seed = rng.uniform(0.1, 3.0)
-        res = solve_recursion(seed, moments, 6)
-        q = np.concatenate(([seed], res.q_values))
+        q = seed * np.concatenate(([1.0], solve_recursion(moments, 6).point))
         r = moments.values
         for k in range(6):
             lhs = q[k]
@@ -250,20 +274,63 @@ def test_resubstitution_recovers_each_level():
 
 
 def test_busy_period_is_mean_service_times_served():
+    # Wald's identities hold exactly, because every arrival-side
+    # characteristic is the same unit chain mapped by its seed.
     rng = np.random.default_rng(23)
     for _ in range(100):
         rate = rng.uniform(0.3, 2.5)
         mean_service = rng.uniform(0.2, 4.0)
         moments = _random_moments(rng, rate)
-        busy = estimate_characteristic(
-            CharacteristicSpec.busy_period(rate, mean_service), moments, 5
-        )
         served = estimate_characteristic(
             CharacteristicSpec.served_customers(rate), moments, 5
-        )
-        assert busy.natural_values == pytest.approx(
-            mean_service * served.natural_values, rel=1e-12
-        )
+        ).natural_values
+        busy = estimate_characteristic(
+            CharacteristicSpec.busy_period(rate, mean_service), moments, 5
+        ).natural_values
+        lost = estimate_characteristic(
+            CharacteristicSpec.lost_customers(rate, mean_service), moments, 5
+        ).natural_values
+        assert np.array_equal(busy, mean_service * served)
+        assert np.array_equal(lost, (rate * mean_service - 1.0) * served + 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Overflow
+# ---------------------------------------------------------------------------
+
+
+def _overflowing_moments(rate):
+    # 2000 unit-exponential observations at arrival rate 3: the busy chain
+    # passes the largest double near level 640
+    sample = Sample(np.random.default_rng(0).exponential(1.0, 2000))
+    return moments_empirical(build_ecdf(sample), rate, 1000)
+
+
+def test_overflowed_point_chain_stays_infinite():
+    moments = _overflowing_moments(3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = estimate_characteristic(CharacteristicSpec.busy_period(3.0, 1.0), moments, 1000)
+    values = res.natural_values
+    assert not np.isnan(values).any()
+    first = int(np.argmax(np.isinf(values)))
+    assert 600 < first < 700
+    assert np.all(np.isfinite(values[:first])) and np.all(values[first:] == math.inf)
+    assert np.all(np.diff(values[:first]) >= 0.0)
+
+
+def test_zero_seed_stays_zero_past_an_overflowed_unit_chain():
+    # lost count at lambda * m = 1: the seed is exactly 0, so the recursion
+    # value is 0 (natural value 1) at every level, never 0 * inf
+    moments = _overflowing_moments(4.0)
+    assert np.isinf(solve_recursion(moments, 1000).point[-1])
+    spec = CharacteristicSpec.lost_customers(4.0, 0.25)
+    assert spec.seed == 0.0
+    chains = spec.chains(moments, 1000, 0.01, 0.02)
+    for arr in (chains.point, chains.lower, chains.upper):
+        assert np.array_equal(arr, np.zeros(1000))
+    res = estimate_characteristic(spec, moments, 1000)
+    assert np.array_equal(res.natural_values, np.ones(1001))
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,24 @@ def test_simulated_busy_period_matches_the_recursion():
                 )
 
 
+def test_simulated_cycles_satisfy_the_wald_identities():
+    # busy = E[S] * served and lost = (lambda E[S] - 1) * served + 1 per
+    # busy cycle, for any service law; the point estimates rely on both.
+    arrival = 1.1
+    dists = [Exponential(1.25), ErlangK(2, 2.5), Deterministic(0.7), Uniform(0.2, 1.4)]
+    for d, dist in enumerate(dists):
+        m = dist.mean()
+        for n in (1, 5):
+            sim = simulate_busy_period(arrival, dist, n, 40_000, seed=500 + 10 * d + n)
+            busy, served, lost = sim.busy_period, sim.served, sim.lost
+            label = f"{dist.label()} buffer {n}"
+            margin = 5.0 * (busy.se + m * served.se)
+            assert abs(busy.mean - m * served.mean) < margin, label
+            slope = arrival * m - 1.0
+            margin = 5.0 * (lost.se + abs(slope) * served.se)
+            assert abs(lost.mean - (slope * served.mean + 1.0)) < margin, label
+
+
 # ---------------------------------------------------------------------------
 # Loss-probability oracle
 # ---------------------------------------------------------------------------
