@@ -55,7 +55,6 @@ class EmpiricalCdf:
     at ties)."""
 
     sorted_values: np.ndarray
-    n_obs: int
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.sorted_values, dtype=float)
@@ -63,11 +62,13 @@ class EmpiricalCdf:
             raise ValueError("an empirical CDF needs at least one observation")
         if np.any(np.diff(arr) < 0):
             raise ValueError("observations must be sorted ascending")
-        if self.n_obs != arr.size:
-            raise ValueError("n_obs must equal the number of observations")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "sorted_values", arr)
+
+    @property
+    def n_obs(self) -> int:
+        return int(self.sorted_values.size)
 
     def evaluate(self, x):
         """Fraction of observations <= x; accepts scalars or arrays."""
@@ -100,7 +101,7 @@ def build_ecdf(sample: Sample) -> EmpiricalCdf:
     """Sort a sample into its empirical CDF."""
     if not isinstance(sample, Sample):
         sample = Sample(np.asarray(sample, dtype=float))
-    return EmpiricalCdf(np.sort(sample.values), sample.n_obs)
+    return EmpiricalCdf(np.sort(sample.values))
 
 
 def ks_statistics(ecdf: EmpiricalCdf, model_cdf: Callable) -> KsStatistics:

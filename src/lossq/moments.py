@@ -7,6 +7,12 @@ convolution recursion for finite-buffer characteristics.  Three routes are
 provided: an exact atomic sum over an empirical CDF, a closed form for
 exponential holding times, and adaptive quadrature against an arbitrary
 continuous CDF via integration by parts.
+
+The empirical route starts from ``exp(-a x)``, which underflows to 0 for
+``a x`` above about 745 (and is subnormal, with fewer significant bits,
+above about 708).  Such observations then add nothing to any coefficient,
+although their true weights at orders near ``a x`` are not negligible; a
+log-space kernel is an open item (ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ __all__ = [
 _SUM_TOL = 1e-9
 _TAIL_EPS = 1e-10
 _QUAD_TOL = 1e-12
+# relative size, against the weight at the window's largest observation,
+# below which moments_empirical drops a weight: one unit in the last place
+_WINDOW_CUT = 2.0**-53
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,17 +71,42 @@ def moments_empirical(ecdf: EmpiricalCdf, rate: float, order: int) -> MomentVect
     """Exact atomic sums over an empirical CDF.
 
     Each observation x contributes weight ``exp(-rate x) (rate x)^i / i!``
-    divided by the number of observations; successive orders reuse the
-    recurrence w_{i+1} = w_i * (rate x) / (i + 1).
+    divided by the number of observations N; successive orders update the
+    weights in place by the recurrence w_{i+1} = w_i * (rate x) / (i + 1).
+
+    r_0 is the mean of all N weights.  Higher orders sum an active window
+    of the sorted observations.  It starts without the observations whose
+    ``exp(-rate x)`` underflowed to 0.  After each order the window drops
+    its leading run of weights below ``2^-53 w(x_max) / N``, where x_max is
+    the largest observation in the window; observations at ``rate x = 0``
+    go at order 1.  For x < x_max the ratio w_i(x) / w_i(x_max) falls as i
+    grows, so a dropped weight stays below that cut at every later order,
+    and the mass dropped from any r_j is at most ``2^-53 r_j``.  Once every
+    weight in the window is 0, all higher coefficients are exactly 0 and
+    the loop stops.
     """
     _check_rate_order(rate, order)
     ax = rate * ecdf.sorted_values
+    n = ax.size
     w = np.exp(-ax)
-    out = np.empty(order + 1)
+    out = np.zeros(order + 1)
     out[0] = w.mean()
+    # w is nonincreasing along the sorted observations, so its zeros from
+    # exp underflow are a trailing run; the cut needs w(x_max) > 0
+    lo, hi = 0, n - int(np.searchsorted(w[::-1], 0.0, side="right"))
     for i in range(1, order + 1):
-        w = w * ax / i
-        out[i] = w.mean()
+        window = w[lo:hi]
+        np.multiply(window, ax[lo:hi], out=window)
+        np.divide(window, i, out=window)
+        total = np.add.reduce(window)
+        out[i] = total / n
+        # a sum of non-negative weights is 0 only if every weight is 0
+        if total == 0.0:
+            break
+        cut = _WINDOW_CUT * window[-1] / n
+        if window[0] < cut:
+            # the last weight is never below the cut, so argmax finds one
+            lo += int(np.argmax(window >= cut))
     return MomentVector(rate=rate, values=out)
 
 

@@ -89,11 +89,13 @@ def test_evaluate_vectorized_matches_scalar():
     assert e(2.5) == e.evaluate(2.5)
 
 
-def test_empirical_cdf_validates_ordering_and_count():
+def test_empirical_cdf_validates_ordering_and_derives_count():
     with pytest.raises(ValueError):
-        EmpiricalCdf(np.array([2.0, 1.0]), 2)
-    with pytest.raises(ValueError):
-        EmpiricalCdf(np.array([1.0, 2.0]), 3)
+        EmpiricalCdf(np.array([2.0, 1.0]))
+    e = EmpiricalCdf(np.array([1.0, 2.0, 2.0]))
+    assert e.n_obs == 3
+    with pytest.raises(AttributeError):
+        e.n_obs = 4
 
 
 # ---------------------------------------------------------- KsStatistics

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lossq import (
     MomentVector,
@@ -54,7 +56,7 @@ def test_vector_order_and_read_only():
 def test_point_mass_at_zero_gives_unit_leading_coefficient():
     # A single observation at 0 puts all weight on the zeroth kernel for
     # any rate.  Built directly (Sample requires strictly positive values).
-    e = EmpiricalCdf(np.array([0.0]), 1)
+    e = EmpiricalCdf(np.array([0.0]))
     m = moments_empirical(e, 3.7, 4)
     assert np.array_equal(m.values, [1.0, 0.0, 0.0, 0.0, 0.0])
 
@@ -72,6 +74,73 @@ def test_large_exponential_sample_tracks_closed_form():
     s = draw_samples(Exponential(1.0), 10_000, seed=0)
     m = moments_empirical(build_ecdf(s), 1.0, 4)
     assert np.max(np.abs(m.values - EXACT_EXPONENTIAL)) < 0.015
+
+
+def _full_array_moments(xs: np.ndarray, rate: float, order: int) -> np.ndarray:
+    """The plain recurrence summed over every observation at every order."""
+    ax = rate * xs
+    w = np.exp(-ax)
+    out = np.empty(order + 1)
+    out[0] = w.mean()
+    for i in range(1, order + 1):
+        w = w * ax / i
+        out[i] = w.mean()
+    return out
+
+
+def _last_nonzero(values: np.ndarray) -> int:
+    nonzero = np.flatnonzero(values)
+    return int(nonzero[-1]) if nonzero.size else -1
+
+
+# exp(-rate x) is subnormal above rate x ~ 708 and 0 above ~ 745, and both
+# loops are then wrong in the same way; keep the comparison below that
+_MAX_AX = 700.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 5_000),
+    low=st.floats(-4.0, 2.0),
+    decades=st.floats(0.0, 4.0),
+    ties=st.booleans(),
+    rate=st.sampled_from([0.05, 0.7, 1.0, 3.0, 40.0]),
+    order=st.integers(0, 1_200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_windowed_sums_match_the_full_array_loop(n, low, decades, ties, rate, order, seed):
+    rng = np.random.default_rng(seed)
+    xs = 10.0 ** rng.uniform(low, low + decades, n)
+    if ties:
+        xs = rng.choice(xs[: max(1, n // 10)], n)
+    xs = np.minimum(xs, _MAX_AX / rate)
+    got = moments_empirical(build_ecdf(Sample(xs)), rate, order).values
+    want = _full_array_moments(np.sort(xs), rate, order)
+    diff = np.abs(got - want)
+    normal = want >= 1e-290
+    assert np.all(diff[normal] <= 8 * np.spacing(want[normal]))
+    assert np.all(diff[~normal] <= 1e-300)
+    assert abs(_last_nonzero(got) - _last_nonzero(want)) <= 1
+    # the exact sum is at most 1; its float sum may round up
+    assert float(got.sum()) <= 1.0 + 8 * np.spacing(1.0)
+
+
+def test_leading_coefficient_is_the_plain_mean():
+    xs = draw_samples(Exponential(0.3), 5_000, seed=4).values
+    for rate in (0.1, 1.0, 25.0):
+        m = moments_empirical(build_ecdf(Sample(xs)), rate, 50)
+        assert m.values[0] == np.exp(-rate * np.sort(xs)).mean()
+
+
+def test_high_order_stops_with_exact_zeros():
+    xs = np.sort(draw_samples(Exponential(1.0), 1_000, seed=5).values)
+    got = moments_empirical(build_ecdf(Sample(xs)), 1.0, 20_000).values
+    want = _full_array_moments(xs, 1.0, 20_000)
+    last = _last_nonzero(got)
+    assert 0 < last < 1_000
+    assert abs(last - _last_nonzero(want)) <= 1
+    assert not np.any(got[last + 1:])
+    assert not np.any(want[last + 2:])
 
 
 def test_empirical_route_validates_inputs():
