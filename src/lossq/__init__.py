@@ -19,14 +19,9 @@ from .ecdf import (
     ks_statistics,
     read_sample_file,
 )
-from .errors import DegeneracyError, NumericError, ParseError
+from .errors import DegeneracyError, ParseError
 from .intervals import Method, interval_table
-from .moments import (
-    MomentVector,
-    moments_empirical,
-    moments_exponential,
-    moments_quadrature,
-)
+from .moments import MomentVector, moments_empirical, moments_exponential
 from .recursion import CharacteristicSpec, estimate_characteristic
 from .simulate import (
     Deterministic,
@@ -45,7 +40,6 @@ __all__ = [
     # errors
     "ParseError",
     "DegeneracyError",
-    "NumericError",
     # empirical CDFs and sup statistics
     "Sample",
     "EmpiricalCdf",
@@ -57,7 +51,6 @@ __all__ = [
     "MomentVector",
     "moments_empirical",
     "moments_exponential",
-    "moments_quadrature",
     # point and interval estimates
     "CharacteristicSpec",
     "estimate_characteristic",

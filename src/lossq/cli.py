@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .ecdf import build_ecdf, read_sample_file
-from .errors import DegeneracyError, NumericError
+from .errors import DegeneracyError
 from .intervals import IntervalTable, Method, interval_table
 from .kolmogorov import LimitLaw, quantile, width_for
 from .moments import MomentVector, moments_empirical, moments_exponential
@@ -409,7 +409,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.handler(args)
-    except (DegeneracyError, NumericError) as exc:
+    except DegeneracyError as exc:
         print(f"lossq: error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

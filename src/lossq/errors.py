@@ -7,7 +7,3 @@ class ParseError(ValueError):
 
 class DegeneracyError(ArithmeticError):
     """A numeric degeneracy prevents producing a finite estimate."""
-
-
-class NumericError(ArithmeticError):
-    """A numerical routine failed to reach its accuracy target."""

@@ -18,14 +18,12 @@ import numpy as np
 
 from .kolmogorov import ConfidenceSpec, LimitLaw, width_for
 from .moments import MomentVector
-from .recursion import BoundSequences, Characteristic, CharacteristicSpec, solve_recursion
+from .recursion import Characteristic, CharacteristicSpec
 
 __all__ = [
     "Method",
     "IntervalRow",
     "IntervalTable",
-    "bounds_two_sided",
-    "bounds_one_sided",
     "interval_table",
 ]
 
@@ -72,25 +70,6 @@ class IntervalTable:
     @property
     def order(self) -> int:
         return len(self.rows) - 1
-
-
-def bounds_two_sided(
-    seed: float, moments: MomentVector, eps: float, order: int
-) -> BoundSequences:
-    """Bounds driven by the two-sided statistic: one width ``eps`` for the
-    divider and twice that width for the tail coefficients."""
-    return bounds_one_sided(seed, moments, eps, 2.0 * eps, order)
-
-
-def bounds_one_sided(
-    seed: float, moments: MomentVector, eps: float, gamma: float, order: int
-) -> BoundSequences:
-    """Bounds driven by the one-sided statistics: width ``eps`` for the
-    divider, width ``gamma`` (from the sum of the two one-sided statistics)
-    for the tail coefficients, for seed Q_0 = ``seed``."""
-    if eps <= 0.0 or gamma <= 0.0:
-        raise ValueError("eps and gamma must be positive")
-    return solve_recursion(moments, order, eps, gamma).scaled(seed)
 
 
 def interval_table(

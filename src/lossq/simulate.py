@@ -1,4 +1,8 @@
-"""Reproducible sampling, a busy-cycle simulator, and exact small oracles.
+"""Service laws, reproducible sampling, a busy-cycle simulator, and exact
+small oracles.
+
+Each law draws samples, evaluates its CDF, and gives its Poisson-weighted
+moment coefficients in closed form (``law.moments(rate, order)``).
 
 Sample drawing uses a PCG64 generator seeded explicitly.  The busy-cycle
 simulator advances whole batches of replications in vectorized rounds (one
@@ -16,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ecdf import Sample, build_ecdf, ks_statistics
+from .ecdf import EmpiricalCdf, Sample, build_ecdf, ks_statistics
+from .moments import MomentVector, _check_rate_order, moments_empirical, moments_exponential
 
 __all__ = [
     "Exponential",
@@ -68,6 +73,9 @@ class Exponential:
         xs = np.asarray(x, dtype=float)
         return np.where(xs <= 0.0, 0.0, -np.expm1(-self.rate * np.maximum(xs, 0.0)))
 
+    def moments(self, rate: float, order: int) -> MomentVector:
+        return moments_exponential(rate, self.rate, order)
+
     def label(self) -> str:
         return f"exp:{self.rate:g}"
 
@@ -89,11 +97,24 @@ class ErlangK:
         return rng.gamma(self.shape, 1.0 / self.rate, size)
 
     def cdf(self, x):
-        # imported here so that SciPy loads only when an Erlang CDF is asked for
+        # scipy.special is imported here and in the laws' moments, so that
+        # SciPy loads only when one of them is asked for
         from scipy.special import gammainc
 
         xs = np.asarray(x, dtype=float)
         return gammainc(self.shape, self.rate * np.maximum(xs, 0.0))
+
+    def moments(self, rate: float, order: int) -> MomentVector:
+        """Negative binomial: r_i = C(i+k-1, i) p^k q^i with p = m/(a+m) and
+        q = a/(a+m), for shape k, law rate m and weighting rate a."""
+        from scipy.special import gammaln
+
+        _check_rate_order(rate, order)
+        i = np.arange(order + 1, dtype=float)
+        k = self.shape
+        log_p, log_q = -math.log1p(rate / self.rate), -math.log1p(self.rate / rate)
+        log_r = gammaln(i + k) - gammaln(k) - gammaln(i + 1) + k * log_p + i * log_q
+        return MomentVector(rate=rate, values=np.exp(log_r))
 
     def label(self) -> str:
         return f"erlang:{self.shape}:{self.rate:g}"
@@ -115,6 +136,10 @@ class Deterministic:
     def cdf(self, x):
         xs = np.asarray(x, dtype=float)
         return (xs >= self.value).astype(float)
+
+    def moments(self, rate: float, order: int) -> MomentVector:
+        # the Poisson(rate * value) pmf: the empirical sum over one atom
+        return moments_empirical(EmpiricalCdf(np.array([self.value])), rate, order)
 
     def label(self) -> str:
         return f"det:{self.value:g}"
@@ -141,6 +166,21 @@ class Uniform:
     def cdf(self, x):
         xs = np.asarray(x, dtype=float)
         return np.clip((xs - self.low) / (self.high - self.low), 0.0, 1.0)
+
+    def moments(self, rate: float, order: int) -> MomentVector:
+        """r_i = [Q(i+1, a l) - Q(i+1, a h)] / (a (h - l)) with Q the regularized
+        upper incomplete gamma, taken on the upper tails below the order
+        a (l + h) / 2 and on the lower tails from it on, so that neither term
+        is a 1 - tiny cancellation."""
+        from scipy.special import gammainc, gammaincc
+
+        _check_rate_order(rate, order)
+        s = np.arange(1, order + 2, dtype=float)
+        al, ah = rate * self.low, rate * self.high
+        diff = np.where(s - 1.0 < 0.5 * (al + ah),
+                        gammaincc(s, al) - gammaincc(s, ah),
+                        gammainc(s, ah) - gammainc(s, al))
+        return MomentVector(rate=rate, values=diff / (rate * (self.high - self.low)))
 
     def label(self) -> str:
         return f"uniform:{self.low:g}:{self.high:g}"

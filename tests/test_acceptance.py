@@ -19,7 +19,7 @@ import numpy as np
 import scipy.integrate
 
 from lossq.ecdf import Sample, build_ecdf, ks_statistics
-from lossq.intervals import Method, bounds_one_sided, bounds_two_sided, interval_table
+from lossq.intervals import Method, interval_table
 from lossq.kolmogorov import (
     LimitLaw,
     conv_cdf,
@@ -30,7 +30,7 @@ from lossq.kolmogorov import (
     width_for,
 )
 from lossq.moments import MomentVector, moments_empirical, moments_exponential
-from lossq.recursion import CharacteristicSpec, estimate_characteristic
+from lossq.recursion import CharacteristicSpec, estimate_characteristic, solve_recursion
 from lossq.simulate import (
     Exponential,
     draw_samples,
@@ -44,6 +44,7 @@ from support import (
     FIXTURE_EPS_TWO,
     FIXTURE_GAMMA_SUM,
     FIXTURE_R,
+    PAIR_SLACK,
     REPORTED_ONE_SIDED,
     REPORTED_POINTS,
     REPORTED_TWO_SIDED,
@@ -99,7 +100,7 @@ def test_criterion_03_exact_exponential_moments():
 
 def test_criterion_04_two_sided_table_reproduction():
     points = estimate_characteristic(BUSY_UNIT, FIXTURE_MOMENTS, 4).natural_values
-    bounds = bounds_two_sided(1.0, FIXTURE_MOMENTS, FIXTURE_EPS_TWO, 4)
+    bounds = solve_recursion(FIXTURE_MOMENTS, 4, FIXTURE_EPS_TWO, 2.0 * FIXTURE_EPS_TWO)
     violations = []
     for k in range(4):
         diff = abs(points[k + 1] - REPORTED_POINTS[k])
@@ -116,8 +117,7 @@ def test_criterion_04_two_sided_table_reproduction():
 
 
 def test_criterion_05_one_sided_table_reproduction():
-    bounds = bounds_one_sided(1.0, FIXTURE_MOMENTS, FIXTURE_EPS_ONE,
-                              FIXTURE_GAMMA_SUM, 4)
+    bounds = solve_recursion(FIXTURE_MOMENTS, 4, FIXTURE_EPS_ONE, FIXTURE_GAMMA_SUM)
     violations = []
     for k in range(4):
         tol = 1e-5 if k == 0 else 1e-3
@@ -165,15 +165,15 @@ def test_criterion_08_coefficient_inequality_suite():
     for pair in random_cdf_pairs(500, seed=101):
         checked += 1
         d_two = pair.sup_abs
-        if abs(pair.r1[0] - pair.r2[0]) > d_two + pair.slack:
+        if abs(pair.r1[0] - pair.r2[0]) > d_two + PAIR_SLACK:
             violations.append(f"pair {checked}: |dr_0| exceeds d")
-        if pair.r1[0] - pair.r2[0] > pair.sup_forward + pair.slack:
+        if pair.r1[0] - pair.r2[0] > pair.sup_forward + PAIR_SLACK:
             violations.append(f"pair {checked}: dr_0 exceeds d_plus")
         for i in range(1, len(pair.r1)):
-            if abs(pair.r1[i] - pair.r2[i]) > 2.0 * d_two + pair.slack:
+            if abs(pair.r1[i] - pair.r2[i]) > 2.0 * d_two + PAIR_SLACK:
                 violations.append(f"pair {checked}: |dr_{i}| exceeds 2d")
             if (pair.r1[i] - pair.r2[i]
-                    > pair.sup_forward + pair.sup_backward + pair.slack):
+                    > pair.sup_forward + pair.sup_backward + PAIR_SLACK):
                 violations.append(f"pair {checked}: dr_{i} exceeds d_plus+d_minus")
     if checked != 500:
         violations.append(f"only {checked} pairs generated")

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (in-process via main)."""
 
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -87,6 +88,20 @@ def test_moments_reports_the_offending_line(capsys, tmp_path):
     assert main(["moments", "--input", str(path), "--rate", "1.0",
                  "--order", "2"]) == 1
     assert "line 2" in capsys.readouterr().err
+
+
+def test_moments_past_the_exp_underflow_exit_zero(capsys, tmp_path):
+    # exp(-744) is subnormal: the observation joins at its first normal
+    # weight, and r_744 is the Poisson(744) pmf at its mode
+    path = tmp_path / "late.txt"
+    path.write_text("744\n")
+    assert main(["moments", "--input", str(path), "--rate", "1",
+                 "--order", "800"]) == 0
+    r = [float(v) for v in capsys.readouterr().out.splitlines()[1].split(",")]
+    assert len(r) == 801
+    assert r[744] == pytest.approx(math.exp(744 * math.log(744) - 744 - math.lgamma(745)),
+                                   rel=1e-12)
+    assert sum(r) <= 1.0
 
 
 def test_moments_missing_file(capsys, tmp_path):

@@ -1,5 +1,5 @@
-"""Every exported name resolves; SciPy stays off the import and the CLI,
-and the quadrature route loads it.
+"""Every exported name resolves; SciPy stays off the import and every CLI
+subcommand, and the laws' closed forms load only ``scipy.special``.
 
 The SciPy checks run in a fresh interpreter, because the test process
 itself has SciPy loaded already.
@@ -53,29 +53,46 @@ def test_import_leaves_scipy_unloaded(module):
     assert _run(f"import json, sys, {module}\n{PRINT_SCIPY_MODULES}") == []
 
 
-def test_cli_runs_leave_scipy_unloaded():
+def test_cli_runs_leave_scipy_unloaded(tmp_path):
+    # every subcommand, with each output format and interval method
+    sample = tmp_path / "sample.txt"
+    sample.write_text("".join(f"{0.1 * (i % 17) + 0.05}\n" for i in range(400)))
+    emitted = tmp_path / "emitted.txt"
+    runs = [
+        ["quantile", "--law", "two-sided", "--p", "0.95"],
+        ["quantile", "--law", "one-sided-sum", "--p", "0.9", "--n", "500"],
+        ["moments", "--input", str(sample), "--rate", "1", "--order", "40"],
+        ["estimate", "--system", "mg1n", "--characteristic", "lost", "--rate", "0.8",
+         "--mean-service", "0.9", "--n", "6", "--input", str(sample),
+         "--confidence", "0.95", "--method", "one-sided", "--format", "json"],
+        ["estimate", "--system", "gim1n", "--characteristic", "loss-prob", "--rate",
+         "1.5", "--n", "4", "--input", str(sample), "--format", "csv"],
+        ["simulate", "--dist", "erlang:2:2", "--rate", "0.8", "--n", "2",
+         "--replications", "200", "--seed", "1", "--emit-samples", str(emitted)],
+        ["simulate", "--dist", "uniform:0.2:1.4", "--rate", "0.8", "--n", "2",
+         "--replications", "200", "--seed", "1"],
+        ["reproduce", "--n-obs", "500", "--seed", "3"],
+        ["reproduce", "--fixture", "published"],
+    ]
     code = (
-        "import json, sys\n"
+        "import contextlib, io, json, sys\n"
         "from lossq.cli import main\n"
-        "assert main(['quantile', '--law', 'two-sided', '--p', '0.95']) == 0\n"
-        "assert main(['simulate', '--dist', 'erlang:2:2', '--rate', '0.8', '--n', '2',\n"
-        "             '--replications', '200', '--seed', '1']) == 0\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
         f"{PRINT_SCIPY_MODULES}"
     )
     assert _run(code) == []
 
 
-def test_quadrature_loads_scipy_and_matches_the_closed_form():
+def test_law_moments_load_only_scipy_special():
     code = (
         "import json, sys\n"
-        "import numpy as np\n"
-        "from lossq import moments_exponential, moments_quadrature\n"
-        "from lossq.simulate import Exponential\n"
-        "q = moments_quadrature(Exponential(1.0).cdf, 1.0, 4)\n"
-        "e = moments_exponential(1.0, 1.0, 4)\n"
-        "print(json.dumps({'loaded': 'scipy.integrate' in sys.modules,\n"
-        "                  'error': float(np.max(np.abs(q.values - e.values)))}))"
+        "from lossq.simulate import ErlangK, Uniform\n"
+        "ErlangK(3, 2.0).moments(1.0, 50)\n"
+        "Uniform(0.3, 1.7).moments(1.0, 50)\n"
+        f"{PRINT_SCIPY_MODULES}"
     )
-    result = _run(code)
-    assert result["loaded"]
-    assert result["error"] < 1e-12
+    loaded = _run(code)
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.integrate")]

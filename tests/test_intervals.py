@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from lossq.ecdf import build_ecdf
-from lossq.intervals import (
-    Method,
-    bounds_one_sided,
-    bounds_two_sided,
-    interval_table,
-)
+from lossq.intervals import Method, interval_table
 from lossq.kolmogorov import LimitLaw, width_for
 from lossq.moments import MomentVector, moments_empirical, moments_exponential
 from lossq.recursion import (
@@ -45,7 +40,7 @@ BUSY_UNIT = CharacteristicSpec.busy_period(1.0, 1.0)
 
 
 def test_two_sided_bounds_match_frozen_chain():
-    b = bounds_two_sided(1.0, FIXTURE_MOMENTS, FIXTURE_EPS_TWO, 4)
+    b = solve_recursion(FIXTURE_MOMENTS, 4, FIXTURE_EPS_TWO, 2.0 * FIXTURE_EPS_TWO)
     assert b.lower == pytest.approx(CANONICAL_TWO_LOWER, abs=1e-9)
     assert b.upper == pytest.approx(CANONICAL_TWO_UPPER, abs=1e-9)
     assert not b.upper_infinite
@@ -53,7 +48,7 @@ def test_two_sided_bounds_match_frozen_chain():
 
 
 def test_one_sided_bounds_match_frozen_chain():
-    b = bounds_one_sided(1.0, FIXTURE_MOMENTS, FIXTURE_EPS_ONE, FIXTURE_GAMMA_SUM, 4)
+    b = solve_recursion(FIXTURE_MOMENTS, 4, FIXTURE_EPS_ONE, FIXTURE_GAMMA_SUM)
     assert b.lower == pytest.approx(CANONICAL_ONE_LOWER, abs=1e-9)
     assert b.upper == pytest.approx(CANONICAL_ONE_UPPER, abs=1e-9)
     assert not b.upper_infinite
@@ -83,33 +78,26 @@ def test_early_reported_rows_reproduce(method, reported, lower_chain, upper_chai
 
 
 def test_two_sided_is_one_sided_with_doubled_tail_width():
-    b2 = bounds_two_sided(1.3, FIXTURE_MOMENTS, 0.01, 4)
-    b1 = bounds_one_sided(1.3, FIXTURE_MOMENTS, 0.01, 0.02, 4)
-    assert np.array_equal(b2.lower, b1.lower)
-    assert np.array_equal(b2.upper, b1.upper)
-    assert np.array_equal(b2.clamped, b1.clamped)
-    assert b2.upper_infinite == b1.upper_infinite
-
-
-@pytest.mark.parametrize("eps", [0.0, -0.01])
-def test_nonpositive_widths_are_rejected(eps):
-    with pytest.raises(ValueError):
-        bounds_two_sided(1.0, FIXTURE_MOMENTS, eps, 4)
-    with pytest.raises(ValueError):
-        bounds_one_sided(1.0, FIXTURE_MOMENTS, 0.01, eps, 4)
-    with pytest.raises(ValueError):
-        bounds_one_sided(1.0, FIXTURE_MOMENTS, eps, 0.01, 4)
+    # the two-sided method runs the kernel with tail width twice eps
+    spec = CharacteristicSpec.busy_period(1.0, 1.3)
+    table = interval_table(spec, FIXTURE_MOMENTS, 0.95, 10_000,
+                           Method.TWO_SIDED_STATISTIC, 4)
+    eps = width_for(LimitLaw.TWO_SIDED, 0.95, 10_000).width
+    b = solve_recursion(FIXTURE_MOMENTS, 4, eps, 2.0 * eps).scaled(1.3)
+    assert [row.lower for row in table.rows[1:]] == b.lower.tolist()
+    assert [row.upper for row in table.rows[1:]] == b.upper.tolist()
+    assert [row.clamped for row in table.rows[1:]] == b.clamped.tolist()
 
 
 def test_order_and_coefficient_validation():
     with pytest.raises(ValueError, match="at least 1"):
-        bounds_two_sided(1.0, FIXTURE_MOMENTS, 0.01, 0)
+        solve_recursion(FIXTURE_MOMENTS, 0, 0.01, 0.02)
     with pytest.raises(ValueError, match="order"):
-        bounds_two_sided(1.0, FIXTURE_MOMENTS, 0.01, 9)
+        solve_recursion(FIXTURE_MOMENTS, 9, 0.01, 0.02)
 
 
 def test_bound_arrays_are_read_only():
-    b = bounds_two_sided(1.0, FIXTURE_MOMENTS, 0.01, 4)
+    b = solve_recursion(FIXTURE_MOMENTS, 4, 0.01, 0.02)
     with pytest.raises(ValueError):
         b.lower[0] = 0.0
     with pytest.raises(ValueError):
@@ -118,14 +106,14 @@ def test_bound_arrays_are_read_only():
 
 def test_vanishing_width_collapses_to_the_point_chain():
     points = solve_recursion(FIXTURE_MOMENTS, 4).point
-    b = bounds_two_sided(1.0, FIXTURE_MOMENTS, 1e-13, 4)
+    b = solve_recursion(FIXTURE_MOMENTS, 4, 1e-13, 2e-13)
     assert b.lower == pytest.approx(points, abs=1e-9)
     assert b.upper == pytest.approx(points, abs=1e-9)
     assert np.array_equal(b.point, points)
 
 
 def test_zero_seed_gives_zero_bounds():
-    b = bounds_one_sided(0.0, FIXTURE_MOMENTS, 0.01, 0.02, 4)
+    b = solve_recursion(FIXTURE_MOMENTS, 4, 0.01, 0.02).scaled(0.0)
     assert np.array_equal(b.lower, np.zeros(4))
     assert np.array_equal(b.upper, np.zeros(4))
     assert not b.upper_infinite
@@ -134,8 +122,8 @@ def test_zero_seed_gives_zero_bounds():
 
 def test_negative_seed_swaps_the_unit_chains():
     # Scaling by -0.5 is exact, so the swap identity holds bit-for-bit.
-    unit = bounds_one_sided(1.0, FIXTURE_MOMENTS, 0.01, 0.02, 4)
-    neg = bounds_one_sided(-0.5, FIXTURE_MOMENTS, 0.01, 0.02, 4)
+    unit = solve_recursion(FIXTURE_MOMENTS, 4, 0.01, 0.02)
+    neg = unit.scaled(-0.5)
     assert np.array_equal(neg.lower, -0.5 * unit.upper)
     assert np.array_equal(neg.upper, -0.5 * unit.lower)
     assert np.array_equal(neg.point, -0.5 * unit.point)
@@ -160,7 +148,7 @@ def test_bounds_sandwich_the_point_chain():
     rng = np.random.default_rng(31)
     for _ in range(200):
         seed, moments, eps, gamma, order = _random_config(rng)
-        b = bounds_one_sided(seed, moments, eps, gamma, order)
+        b = solve_recursion(moments, order, eps, gamma).scaled(seed)
         q = seed * solve_recursion(moments, order).point
         assert np.array_equal(b.point, q)
         assert np.all(b.lower <= q + 1e-12)
@@ -171,15 +159,15 @@ def test_wider_widths_never_tighten_the_bounds():
     rng = np.random.default_rng(37)
     for _ in range(200):
         seed, moments, eps, gamma, order = _random_config(rng)
-        narrow = bounds_one_sided(seed, moments, eps, gamma, order)
-        wide = bounds_one_sided(seed, moments, 1.5 * eps, 1.5 * gamma, order)
+        narrow = solve_recursion(moments, order, eps, gamma).scaled(seed)
+        wide = solve_recursion(moments, order, 1.5 * eps, 1.5 * gamma).scaled(seed)
         assert np.all(wide.lower <= narrow.lower + 1e-12)
         assert np.all(narrow.upper <= wide.upper + 1e-12)
 
 
 def test_width_swallowing_the_leading_coefficient_makes_uppers_infinite():
     moments = MomentVector(rate=1.0, values=np.array([0.01, 0.005, 0.002]))
-    b = bounds_two_sided(1.0, moments, 0.02, 3)
+    b = solve_recursion(moments, 3, 0.02, 0.04)
     assert b.upper_infinite
     assert np.all(np.isinf(b.upper))
     assert math.isfinite(b.lower[0]) and math.isfinite(b.lower[1])
@@ -198,7 +186,7 @@ def test_table_rows_restate_the_engine_on_the_natural_scale():
     table = interval_table(BUSY_UNIT, FIXTURE_MOMENTS, 0.95, 10_000,
                            Method.TWO_SIDED_STATISTIC, 4)
     eps = width_for(LimitLaw.TWO_SIDED, 0.95, 10_000).width
-    engine = bounds_two_sided(1.0, FIXTURE_MOMENTS, eps, 4)
+    engine = solve_recursion(FIXTURE_MOMENTS, 4, eps, 2.0 * eps)
     points = solve_recursion(FIXTURE_MOMENTS, 4).point
     assert table.order == 4
     assert table.characteristic is Characteristic.BUSY_PERIOD
@@ -229,7 +217,7 @@ def test_table_is_the_seed_map_of_the_engine(spec):
     assert [row.point for row in table.rows] == points.tolist()
     eps = width_for(LimitLaw.ONE_SIDED, 0.95, 500).width
     gamma = width_for(LimitLaw.ONE_SIDED_SUM, 0.95, 500).width
-    engine = bounds_one_sided(spec.seed, moments, eps, gamma, 6)
+    engine = solve_recursion(moments, 6, eps, gamma).scaled(spec.seed)
     upper = spec.to_natural(engine.upper)
     lower = np.maximum(spec.to_natural(engine.lower), 0.0)
     assert [row.upper for row in table.rows[1:]] == upper.tolist()
@@ -291,7 +279,7 @@ def test_loss_probability_rows_invert_and_swap_the_bounds():
     table = interval_table(CharacteristicSpec.loss_probability(1.0), moments,
                            0.95, 10_000, Method.TWO_SIDED_STATISTIC, 4)
     eps = width_for(LimitLaw.TWO_SIDED, 0.95, 10_000).width
-    engine = bounds_two_sided(1.0, moments, eps, 4)
+    engine = solve_recursion(moments, 4, eps, 2.0 * eps)
     for k in range(1, 5):
         row = table.rows[k]
         assert row.lower == pytest.approx(1.0 / engine.upper[k - 1], rel=1e-12)

@@ -8,7 +8,7 @@ import pytest
 
 from lossq.ecdf import Sample, build_ecdf, ks_statistics
 from lossq.kolmogorov import kolmogorov_cdf, one_sided_cdf
-from lossq.moments import moments_exponential, moments_quadrature
+from lossq.moments import moments_exponential
 from lossq.recursion import CharacteristicSpec, estimate_characteristic
 from lossq.simulate import (
     REPLICATION_CHUNK,
@@ -230,10 +230,10 @@ def test_split_runs_pool_exactly_at_chunk_boundaries():
 def test_simulated_busy_period_matches_the_recursion():
     # Four unit-mean service laws, buffers 0..4, arrival rate 1: the Monte
     # Carlo mean must sit within a 99.9% band of the recursion value computed
-    # from quadrature moments (20 fixed-seed configs, so a 99% band would
-    # trip on ordinary fluctuation).
+    # from the law's exact moments (20 fixed-seed configs, so a 99% band
+    # would trip on ordinary fluctuation).
     for d, dist in enumerate(UNIT_MEAN_DISTS):
-        moments = moments_quadrature(dist.cdf, 1.0, 4)
+        moments = dist.moments(1.0, 4)
         spec = CharacteristicSpec.busy_period(1.0, 1.0)
         theory = estimate_characteristic(spec, moments, 4).natural_values
         for n in range(5):
