@@ -1,9 +1,9 @@
 """Interval estimators on top of the unit-seed recursion kernel.
 
-:func:`lossq.recursion.solve_recursion` runs the point chain and the
-coupled lower/upper bound chains in one loop.  Two methods choose its
-widths: the two-sided-statistic method perturbs ``r_0`` by the width of the
-two-sided statistic and the tail by twice that width; the
+:func:`lossq.recursion.solve_recursion` runs the point chain (once per
+moment vector) and the coupled lower/upper bound chains.  Two methods
+choose its widths: the two-sided-statistic method perturbs ``r_0`` by the
+width of the two-sided statistic and the tail by twice that width; the
 one-sided-statistics method uses the width of the one-sided statistic for
 ``r_0`` and the width of the *sum* of the two one-sided statistics for the
 tail.

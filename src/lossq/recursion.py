@@ -8,7 +8,8 @@ recursion in the Poisson-weighted moment coefficients:
     Q_k = [(1 - r_1) Q_{k-1} - sum_{i=2}^{k-1} r_i Q_{k-i}] / r_0
 
 :func:`solve_recursion` runs it once from the unit seed Q_0 = 1, together
-with the confidence-bound chains when widths are given.  The recursion is
+with the confidence-bound chains when widths are given, and keeps the point
+chain of each moment vector for the next call on it.  The recursion is
 linear in the seed, so every characteristic is one seed map of that unit
 chain: ``spec.to_natural(spec.seed * unit)``.  By Wald's identity busy =
 m * served and lost = (lambda m - 1) * served + 1.  Estimates are returned
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,6 +196,42 @@ class RecursionResult:
         object.__setattr__(self, "natural_values", nat)
 
 
+# unit point chains Q_0..Q_n by moment vector, each read-only; a vector is
+# hashed by identity and its values are read-only, so its chain to order n
+# is the prefix of any longer one and an entry lives as long as the vector
+_POINT_CHAINS: "weakref.WeakKeyDictionary[MomentVector, np.ndarray]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _point_chain(moments: MomentVector, order: int) -> np.ndarray:
+    """The unit point chain Q_0..Q_order, from the cache when it is long
+    enough, else extended from the cached prefix and cached again."""
+    known = _POINT_CHAINS.get(moments)
+    if known is not None and known.size > order:
+        return known[:order + 1]
+    r = moments.values
+    r0 = float(r[0])
+    lead = 1.0 - float(r[1]) if r.size > 1 else 0.0
+    # index 0 holds the unit seed, which the tail dot products never reach;
+    # the arithmetic is on Python floats, so an overflow is a silent inf
+    point = np.ones(order + 1)
+    if known is None:
+        start, point[1] = 2, 1.0 / r0
+    else:
+        start, point[:known.size] = known.size, known
+    prev = point.item(start - 1)
+    for k in range(start, order + 1):
+        if prev == math.inf:
+            point[k:] = math.inf
+            break
+        prev = (lead * prev - float(np.dot(r[2:k], point[k - 2:0:-1]))) / r0
+        point[k] = prev
+    point.setflags(write=False)
+    _POINT_CHAINS[moments] = point
+    return point
+
+
 def solve_recursion(
     moments: MomentVector, order: int, eps: float = 0.0, gamma: float = 0.0
 ) -> BoundSequences:
@@ -210,8 +248,34 @@ def solve_recursion(
     and flagged.  With zero widths the bounds are the point chain itself.
 
     The unit point chain is nondecreasing for coefficients summing to at
-    most 1, so once it overflows it stays ``inf``.  Needs r_0..r_{order-1};
-    r_0 = 0 raises :class:`DegeneracyError` (every level divides by it).
+    most 1, so once it overflows it stays ``inf``.  It depends only on the
+    coefficients, so it is computed once per moment vector: each vector
+    keeps its longest chain so far, read-only, in a weak-keyed cache (an
+    entry goes with its vector), and a shorter order is a slice of it.
+
+    Three rules skip bound-chain work that cannot change a result:
+
+    * A lower bound pinned at zero stays zero.  With ``low[k-1] = 0`` the
+      lower total is minus the tail sum of ``(r_i + gamma) upp[k-i]``.
+      While ``(r_2 + gamma)`` times every upper bound so far is positive,
+      every term is non-negative and the one at i = 2 is positive, so the
+      total is negative: level k is 0 and clamped, with no dot product.
+      The upper chain's tail then reads only the lower bounds up to the
+      last nonzero one, a fixed window, so one convolution gives it for
+      every pinned level.
+    * An upper bound that has overflowed stays ``inf``, as the point chain
+      does, with no dot product.
+    * A lower tail term whose upper bound has overflowed is ``+inf`` for a
+      positive coefficient and 0 for a coefficient that is exactly 0 (not
+      ``0 * inf = NaN``).  Once a positive coefficient meets an overflowed
+      upper bound the total is ``-inf``, and the level is 0 and clamped with
+      no dot product; before that the dot product leaves out the zero
+      coefficients that meet one.  So the lower total is never
+      ``inf - inf``, even after the lower chain itself has overflowed, and
+      no bound turns NaN.
+
+    Needs r_0..r_{order-1}; r_0 = 0 raises :class:`DegeneracyError` (every
+    level divides by it).
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -222,46 +286,80 @@ def solve_recursion(
         )
     if eps < 0.0 or gamma < 0.0:
         raise ValueError("widths must be nonnegative")
-    r = moments.values
+    r = moments.values[:order]
     r0 = float(r[0])
     if r0 == 0.0:
         raise DegeneracyError("leading moment coefficient is zero; cannot divide")
-    lead = 1.0 - float(r[1]) if order >= 2 else 0.0
-    bounded = eps > 0.0 or gamma > 0.0
-    upper_infinite = bounded and r0 <= eps
-    # index 0 holds the unit seed, which the tail dot products never reach;
-    # the arithmetic is on Python floats, so an overflow is a silent inf
-    point = np.ones(order + 1)
+    point = _point_chain(moments, order)[1:]
     clamped = np.zeros(order + 1, dtype=bool)
-    low = upp = point
-    point[1] = 1.0 / r0
-    if bounded:
-        low, upp = np.ones(order + 1), np.ones(order + 1)
-        r_up, r_down = r + gamma, r - gamma
-        div_low, div_upp = r0 + eps, r0 - eps
-        lead_low, lead_upp = lead - gamma, lead + gamma
-        lead_clamped = lead_low < 0.0
-        lead_low = max(lead_low, 0.0)
-        low[1] = 1.0 / div_low
-        if upper_infinite:
-            upp[1:] = math.inf
-        else:
-            upp[1] = 1.0 / div_upp
-    for k in range(2, order + 1):
-        prev = point.item(k - 1)
-        point[k] = prev if prev == math.inf else (
-            (lead * prev - float(np.dot(r[2:k], point[k - 2:0:-1]))) / r0
-        )
-        if not bounded:
+    if eps == 0.0 and gamma == 0.0:
+        return BoundSequences(point=point, lower=point, upper=point,
+                              upper_infinite=False, clamped=clamped[1:])
+    lead = 1.0 - float(r[1]) if order >= 2 else 0.0
+    upper_infinite = r0 <= eps
+    r_up, r_down = r + gamma, r - gamma
+    # the first tail coefficient r_i + gamma (i >= 2) that is positive
+    positives = np.flatnonzero(r_up[2:])
+    first_positive = int(positives[0]) + 2 if positives.size else order + 1
+    div_low, div_upp = r0 + eps, r0 - eps
+    lead_low, lead_upp = lead - gamma, lead + gamma
+    lead_clamped = lead_low < 0.0
+    lead_low = max(lead_low, 0.0)
+    low, upp = np.ones(order + 1), np.ones(order + 1)
+    low[1] = 1.0 / div_low
+    if upper_infinite:
+        upp[1:] = math.inf
+    else:
+        upp[1] = 1.0 / div_upp
+    r2 = r_up.item(2) if order > 2 else 0.0
+    top = 1  # the last level whose lower bound is nonzero
+    inf_from = 1 if upper_infinite else order + 1  # upper bounds are inf from here
+    # r_2 + gamma times every upper bound so far is positive, so every tail
+    # term (r_i + gamma) upp[k-i] is non-negative and the one at i = 2 is not 0
+    positive = r2 * upp.item(1) > 0.0
+    k = 2
+    while k <= order:
+        if positive and k > 2 and low.item(k - 1) == 0.0:
+            # pinned: every level from k on is 0 and clamped while positive
+            # holds, and the upper tail is a fixed window on low[1..top]
+            if upp.item(k - 1) == math.inf:
+                low[k:], clamped[k:], upp[k:] = 0.0, True, math.inf
+                break
+            tails = np.convolve(r_down[k - top:order], low[1:top + 1], "valid")
+            u, pinned = upp.item(k - 1), []
+            for tail in tails.tolist():
+                u = (lead_upp * u - tail) / div_upp
+                pinned.append(u)
+                if u == math.inf:
+                    break
+                if not r2 * u > 0.0:
+                    positive = False
+                    break
+            stop = k + len(pinned)
+            upp[k:stop], low[k:stop], clamped[k:stop] = pinned, 0.0, True
+            k = stop
             continue
-        acc = lead_low * low.item(k - 1) - float(np.dot(r_up[2:k], upp[k - 2:0:-1]))
+        # tail terms i <= k - inf_from meet an infinite upper bound: +inf for
+        # a positive coefficient, 0 (not NaN) for a coefficient that is 0
+        start = max(2, k - inf_from + 1)
+        if start > first_positive:
+            acc = -math.inf
+        else:
+            acc = lead_low * low.item(k - 1) - float(np.dot(r_up[start:k], upp[k - start:0:-1]))
         clamped[k] = lead_clamped or acc < 0.0
         low[k] = max(acc, 0.0) / div_low
-        if not upper_infinite:
-            upp[k] = (lead_upp * upp.item(k - 1)
-                      - float(np.dot(r_down[2:k], low[k - 2:0:-1]))) / div_upp
+        if low.item(k) != 0.0:
+            top = k
+        u = upp.item(k - 1)
+        if u != math.inf:
+            u = (lead_upp * u - float(np.dot(r_down[2:k], low[k - 2:0:-1]))) / div_upp
+            if u == math.inf:
+                inf_from = k
+        upp[k] = u
+        positive = positive and r2 * u > 0.0
+        k += 1
     return BoundSequences(
-        point=point[1:], lower=low[1:], upper=upp[1:],
+        point=point, lower=low[1:], upper=upp[1:],
         upper_infinite=upper_infinite, clamped=clamped[1:],
     )
 

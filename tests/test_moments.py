@@ -271,11 +271,12 @@ def _law_reference(dist, rate: float, order: int) -> np.ndarray:
             y = a * dist.value
             exact = [mpmath.exp(-y) * y**i / mpmath.factorial(i) for i in range(order + 1)]
         else:
-            # lower regularized gammas: no cancellation where r_i is tiny
+            # the integral over [al, ah], with the digits that the
+            # cancellation of its two tails costs (al / ln 10) on top of the 60
             al, ah = a * dist.low, a * dist.high
-            exact = [(mpmath.gammainc(i + 1, 0, ah, regularized=True)
-                      - mpmath.gammainc(i + 1, 0, al, regularized=True)) / (ah - al)
-                     for i in range(order + 1)]
+            with mpmath.workdps(60 + int(al / 2)):
+                exact = [mpmath.gammainc(i + 1, al, ah, regularized=True) / (ah - al)
+                         for i in range(order + 1)]
         return np.array([float(v) for v in exact])
 
 
@@ -287,6 +288,13 @@ def _law_reference(dist, rate: float, order: int) -> np.ndarray:
     (Uniform(0.3, 1.7), 1.0, 400),
     (Uniform(0.0, 2.0), 3.0, 400),
     (Uniform(100.0, 400.0), 1.0, 500),
+    # narrow laws, averaged by quadrature; the first one raised "coefficients
+    # must sum to at most 1" on the gamma difference
+    (Uniform(0.5, 0.5000001), 2.0, 60),
+    (Uniform(0.5, 0.50001), 1.0, 400),
+    (Uniform(3.0, 3.001), 5.0, 600),
+    (Uniform(0.0, 0.01), 5.0, 300),
+    (Uniform(50.0, 50.01), 2.0, 400),
     (Deterministic(1.5), 1.0, 400),
     (Deterministic(744.0), 1.0, 900),
     (Deterministic(800.0), 1.0, 1000),

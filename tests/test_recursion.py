@@ -1,11 +1,16 @@
 """Tests for the convolution recursion and characteristic point estimates."""
 
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lossq import recursion
 from lossq.ecdf import Sample, build_ecdf
 from lossq.errors import DegeneracyError
 from lossq.moments import MomentVector, moments_empirical, moments_exponential
@@ -365,3 +370,225 @@ def test_healthy_estimates_carry_no_anomalies():
     )
     assert res.sign_anomalies == ()
     assert np.all(res.natural_values > 0.0)
+
+
+# ---------------------------------------------------------------------------
+# The bound-chain kernel against the plain three-dot-product loop
+# ---------------------------------------------------------------------------
+
+
+def _reference_chains(moments, order, eps, gamma):
+    """solve_recursion as one loop of three full dot products per level, with
+    no cache, no pinned lower chain and no support limit."""
+    r = moments.values
+    r0 = float(r[0])
+    lead = 1.0 - float(r[1]) if order >= 2 else 0.0
+    bounded = eps > 0.0 or gamma > 0.0
+    upper_infinite = bounded and r0 <= eps
+    point = np.ones(order + 1)
+    clamped = np.zeros(order + 1, dtype=bool)
+    low = upp = point
+    point[1] = 1.0 / r0
+    if bounded:
+        low, upp = np.ones(order + 1), np.ones(order + 1)
+        r_up, r_down = r + gamma, r - gamma
+        div_low, div_upp = r0 + eps, r0 - eps
+        lead_low, lead_upp = lead - gamma, lead + gamma
+        lead_clamped = lead_low < 0.0
+        lead_low = max(lead_low, 0.0)
+        low[1] = 1.0 / div_low
+        if upper_infinite:
+            upp[1:] = math.inf
+        else:
+            upp[1] = 1.0 / div_upp
+    for k in range(2, order + 1):
+        prev = point.item(k - 1)
+        point[k] = prev if prev == math.inf else (
+            (lead * prev - float(np.dot(r[2:k], point[k - 2:0:-1]))) / r0
+        )
+        if not bounded:
+            continue
+        acc = lead_low * low.item(k - 1) - float(np.dot(r_up[2:k], upp[k - 2:0:-1]))
+        clamped[k] = lead_clamped or acc < 0.0
+        low[k] = max(acc, 0.0) / div_low
+        if not upper_infinite:
+            upp[k] = (lead_upp * upp.item(k - 1)
+                      - float(np.dot(r_down[2:k], low[k - 2:0:-1]))) / div_upp
+    return point[1:], low[1:], upp[1:], upper_infinite, clamped[1:]
+
+
+def _assert_matches_reference(moments, order, eps, gamma):
+    """Point, lower, clamped and upper_infinite bit-identical to the plain
+    loop, upper within 1e-14 relative.  Where the loop's bounds are NaN (a
+    0 * inf or inf - inf past the largest double) the kernel's lower bound is
+    0 and clamped and its upper bound inf."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = solve_recursion(moments, order, eps, gamma)
+    with np.errstate(invalid="ignore", over="ignore"):
+        point, lower, upper, upper_infinite, clamped = _reference_chains(
+            moments, order, eps, gamma)
+    assert np.array_equal(got.point, point)
+    assert got.upper_infinite == upper_infinite
+    assert not np.isnan(got.lower).any() and not np.isnan(got.upper).any()
+    nan_low, nan_upp = np.isnan(lower), np.isnan(upper)
+    assert np.array_equal(got.lower[~nan_low], lower[~nan_low])
+    assert np.array_equal(got.clamped[~nan_low], clamped[~nan_low])
+    assert np.all(got.lower[nan_low] == 0.0) and np.all(got.clamped[nan_low])
+    assert np.all(got.upper[nan_upp] == math.inf)
+    assert np.array_equal(np.isinf(got.upper[~nan_upp]), np.isinf(upper[~nan_upp]))
+    finite = ~nan_upp & np.isfinite(upper)
+    assert np.all(np.abs(got.upper[finite] - upper[finite])
+                  <= 1e-14 * np.abs(upper[finite]))
+    return got
+
+
+_SAMPLE_LAWS = (
+    lambda rng, n: rng.exponential(1.0, n),
+    lambda rng, n: rng.gamma(2.0, 0.5, n),
+    lambda rng, n: rng.uniform(0.0, 3.0, n),
+    lambda rng, n: rng.lognormal(0.0, 1.5, n),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 20_000),
+    law=st.integers(0, len(_SAMPLE_LAWS) - 1),
+    rate=st.floats(0.05, 5.0),
+    order=st.integers(1, 1_200),
+    eps_kind=st.sampled_from(["zero", "tiny", "width", "r0", "past r0"]),
+    gamma_kind=st.sampled_from(["zero", "tiny", "width"]),
+    scale=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_matches_the_plain_loop(n, law, rate, order, eps_kind, gamma_kind, scale, seed):
+    rng = np.random.default_rng(seed)
+    moments = moments_empirical(build_ecdf(Sample(_SAMPLE_LAWS[law](rng, n))), rate, order)
+    r0 = float(moments.values[0])
+    width = {"zero": 0.0, "tiny": 10.0 ** (-13.0 + 7.0 * scale),
+             "width": 10.0 ** (-4.0 + 3.5 * scale), "r0": r0,
+             "past r0": r0 * (1.0 + scale)}
+    eps = width[eps_kind]
+    gamma = width[gamma_kind] * 2.0
+    _assert_matches_reference(moments, order, eps, gamma)
+
+
+@pytest.mark.parametrize("eps, gamma", [(0.05, 0.0), (0.05, 0.1), (0.0, 0.02)])
+def test_kernel_matches_the_plain_loop_on_an_overflowing_chain(eps, gamma):
+    _assert_matches_reference(_overflowing_moments(3.0), 1000, eps, gamma)
+
+
+def test_zero_coefficients_never_meet_an_infinite_upper_bound():
+    # gamma = 0 keeps the coefficients past r's last nonzero order (326) at
+    # exactly 0; the upper chain overflows at level 357, and the plain loop's
+    # lower bounds turn NaN from level 684 (0 * inf), its upper ones after
+    x = np.random.default_rng(0).gamma(2.0, 0.5, 2000)
+    moments = moments_empirical(build_ecdf(Sample(x)), 3.0, 1000)
+    got = _assert_matches_reference(moments, 1000, 0.05, 0.0)
+    first = int(np.argmax(np.isinf(got.upper)))
+    assert first == 356 and np.all(got.upper[first:] == math.inf)
+    assert np.all(got.lower[first:] == 0.0) and np.all(got.clamped[first:])
+
+
+def test_interior_zero_coefficients_never_meet_an_infinite_upper_bound():
+    # r_2 .. r_49 are 0 and r_2 = 0 keeps the lower chain from being pinned,
+    # so the lower tail runs past the upper chain's overflow at level 162;
+    # the plain loop meets 0 * inf there and turns NaN from level 164
+    values = np.zeros(300)
+    values[[0, 1, 50]] = 0.3, 0.2, 0.5
+    moments = MomentVector(rate=1.0, values=values)
+    got = _assert_matches_reference(moments, 300, 0.29, 0.0)
+    assert got.upper[160] < math.inf and np.all(got.upper[161:] == math.inf)
+    assert np.all(got.lower[53:] == 0.0) and np.all(got.clamped[53:])
+
+
+def test_an_overflowed_lower_chain_clamps_instead_of_turning_nan():
+    # tiny widths keep the lower chain on the point chain until all three
+    # overflow at level 323; the plain loop's lower total at level 325 is
+    # inf - inf, where the kernel sees r_2 meet an infinite upper bound
+    moments = moments_exponential(9.0, 1.0, 800)
+    got = _assert_matches_reference(moments, 800, 1e-12, 0.0)
+    assert got.lower[322] == math.inf and np.all(got.upper[322:] == math.inf)
+    assert np.all(got.lower[324:] == 0.0) and np.all(got.clamped[324:])
+
+
+def test_a_zero_lower_bound_with_a_zero_tail_is_not_clamped():
+    # r_1 = 1 makes the leading coefficient 0, so the lower chain reaches 0 at
+    # level 2 with a total of exactly 0, and r_2 = r_3 = ... = 0 keep every
+    # later total at 0 as well: 0 is the value itself, not a clamp
+    moments = MomentVector(rate=1.0, values=np.array([1e-10, 1.0, 0.0, 0.0, 0.0, 0.0]))
+    got = _assert_matches_reference(moments, 6, 1e-11, 0.0)
+    assert np.array_equal(got.lower[1:], np.zeros(5))
+    assert not got.clamped.any()
+
+
+# ---------------------------------------------------------------------------
+# The point-chain cache
+# ---------------------------------------------------------------------------
+
+
+def _fresh_copy(moments):
+    return MomentVector(rate=moments.rate, values=moments.values.copy())
+
+
+def test_a_second_call_reuses_the_cached_point_chain():
+    moments = moments_exponential(0.8, 1.0, 60)
+    first = solve_recursion(moments, 60)
+    entry = recursion._POINT_CHAINS[moments]
+    second = solve_recursion(moments, 60, 0.01, 0.02)
+    assert recursion._POINT_CHAINS[moments] is entry
+    assert np.shares_memory(first.point, entry) and np.shares_memory(second.point, entry)
+    assert np.array_equal(second.point, first.point)
+
+
+def test_a_shorter_order_is_a_prefix_of_the_cached_chain():
+    moments = moments_exponential(0.8, 1.0, 80)
+    long = solve_recursion(moments, 80)
+    entry = recursion._POINT_CHAINS[moments]
+    short = solve_recursion(moments, 30)
+    assert recursion._POINT_CHAINS[moments] is entry
+    assert np.shares_memory(short.point, entry)
+    assert np.array_equal(short.point, long.point[:30])
+    assert np.array_equal(short.point, solve_recursion(_fresh_copy(moments), 30).point)
+
+
+def test_a_longer_order_extends_the_cached_chain():
+    x = np.random.default_rng(9).gamma(2.0, 0.5, 500)
+    moments = moments_empirical(build_ecdf(Sample(x)), 0.8, 400)
+    short = solve_recursion(moments, 30)
+    long = solve_recursion(moments, 400, 0.02, 0.04)
+    assert recursion._POINT_CHAINS[moments].size == 401
+    assert long.point.size == 400
+    assert np.array_equal(long.point[:30], short.point)
+    assert np.array_equal(long.point, solve_recursion(_fresh_copy(moments), 400).point)
+    _assert_matches_reference(moments, 400, 0.02, 0.04)
+
+
+def test_cached_chains_are_read_only():
+    moments = moments_exponential(0.8, 1.0, 20)
+    chains = solve_recursion(moments, 20)
+    entry = recursion._POINT_CHAINS[moments]
+    for arr in (entry, chains.point):
+        with pytest.raises(ValueError):
+            arr[1] = 9.9
+
+
+def test_a_collected_moment_vector_leaves_the_cache():
+    moments = _fresh_copy(moments_exponential(0.8, 1.0, 20))
+    solve_recursion(moments, 20)
+    alive = weakref.ref(moments)
+    size = len(recursion._POINT_CHAINS)
+    del moments
+    gc.collect()
+    assert alive() is None
+    assert len(recursion._POINT_CHAINS) <= size - 1
+
+
+def test_equal_valued_vectors_do_not_share_an_entry():
+    a = moments_exponential(0.8, 1.0, 20)
+    b = _fresh_copy(a)
+    solve_recursion(a, 20)
+    solve_recursion(b, 20)
+    assert recursion._POINT_CHAINS[a] is not recursion._POINT_CHAINS[b]
+    assert np.array_equal(recursion._POINT_CHAINS[a], recursion._POINT_CHAINS[b])
