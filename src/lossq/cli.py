@@ -128,8 +128,8 @@ def _run_quantile(args: argparse.Namespace) -> int:
 
 
 def _run_moments(args: argparse.Namespace) -> int:
-    sample = read_sample_file(args.input)
-    vector = moments_empirical(build_ecdf(sample), args.rate, args.order)
+    ecdf = build_ecdf(read_sample_file(args.input))
+    vector = moments_empirical(ecdf, args.rate, args.order)
     print(",".join(f"r_{i}" for i in range(vector.order + 1)))
     print(",".join(repr(float(v)) for v in vector.values))
     return 0
@@ -137,18 +137,19 @@ def _run_moments(args: argparse.Namespace) -> int:
 
 def _run_estimate(args: argparse.Namespace) -> int:
     spec = _characteristic_spec(args)
-    sample = read_sample_file(args.input)
+    # the unsorted sample is dropped once sorted, before the moments run
+    ecdf = build_ecdf(read_sample_file(args.input))
     order = args.order if args.order is not None else args.n
-    moments = moments_empirical(build_ecdf(sample), spec.weighting_rate, order)
+    moments = moments_empirical(ecdf, spec.weighting_rate, order)
 
     if args.confidence is None:
         result = estimate_characteristic(spec, moments, args.n)
         print(_render_points(args, result.natural_values))
         return 0
     table = interval_table(
-        spec, moments, args.confidence, sample.n_obs, Method(args.method), args.n,
+        spec, moments, args.confidence, ecdf.n_obs, Method(args.method), args.n,
     )
-    print(_render_intervals(args, table, sample.n_obs))
+    print(_render_intervals(args, table, ecdf.n_obs))
     return 0
 
 

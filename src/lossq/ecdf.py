@@ -9,8 +9,8 @@ the two-sided statistic is their maximum.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -60,7 +60,7 @@ class EmpiricalCdf:
         arr = np.asarray(self.sorted_values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("an empirical CDF needs at least one observation")
-        if np.any(np.diff(arr) < 0):
+        if np.any(arr[1:] < arr[:-1]):
             raise ValueError("observations must be sorted ascending")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -143,18 +143,41 @@ def _evaluate_cdf(model_cdf: Callable, xs: np.ndarray) -> np.ndarray:
 def read_sample_file(path) -> Sample:
     """Read one positive decimal per line; blank lines are ignored.
 
+    The fast path is NumPy's C reader (``np.loadtxt`` on a file handle this
+    function opens as UTF-8 text).  Its result is kept only when every line
+    held one number; anything it rejects, and any file with more than one
+    number on a line, goes through the line-by-line fallback, which accepts
+    exactly what :func:`float` accepts after :meth:`str.splitlines` (digit
+    separators such as ``1_000`` and non-ASCII digits included).  The file
+    is opened once; input that cannot be rewound (a pipe, a FIFO,
+    ``/dev/stdin`` fed by a pipe) skips the fast path, because ``loadtxt``
+    reads ahead of the line it rejects.  There is
+    no comment syntax: a ``#`` line is an error.  Files are always read as
+    plain text, never decompressed, whatever their suffix.
+
     A line that does not parse as a positive finite number raises
     :class:`ParseError` naming the offending line.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    # float() strips surrounding whitespace itself, so a file without bad
-    # lines converts in one pass once blank lines are dropped; Sample rejects
-    # non-positive, non-finite and empty input with a ValueError
-    try:
-        return Sample(np.fromiter(map(float, filter(str.strip, lines)), dtype=float))
-    except ValueError:
-        pass
-    # rescan line by line to name the offending line
+    # a handle, not the path: a path would go through NumPy's data source
+    # layer, which decompresses by suffix and fetches URLs
+    with open(path, encoding="utf-8") as fh:
+        # loadtxt reads ahead, so only a file that can be rewound for the
+        # fallback is given to it; a pipe or FIFO is scanned line by line
+        if fh.seekable():
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings(
+                        "ignore", "loadtxt: input contained no data", UserWarning
+                    )
+                    # ndmin=2 keeps a one-line "1 2" file two columns wide
+                    table = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
+                if table.shape[1] == 1:
+                    return Sample(table.reshape(-1))
+            except ValueError:
+                pass
+            fh.seek(0)
+        # line by line, to accept what float() accepts and name a bad line
+        lines = fh.read().splitlines()
     values: list[float] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()

@@ -83,7 +83,8 @@ def moments_empirical(ecdf: EmpiricalCdf, rate: float, order: int) -> MomentVect
     _check_rate_order(rate, order)
     ax = rate * ecdf.sorted_values
     n = ax.size
-    w = np.exp(-ax)
+    w = np.negative(ax)
+    np.exp(w, out=w)
     out = np.zeros(order + 1)
     out[0] = w.mean()
     # w is nonincreasing along the sorted observations, so the weights below

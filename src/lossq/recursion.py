@@ -284,7 +284,8 @@ def solve_recursion(
             f"level {order} needs coefficients up to order {order - 1}, "
             f"got {moments.order}"
         )
-    if eps < 0.0 or gamma < 0.0:
+    # written so that a NaN width fails too
+    if not (eps >= 0.0 and gamma >= 0.0):
         raise ValueError("widths must be nonnegative")
     r = moments.values[:order]
     r0 = float(r[0])

@@ -109,6 +109,23 @@ def test_moments_missing_file(capsys, tmp_path):
                  "--rate", "1.0", "--order", "2"]) == 1
 
 
+@pytest.mark.parametrize("text", ["", " \n\t\n\n"], ids=["empty", "blank"])
+@pytest.mark.parametrize("argv", [
+    ["moments", "--rate", "1.0", "--order", "2"],
+    ["estimate", "--system", "mg1n", "--characteristic", "busy", "--rate", "0.8",
+     "--mean-service", "1.0", "--n", "3", "--confidence", "0.95"],
+], ids=["moments", "estimate"])
+def test_an_input_without_observations_is_one_error_line(capsys, tmp_path, text, argv):
+    path = tmp_path / "obs.txt"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"lossq: error: no observations found in {path}\n"
+
+
 # ---------------------------------------------------------------------------
 # estimate
 # ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
 """Empirical CDF construction and exact sup-deviation statistics."""
 
+import gc
 import math
+import os
+import threading
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +21,7 @@ from lossq import (
     draw_samples,
     ks_law_experiment,
     ks_statistics,
+    moments_empirical,
     read_sample_file,
 )
 from lossq.errors import ParseError
@@ -266,13 +272,31 @@ _INVALID = st.one_of(
         "", "   ", "1__0", "_1", "1_", "nan", "NaN", "-nan", "inf", "-inf",
         "Infinity", "1e999", "-1e999", "0", "-0", "0.0", "-0.0", "+0", "-1",
         "-2.5e3", "1e-400", "0x10", "1.2.3", "1e", "e5", "abc", "--1", "1 2",
+        "#", "# 1.5", "#1.5", "1.5 # note", "1.5\x00",
     ]),
-    st.text(alphabet="0123456789.eE+-_ xn\t", max_size=8),
+    st.text(alphabet="0123456789.eE+-_ xn\t#", max_size=8),
 )
+# characters that str.splitlines breaks a line at but NumPy's reader reads
+# as whitespace inside one line
+_INLINE_BREAK = st.sampled_from(
+    ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+# byte sequences that are not UTF-8
+_NOT_UTF8 = st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xf8\x88"])
 
 
 def _padded(lines):
     return st.tuples(_PADDING, lines, _PADDING).map("".join)
+
+
+def _joined(left, right):
+    return st.tuples(left, _INLINE_BREAK, right).map("".join)
+
+
+def _two_numbers(numbers):
+    return st.tuples(numbers, st.sampled_from([" ", "\t", " \t "]), numbers).map(
+        "".join
+    )
 
 
 @settings(max_examples=400, deadline=None,
@@ -286,18 +310,196 @@ def _padded(lines):
             st.lists(_padded(_VALID), max_size=15),
         ).map(lambda parts: parts[0] + [parts[1]] + parts[2]),
         st.lists(_padded(st.one_of(_VALID, _INVALID)), max_size=30),
+        # every line a comment, or commented lines among good ones
+        st.lists(_VALID.map("#".__add__), min_size=1, max_size=10),
+        st.lists(st.one_of(_padded(_VALID), _VALID.map("# ".__add__)), max_size=30),
+        # two numbers on every line: a two-column table, not a sample
+        st.lists(_padded(_two_numbers(_VALID)), min_size=1, max_size=20),
+        st.lists(_padded(_two_numbers(st.one_of(_VALID, _INVALID))),
+                 min_size=1, max_size=20),
+        # a line break for splitlines inside what NumPy reads as one line
+        st.lists(
+            _padded(st.one_of(
+                _VALID,
+                _joined(_VALID, _VALID),
+                _joined(_VALID, st.just("")),
+                _joined(st.just(""), _VALID),
+                _joined(_VALID, _INVALID),
+            )),
+            max_size=30,
+        ),
     ),
     newline=st.sampled_from(["\n", "\r\n"]),
     trailing=st.booleans(),
+    # an optional non-UTF-8 byte sequence, spliced in at a relative position
+    splice=st.one_of(st.none(), st.tuples(st.floats(0.0, 1.0), _NOT_UTF8)),
 )
-def test_read_sample_file_matches_the_line_scan(tmp_path, lines, newline, trailing):
+def test_read_sample_file_matches_the_line_scan(tmp_path, lines, newline, trailing,
+                                                splice):
     p = tmp_path / "obs.txt"
-    p.write_bytes((newline.join(lines) + (newline if trailing else "")).encode("utf-8"))
+    data = (newline.join(lines) + (newline if trailing else "")).encode("utf-8")
+    if splice is not None:
+        at = int(splice[0] * len(data))
+        data = data[:at] + splice[1] + data[at:]
+    p.write_bytes(data)
     try:
         expected = _line_scan(p)
-    except ParseError as exc:
-        with pytest.raises(ParseError) as got:
+    except (ParseError, UnicodeDecodeError) as exc:
+        with pytest.raises(type(exc)) as got:
             read_sample_file(p)
         assert str(got.value) == str(exc)
     else:
         assert read_sample_file(p).values.tobytes() == expected.tobytes()
+
+
+def test_read_sample_file_never_decompresses(tmp_path):
+    # a .gz suffix on a plain-text file changes nothing
+    p = tmp_path / "obs.txt.gz"
+    p.write_text("1.5\n2.5\n")
+    assert np.array_equal(read_sample_file(p).values, [1.5, 2.5])
+
+
+def test_read_sample_file_does_not_read_a_one_line_table_as_two_values(tmp_path):
+    p = tmp_path / "obs.txt"
+    p.write_text("1 2\n")
+    with pytest.raises(ParseError) as got:
+        read_sample_file(p)
+    assert str(got.value) == "line 1: not a number: '1 2'"
+
+
+def test_read_sample_file_rejects_comment_lines(tmp_path):
+    p = tmp_path / "obs.txt"
+    p.write_text("1.5\n# 2.5\n3.5\n")
+    with pytest.raises(ParseError) as got:
+        read_sample_file(p)
+    assert str(got.value) == "line 2: not a number: '# 2.5'"
+
+
+@pytest.mark.parametrize("text", ["", "\n", "\n\n", "  \n\t\n", "\r\n \r\n"])
+def test_read_sample_file_empty_or_blank_raises_without_a_warning(tmp_path, text):
+    p = tmp_path / "obs.txt"
+    p.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParseError) as got:
+            read_sample_file(p)
+    assert str(got.value) == f"no observations found in {p}"
+    assert caught == []
+
+
+def _read_through_fifo(tmp_path, data: bytes):
+    """``read_sample_file`` on a FIFO fed ``data`` by a writer thread: input
+    that can be read only once, as from a pipe or ``<(zcat obs.gz)``."""
+    fifo = tmp_path / "obs.fifo"
+    os.mkfifo(fifo)
+    outcome = {}
+
+    def write():
+        try:
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:
+            pass  # the reader closed early; its result is what is checked
+
+    def read():
+        try:
+            outcome["sample"] = read_sample_file(fifo)
+        except Exception as exc:
+            outcome["error"] = exc
+
+    # the reader runs in a thread too: opening the FIFO a second time would
+    # block for ever, as no writer is left to open it
+    threads = [threading.Thread(target=f, daemon=True) for f in (write, read)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=20)
+    assert not any(t.is_alive() for t in threads), "the FIFO read blocked"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["sample"]
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"x\n1.5\n", "line 1: not a number: 'x'"),
+        (b"1.5\n" * 20_000 + b"oops\n" + b"2.5\n" * 100,
+         "line 20001: not a number: 'oops'"),
+        (b"12345.678\n" * 20_000 + b"-1\n",
+         "line 20001: observations must be positive, got '-1'"),
+    ],
+    ids=["header", "bad-line-past-the-read-ahead", "negative-past-the-read-ahead"],
+)
+def test_read_sample_file_names_the_bad_line_of_a_fifo(tmp_path, data, message):
+    with pytest.raises(ParseError) as got:
+        _read_through_fifo(tmp_path, data)
+    assert str(got.value) == message
+
+
+@pytest.mark.parametrize(
+    "data, expected",
+    [
+        (b"1_000\n2.5\n", [1000.0, 2.5]),
+        (b"12345.678\n" * 20_000 + b"1_000\n", [12345.678] * 20_000 + [1000.0]),
+        (b"\xd9\xa3\n" + b"12345.678\n" * 20_000, [3.0] + [12345.678] * 20_000),
+        (b"1.5\n2\x0c5\n", [1.5, 2.0, 5.0]),
+    ],
+    ids=["digit-separator", "digit-separator-last", "arabic-digit-first", "form-feed"],
+)
+def test_read_sample_file_reads_a_fifo_in_full(tmp_path, data, expected):
+    # the C reader rejects each of these after reading ahead; a FIFO cannot
+    # be rewound, so it must go to the line scan from the start
+    assert _read_through_fifo(tmp_path, data).values.tolist() == expected
+
+
+def test_read_sample_file_fifo_matches_a_regular_file(tmp_path):
+    values = np.random.default_rng(7).exponential(1.0, 5_000).tolist()
+    data = "".join(f"{v!r}\n" for v in values)
+    p = tmp_path / "obs.txt"
+    p.write_text(data)
+    from_fifo = _read_through_fifo(tmp_path, data.encode())
+    assert from_fifo.values.tobytes() == read_sample_file(p).values.tobytes()
+
+
+# ---------------------------------------------------------- memory
+
+
+def _traced_peak(fn, *args):
+    """Result of ``fn(*args)`` and the most memory traced at once during the
+    call: everything allocated since tracing started and still held."""
+    tracemalloc.reset_peak()
+    out = fn(*args)
+    return out, tracemalloc.get_traced_memory()[1]
+
+
+@pytest.fixture()
+def large_sample_file(tmp_path):
+    n = 200_000
+    values = np.random.default_rng(2024).exponential(1.0, n)
+    p = tmp_path / "large.txt"
+    p.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+    return p, n
+
+
+def test_ingest_holds_few_copies_of_the_sample(large_sample_file):
+    # in units of one float64 copy of the sample (8N bytes).  Reading holds
+    # the C reader's table and the Sample's own copy; sorting the Sample, its
+    # sorted copy and the ECDF's copy; the moments the ECDF, rate*x and the
+    # weights once the Sample is dropped, with no fourth copy for -rate*x
+    path, n = large_sample_file
+    copy = 8 * n
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sample, read_peak = _traced_peak(read_sample_file, path)
+        ecdf, ecdf_peak = _traced_peak(build_ecdf, sample)
+        del sample
+        gc.collect()
+        _, moments_peak = _traced_peak(moments_empirical, ecdf, 1.0, 400)
+    finally:
+        tracemalloc.stop()
+    assert ecdf.n_obs == n
+    assert read_peak <= 3 * copy, read_peak / copy
+    assert ecdf_peak <= 4 * copy, ecdf_peak / copy
+    assert moments_peak <= 3.5 * copy, moments_peak / copy

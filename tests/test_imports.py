@@ -1,5 +1,6 @@
 """Every exported name resolves; SciPy stays off the import and every CLI
-subcommand, and the laws' closed forms load only ``scipy.special``.
+subcommand, and the laws' closed forms load only ``scipy.special``; reading
+a sample file loads no decompressor.
 
 The SciPy checks run in a fresh interpreter, because the test process
 itself has SciPy loaded already.
@@ -96,3 +97,33 @@ def test_law_moments_load_only_scipy_special():
     loaded = _run(code)
     assert "scipy.special" in loaded
     assert not [m for m in loaded if m.startswith("scipy.integrate")]
+
+
+def test_reading_sample_files_loads_no_decompressor(tmp_path):
+    # NumPy's own import brings in bz2 and lzma (through shutil), so the
+    # check is that reading, on the fast path and the fallback, adds none of
+    # them, and that gzip, which only NumPy's path-based reader imports,
+    # stays out altogether
+    fast = tmp_path / "fast.txt.gz"
+    fast.write_text("".join(f"{0.1 * (i % 17) + 0.05}\n" for i in range(400)))
+    fallback = tmp_path / "fallback.txt.bz2"
+    fallback.write_text("1_000\n2.5\n")
+    runs = [
+        ["estimate", "--system", "mg1n", "--characteristic", "busy", "--rate", "0.8",
+         "--mean-service", "0.9", "--n", "6", "--input", str(path),
+         "--confidence", "0.95"]
+        for path in (fast, fallback)
+    ] + [["moments", "--input", str(fallback), "--rate", "1", "--order", "4"]]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from lossq.cli import main\n"
+        "codecs = ('gzip', 'bz2', 'lzma')\n"
+        "before = sorted(m for m in codecs if m in sys.modules)\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print(json.dumps([before, sorted(m for m in codecs if m in sys.modules)]))"
+    )
+    before, after = _run(code)
+    assert "gzip" not in after
+    assert after == before

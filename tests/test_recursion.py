@@ -134,6 +134,16 @@ def test_negative_widths_are_rejected():
         solve_recursion(moments, 3, 0.01, -0.02)
 
 
+@pytest.mark.parametrize("eps, gamma", [(math.nan, 0.0), (0.0, math.nan),
+                                        (0.01, math.nan), (math.nan, math.nan)])
+def test_nan_widths_are_rejected(eps, gamma):
+    # a NaN width compares false both ways; it must not pass as a width
+    # and come back as NaN bounds with no clamp flag
+    moments = moments_exponential(0.8, 1.0, 10)
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_recursion(moments, 10, eps, gamma)
+
+
 def test_zero_leading_coefficient_raises_degeneracy():
     moments = MomentVector(rate=1.0, values=np.array([0.0, 0.5, 0.25]))
     with pytest.raises(DegeneracyError):
