@@ -23,7 +23,7 @@ import numpy as np
 
 from .ecdf import build_ecdf, read_sample_file
 from .errors import DegeneracyError
-from .intervals import IntervalTable, Method, interval_table
+from .intervals import IntervalRow, IntervalTable, Method, interval_table
 from .kolmogorov import LimitLaw, quantile, width_for
 from .moments import MomentVector, moments_empirical, moments_exponential
 from .recursion import Characteristic, CharacteristicSpec, estimate_characteristic
@@ -171,20 +171,30 @@ def _render_points(args: argparse.Namespace, natural_values: np.ndarray) -> str:
     return json.dumps(payload, indent=2)
 
 
+# IntervalRow.flags() of every combination of the three flag columns,
+# indexed by upper_infinite + 2 * clamped + 4 * degenerate
+_FLAG_SETS = tuple(
+    IntervalRow(0, 0.0, 0.0, 0.0, bool(c & 1), bool(c & 2), bool(c & 4)).flags()
+    for c in range(8)
+)
+
+
 def _render_intervals(args: argparse.Namespace, table: IntervalTable, n_obs: int) -> str:
+    codes = table.upper_infinite + 2 * table.clamped + 4 * table.degenerate
+    flags = [_FLAG_SETS[c] for c in codes.tolist()]
+    columns = (range(table.order + 1), table.lower.tolist(), table.point.tolist(),
+               table.upper.tolist(), flags)
     if args.format == "table":
         rows = [
-            [str(r.level), _fmt(r.lower), _fmt(r.point), _fmt(r.upper),
-             ",".join(r.flags())]
-            for r in table.rows
+            [str(k), _fmt(lower), _fmt(point), _fmt(upper), ",".join(f)]
+            for k, lower, point, upper, f in zip(*columns)
         ]
         return _render_text_table(["n", "lower", "point", "upper", "flags"], rows)
     if args.format == "csv":
         lines = ["n,lower,point,upper,flags"]
         lines += [
-            f"{r.level},{r.lower!r},{r.point!r},{r.upper!r},"
-            + ";".join(r.flags())
-            for r in table.rows
+            f"{k},{lower!r},{point!r},{upper!r}," + ";".join(f)
+            for k, lower, point, upper, f in zip(*columns)
         ]
         return "\n".join(lines)
     payload = {
@@ -202,14 +212,8 @@ def _render_intervals(args: argparse.Namespace, table: IntervalTable, n_obs: int
             for c in table.confidence
         ],
         "rows": [
-            {
-                "level": r.level,
-                "lower": r.lower,
-                "point": r.point,
-                "upper": r.upper,
-                "flags": list(r.flags()),
-            }
-            for r in table.rows
+            {"level": k, "lower": lower, "point": point, "upper": upper, "flags": list(f)}
+            for k, lower, point, upper, f in zip(*columns)
         ],
     }
     return json.dumps(payload, indent=2)

@@ -34,14 +34,16 @@ class Sample:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", _read_only(self._check(self.values).copy()))
+
+    @staticmethod
+    def _check(values) -> np.ndarray:
+        arr = np.asarray(values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("sample must be a non-empty 1-D collection")
         if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
             raise ValueError("sample values must be positive finite numbers")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        return arr
 
     @property
     def n_obs(self) -> int:
@@ -57,14 +59,18 @@ class EmpiricalCdf:
     sorted_values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.sorted_values, dtype=float)
+        object.__setattr__(
+            self, "sorted_values", _read_only(self._check(self.sorted_values).copy())
+        )
+
+    @staticmethod
+    def _check(sorted_values) -> np.ndarray:
+        arr = np.asarray(sorted_values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("an empirical CDF needs at least one observation")
         if np.any(arr[1:] < arr[:-1]):
             raise ValueError("observations must be sorted ascending")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "sorted_values", arr)
+        return arr
 
     @property
     def n_obs(self) -> int:
@@ -97,11 +103,25 @@ class KsStatistics:
             raise ValueError("two_sided must equal max of the one-sided statistics")
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _adopt(cls, field: str, arr: np.ndarray):
+    """``cls(arr)`` for a fresh array that nothing else references: checked
+    as the constructor checks it, then made read-only in place instead of
+    copied into ``field``, the class's one field."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, field, _read_only(cls._check(arr)))
+    return obj
+
+
 def build_ecdf(sample: Sample) -> EmpiricalCdf:
     """Sort a sample into its empirical CDF."""
     if not isinstance(sample, Sample):
         sample = Sample(np.asarray(sample, dtype=float))
-    return EmpiricalCdf(np.sort(sample.values))
+    return _adopt(EmpiricalCdf, "sorted_values", np.sort(sample.values))
 
 
 def ks_statistics(ecdf: EmpiricalCdf, model_cdf: Callable) -> KsStatistics:
@@ -172,7 +192,7 @@ def read_sample_file(path) -> Sample:
                     # ndmin=2 keeps a one-line "1 2" file two columns wide
                     table = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
                 if table.shape[1] == 1:
-                    return Sample(table.reshape(-1))
+                    return _adopt(Sample, "values", table.reshape(-1))
             except ValueError:
                 pass
             fh.seek(0)
@@ -192,4 +212,4 @@ def read_sample_file(path) -> Sample:
         values.append(v)
     if not values:
         raise ParseError(f"no observations found in {path}")
-    return Sample(np.array(values))
+    return _adopt(Sample, "values", np.array(values))

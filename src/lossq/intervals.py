@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,18 +59,49 @@ class IntervalRow:
         return tuple(out)
 
 
-@dataclass(frozen=True)
+# the columns in IntervalRow's field order, after its level
+_COLUMNS = (("lower", float), ("point", float), ("upper", float),
+            ("upper_infinite", bool), ("clamped", bool), ("degenerate", bool))
+
+
+@dataclass(frozen=True, eq=False)
 class IntervalTable:
-    """Levels 0..order with lower/point/upper and per-row flags."""
+    """Levels 0..order as read-only columns: level k is index k of each.
+
+    ``lower``, ``point`` and ``upper`` are float arrays on the natural scale;
+    ``upper_infinite``, ``clamped`` and ``degenerate`` are the per-level
+    flags.  ``rows`` is the same table as :class:`IntervalRow` objects,
+    built on first access.
+    """
 
     characteristic: Characteristic
     method: Method
     confidence: tuple[ConfidenceSpec, ...]
-    rows: tuple[IntervalRow, ...]
+    lower: np.ndarray
+    point: np.ndarray
+    upper: np.ndarray
+    upper_infinite: np.ndarray
+    clamped: np.ndarray
+    degenerate: np.ndarray
+
+    def __post_init__(self) -> None:
+        size = np.shape(self.point)
+        for name, dtype in _COLUMNS:
+            arr = np.asarray(getattr(self, name), dtype=dtype)
+            if arr.ndim != 1 or arr.shape != size or arr.size == 0:
+                raise ValueError("columns must be non-empty 1-D arrays of one length")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def order(self) -> int:
-        return len(self.rows) - 1
+        return int(self.point.size) - 1
+
+    @cached_property
+    def rows(self) -> tuple[IntervalRow, ...]:
+        """The columns as one :class:`IntervalRow` per level, built once."""
+        return tuple(map(IntervalRow, range(self.order + 1),
+                         *(getattr(self, name).tolist() for name, _ in _COLUMNS)))
 
 
 def interval_table(
@@ -120,10 +152,8 @@ def interval_table(
         lower = np.where(floored, 0.0, lower)
         clamped |= floored
     degenerate = invalid | ~((lower <= point) & (point <= upper))
-    rows = map(IntervalRow, range(order + 1), lower.tolist(), point.tolist(),
-               upper.tolist(), np.isinf(upper).tolist(), clamped.tolist(),
-               degenerate.tolist())
     return IntervalTable(
-        characteristic=spec.kind, method=method,
-        confidence=widths, rows=tuple(rows),
+        characteristic=spec.kind, method=method, confidence=widths,
+        lower=lower, point=point, upper=upper, upper_infinite=np.isinf(upper),
+        clamped=clamped, degenerate=degenerate,
     )

@@ -81,7 +81,10 @@ def moments_empirical(ecdf: EmpiricalCdf, rate: float, order: int) -> MomentVect
     0 and the loop stops.
     """
     _check_rate_order(rate, order)
-    ax = rate * ecdf.sorted_values
+    # a product past the largest double is inf, whose weight is 0 at every
+    # order: the limit of the Poisson pmf as its mean grows
+    with np.errstate(over="ignore"):
+        ax = rate * ecdf.sorted_values
     n = ax.size
     w = np.negative(ax)
     np.exp(w, out=w)

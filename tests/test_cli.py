@@ -1,18 +1,24 @@
 """End-to-end tests of the command-line interface (in-process via main)."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lossq.cli import SEED_ENV_VAR, main
+from lossq.cli import SEED_ENV_VAR, _fmt, _render_intervals, _render_text_table, main
 from lossq.ecdf import build_ecdf
 from lossq.intervals import Method, interval_table
-from lossq.moments import moments_empirical
+from lossq.moments import MomentVector, moments_empirical, moments_exponential
 from lossq.recursion import CharacteristicSpec, estimate_characteristic
 from lossq.simulate import Exponential, draw_samples
 
@@ -102,6 +108,23 @@ def test_moments_past_the_exp_underflow_exit_zero(capsys, tmp_path):
     assert r[744] == pytest.approx(math.exp(744 * math.log(744) - 744 - math.lgamma(745)),
                                    rel=1e-12)
     assert sum(r) <= 1.0
+
+
+def test_moments_past_the_largest_rate_product_are_zero_without_a_warning(
+        capsys, tmp_path):
+    # rate * x overflows to inf, whose Poisson weight is 0 at every order;
+    # the estimate then has no leading coefficient and exits 2
+    path = tmp_path / "obs.txt"
+    path.write_text("1.5\n2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["moments", "--input", str(path), "--rate", "1e308",
+                     "--order", "2"]) == 0
+        assert capsys.readouterr() == ("r_0,r_1,r_2\n0.0,0.0,0.0\n", "")
+        assert main(["estimate", "--system", "mg1n", "--characteristic", "busy",
+                     "--rate", "1e308", "--mean-service", "1", "--n", "3",
+                     "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("lossq: error: ")
 
 
 def test_moments_missing_file(capsys, tmp_path):
@@ -296,6 +319,89 @@ def test_estimate_zero_seed_stays_at_one_past_an_overflowed_chain(
 
 
 # ---------------------------------------------------------------------------
+# The columnar interval renderer against the row-based one
+# ---------------------------------------------------------------------------
+
+
+def _reference_render_intervals(args, table, n_obs):
+    """_render_intervals as it was written over table.rows, one IntervalRow
+    per level."""
+    if args.format == "table":
+        rows = [
+            [str(r.level), _fmt(r.lower), _fmt(r.point), _fmt(r.upper),
+             ",".join(r.flags())]
+            for r in table.rows
+        ]
+        return _render_text_table(["n", "lower", "point", "upper", "flags"], rows)
+    if args.format == "csv":
+        lines = ["n,lower,point,upper,flags"]
+        lines += [
+            f"{r.level},{r.lower!r},{r.point!r},{r.upper!r},"
+            + ";".join(r.flags())
+            for r in table.rows
+        ]
+        return "\n".join(lines)
+    payload = {
+        "characteristic": table.characteristic.value,
+        "system": args.system,
+        "method": table.method.value,
+        "n_obs": n_obs,
+        "confidence": [
+            {
+                "law": c.law.value,
+                "confidence": c.confidence,
+                "n_obs": c.n_obs,
+                "width": c.width,
+            }
+            for c in table.confidence
+        ],
+        "rows": [
+            {
+                "level": r.level,
+                "lower": r.lower,
+                "point": r.point,
+                "upper": r.upper,
+                "flags": list(r.flags()),
+            }
+            for r in table.rows
+        ],
+    }
+    return json.dumps(payload, indent=2)
+
+
+def _render_cases():
+    """(system, spec, moments, n_obs, order) covering all four
+    characteristics, with infinite, clamped and degenerate rows among them."""
+    values = np.random.default_rng(0).exponential(1.0, 2000)
+    ecdf = build_ecdf(values)
+    swallowed = MomentVector(rate=1.0, values=np.array([0.01, 0.005, 0.002]))
+    yield "mg1n", CharacteristicSpec.busy_period(1.0, 1.3), swallowed, 1000, 3
+    yield ("mg1n", CharacteristicSpec.busy_period(3.0, 1.0),
+           moments_empirical(ecdf, 3.0, 1000), 2000, 1000)
+    yield ("mg1n", CharacteristicSpec.served_customers(0.8),
+           moments_empirical(ecdf, 0.8, 40), 2000, 40)
+    for mean_service in (0.7, 1.0, 1.25):
+        yield ("mg1n", CharacteristicSpec.lost_customers(0.8, mean_service),
+               moments_exponential(0.8, 1.0, 8), 100, 8)
+    for n_obs in (36, 10_000):
+        yield ("gim1n", CharacteristicSpec.loss_probability(1.0),
+               moments_empirical(ecdf, 1.0, 6), n_obs, 6)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_interval_renderer_matches_the_row_based_renderer(fmt):
+    flags = set()
+    for system, spec, moments, n_obs, order in _render_cases():
+        for method in Method:
+            table = interval_table(spec, moments, 0.95, n_obs, method, order)
+            args = argparse.Namespace(format=fmt, system=system)
+            want = _reference_render_intervals(args, table, n_obs)
+            assert _render_intervals(args, table, n_obs) == want
+            flags.update(f for row in table.rows for f in row.flags())
+    assert flags == {"upper-inf", "clamped", "degenerate"}
+
+
+# ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
@@ -399,6 +505,118 @@ def test_reproduce_sampled_run_names_its_source(capsys):
     out = capsys.readouterr().out
     assert "simulated sample (N = 2000, seed = 5)" in out
     assert "one-sided-statistics method" in out
+
+
+# ---------------------------------------------------------------------------
+# Exit codes under fuzzed arguments
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Input paths by kind: a good sample, empty, blank-only, a bad line, a
+    non-positive value, non-UTF-8 bytes, a directory and a missing file."""
+    root = tmp_path_factory.mktemp("fuzz")
+    good = np.random.default_rng(3).exponential(1.0, 200)
+    texts = {"good": "".join(f"{float(v)!r}\n" for v in good), "empty": "",
+             "blank": " \n\n", "bad": "1.0\nx\n", "negative": "1.0\n-2\n"}
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = root / f"{name}.txt"
+        paths[name].write_text(text)
+    paths["binary"] = root / "binary.txt"
+    paths["binary"].write_bytes(b"1.0\n\xff\xfe\n")
+    paths["directory"] = root
+    paths["missing"] = root / "missing.txt"
+    paths["emit"] = root / "emitted.txt"
+    paths["emit-nowhere"] = root / "no-such-dir" / "emitted.txt"
+    return {name: str(path) for name, path in paths.items()}
+
+
+_BAD_REALS = ["0", "-1", "1e308", "nan", "inf", "-inf", "x", "", "0x10"]
+_BAD_LEVELS = ["-5", "-1", "0", "2.5", "x", ""]
+_BAD_PROBABILITIES = ["0", "1", "1.5", "-0.1", "nan", "x"]
+_BAD_INPUTS = ["empty", "blank", "bad", "negative", "binary", "directory", "missing"]
+
+# per subcommand and option: (values accepted on their own, values that are
+# not); None leaves the option out, True gives a switch.  The simulator runs
+# until every busy cycle ends, so its load stays at most 1 and its buffer small
+_OPTIONS = {
+    "quantile": {
+        "--law": (["two-sided", "one-sided", "one-sided-sum"], ["sideways", None]),
+        "--p": (["0.95", "0.5"], _BAD_PROBABILITIES + [None]),
+        "--n": ([None, "1", "10000"], _BAD_LEVELS),
+    },
+    "moments": {
+        "--input": (["good"], _BAD_INPUTS + [None]),
+        "--rate": (["1", "0.8", "1e-300", "1e9"], _BAD_REALS + [None]),
+        "--order": (["0", "1", "40"], ["-1", "2.5", "x", None]),
+    },
+    "estimate": {
+        "--system": (["mg1n", "gim1n"], ["mm1", None]),
+        "--characteristic": (["busy", "served", "lost", "loss-prob"], ["idle", None]),
+        "--rate": (["0.8", "1", "3", "1e9"], _BAD_REALS + [None]),
+        "--mean-service": (["1", "0.7"], _BAD_REALS + [None]),
+        "--n": (["1", "3", "40"], _BAD_LEVELS + [None]),
+        "--input": (["good"], _BAD_INPUTS + [None]),
+        "--confidence": ([None, "0.95", "0.5"], _BAD_PROBABILITIES),
+        "--method": ([None, "two-sided", "one-sided"], ["three-sided"]),
+        "--format": ([None, "table", "csv", "json"], ["xml"]),
+        "--order": ([None, "40", "60"], ["-1", "0", "2", "x"]),
+    },
+    "simulate": {
+        "--dist": (["exp:1", "erlang:2:2", "det:1", "uniform:0:2"],
+                   ["exp:0", "exp:-1", "erlang:0:1", "uniform:2:1", "det", "gamma:1",
+                    "exp:x", "", None]),
+        "--rate": (["0.5", "1"], ["0", "-1", "nan", "inf", "x", "", None]),
+        "--n": (["0", "1", "2"], ["-1", "x", None]),
+        "--replications": (["1", "20"], ["0", "-1", "x", None]),
+        "--seed": ([None, "0", "7"], ["-1", "x"]),
+        "--emit-samples": ([None, "emit"], ["emit-nowhere", "directory"]),
+        "--n-obs": ([None, "1", "50"], ["0", "-1", "x"]),
+    },
+    "reproduce": {
+        "--n-obs": ([None, "50"], ["0", "-1", "x"]),
+        "--seed": ([None, "0"], ["-1", "x"]),
+        "--fixture": ([None, "published", "reference"], ["fabricated"]),
+        "--theoretical": ([None, True], []),
+    },
+}
+
+
+@st.composite
+def _fuzz_argv(draw, inputs):
+    """A subcommand line with valid options, up to two of them replaced by a
+    bad value or left out, and maybe a stray argument."""
+    sub = draw(st.sampled_from([*_OPTIONS, "frobnicate", None]))
+    if sub not in _OPTIONS:
+        return [] if sub is None else [sub]
+    options = _OPTIONS[sub]
+    chosen = {name: draw(st.sampled_from(good)) for name, (good, _) in options.items()}
+    fuzzed = [name for name, (_, bad) in options.items() if bad]
+    for name in draw(st.lists(st.sampled_from(fuzzed), max_size=2, unique=True)):
+        chosen[name] = draw(st.sampled_from(options[name][1]))
+    argv = [sub]
+    for name, value in chosen.items():
+        if value is True:
+            argv.append(name)
+        elif value is not None:
+            argv += [name, inputs.get(value, value) if name in ("--input", "--emit-samples")
+                     else value]
+    return argv + draw(st.sampled_from([[], ["--bogus"], ["extra"]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_arguments_exit_zero_one_or_two(fuzz_inputs, data):
+    argv = data.draw(_fuzz_argv(fuzz_inputs))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code != 0:
+        # usage errors of a subcommand name it, as in "lossq estimate: error:"
+        assert re.search(r"^lossq( [a-z]+)?: error: ", err.getvalue(), re.M), (argv, err.getvalue())
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lossq import intervals
 from lossq.ecdf import build_ecdf
 from lossq.intervals import Method, interval_table
 from lossq.kolmogorov import LimitLaw, width_for
@@ -332,6 +333,87 @@ def test_infinite_upper_rows_are_flagged():
         assert math.isinf(row.upper)
         assert "upper-inf" in row.flags()
     assert table.rows[3].clamped and table.rows[3].lower == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The columnar table and its row view
+# ---------------------------------------------------------------------------
+
+_COLUMNS = ("lower", "point", "upper", "upper_infinite", "clamped", "degenerate")
+
+
+def _flagged_tables():
+    """Tables of every characteristic and both methods whose rows between
+    them carry infinite, clamped and degenerate values."""
+    swallowed = MomentVector(rate=1.0, values=np.array([0.01, 0.005, 0.002]))
+    cases = [
+        (CharacteristicSpec.busy_period(1.0, 1.3), swallowed, 1000, 3),
+        (CharacteristicSpec.busy_period(0.8, 0.7), moments_exponential(0.8, 1.0, 30), 500, 30),
+        (CharacteristicSpec.served_customers(0.8), moments_exponential(0.8, 1.0, 30), 36, 30),
+        (CharacteristicSpec.lost_customers(0.5, 1.0), moments_exponential(0.5, 1.0, 8), 100, 8),
+        (CharacteristicSpec.lost_customers(0.8, 0.7), moments_exponential(0.8, 1.0, 8), 100, 8),
+        (CharacteristicSpec.lost_customers(0.8, 1.25), moments_exponential(0.8, 1.0, 8), 100, 8),
+        (CharacteristicSpec.loss_probability(1.0), moments_exponential(1.0, 1.0, 6), 36, 6),
+        (CharacteristicSpec.loss_probability(1.0), moments_exponential(1.0, 1.0, 6), 10_000, 6),
+    ]
+    for spec, moments, n_obs, order in cases:
+        for method in Method:
+            yield interval_table(spec, moments, 0.95, n_obs, method, order)
+
+
+def test_table_columns_are_read_only_with_one_entry_per_level():
+    table = interval_table(BUSY_UNIT, FIXTURE_MOMENTS, 0.95, 10_000,
+                           Method.TWO_SIDED_STATISTIC, 4)
+    for name in _COLUMNS:
+        column = getattr(table, name)
+        assert isinstance(column, np.ndarray)
+        assert column.shape == (table.order + 1,)
+        with pytest.raises(ValueError):
+            column[0] = column[1]
+    assert table.point.dtype == float and table.clamped.dtype == bool
+
+
+def test_table_rows_repeat_the_columns_bit_for_bit():
+    seen = set()
+    for table in _flagged_tables():
+        rows = table.rows
+        assert [row.level for row in rows] == list(range(table.order + 1))
+        for name in _COLUMNS:
+            column = getattr(table, name)
+            got = np.array([getattr(row, name) for row in rows], dtype=column.dtype)
+            if column.dtype == bool:
+                assert np.array_equal(got, column), name
+                if column.any():
+                    seen.add(name)
+            else:
+                assert np.array_equal(got.view(np.uint64), column.view(np.uint64)), name
+        seen.update({table.characteristic, table.method})
+    assert seen == {"upper_infinite", "clamped", "degenerate", *Characteristic, *Method}
+
+
+def test_table_rows_are_built_once_and_only_when_read(monkeypatch):
+    built = []
+
+    class CountingRow(intervals.IntervalRow):
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(intervals, "IntervalRow", CountingRow)
+    table = interval_table(BUSY_UNIT, FIXTURE_MOMENTS, 0.95, 10_000,
+                           Method.ONE_SIDED_STATISTICS, 4)
+    assert built == []
+    rows = table.rows
+    assert built == [0, 1, 2, 3, 4]
+    assert table.rows is rows
+    assert built == [0, 1, 2, 3, 4]
+
+
+def test_tables_compare_by_identity():
+    make = lambda: interval_table(BUSY_UNIT, FIXTURE_MOMENTS, 0.95, 10_000,
+                                  Method.TWO_SIDED_STATISTIC, 4)
+    table = make()
+    assert table == table and table != make()
 
 
 def test_method_enum_round_trip():

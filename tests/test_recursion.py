@@ -5,9 +5,10 @@ import math
 import warnings
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lossq import recursion
@@ -215,6 +216,45 @@ def test_lost_chain_at_half_load_halves_each_level():
     assert res.natural_values == pytest.approx(
         [0.5, 0.25, 0.125, 0.0625], rel=1e-12
     )
+
+
+def _mm1n_served(arrival_rate, service_rate, order):
+    """sum_{j<=n} rho^j for n = 0..order at 40 digits, rho from the two
+    rates exactly as given."""
+    with mpmath.workdps(40):
+        rho = mpmath.mpf(arrival_rate) / mpmath.mpf(service_rate)
+        term, total, out = mpmath.mpf(1), mpmath.mpf(0), []
+        for _ in range(order + 1):
+            total += term
+            term *= rho
+            out.append(total)
+        return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rho=st.floats(0.05, 1.95),
+    service_rate=st.floats(0.2, 5.0),
+    order=st.integers(200, 1000),
+)
+@example(rho=1.0, service_rate=1.0, order=1000)
+@example(rho=1.0001, service_rate=1.0, order=1000)
+def test_exact_exponential_moments_give_the_mm1n_closed_forms(rho, service_rate, order):
+    # M/M/1/n: busy period (1/mu) sum_{j<=n} rho^j and served count
+    # sum_{j<=n} rho^j.  The tolerance is the benchmark's M/M/1/n one; the
+    # largest error seen is 4e-11 relative, near rho = 1 at n = 1000, where
+    # the recursion's two modes 1 and rho nearly coincide
+    arrival_rate = rho * service_rate
+    moments = moments_exponential(arrival_rate, service_rate, order)
+    busy = estimate_characteristic(
+        CharacteristicSpec.busy_period(arrival_rate, 1.0 / service_rate), moments, order)
+    served = estimate_characteristic(
+        CharacteristicSpec.served_customers(arrival_rate), moments, order)
+    want = _mm1n_served(arrival_rate, service_rate, order)
+    assert served.natural_values == pytest.approx([float(w) for w in want], rel=1e-9)
+    assert busy.natural_values == pytest.approx(
+        [float(w / service_rate) for w in want], rel=1e-9)
+    assert busy.sign_anomalies == served.sign_anomalies == ()
 
 
 # ---------------------------------------------------------------------------
