@@ -71,7 +71,8 @@ class IntervalTable:
     ``lower``, ``point`` and ``upper`` are float arrays on the natural scale;
     ``upper_infinite``, ``clamped`` and ``degenerate`` are the per-level
     flags.  ``rows`` is the same table as :class:`IntervalRow` objects,
-    built on first access.
+    built on first access.  The columns are copies: an array passed in is
+    left as it was.
     """
 
     characteristic: Characteristic
@@ -87,7 +88,7 @@ class IntervalTable:
     def __post_init__(self) -> None:
         size = np.shape(self.point)
         for name, dtype in _COLUMNS:
-            arr = np.asarray(getattr(self, name), dtype=dtype)
+            arr = np.array(getattr(self, name), dtype=dtype)
             if arr.ndim != 1 or arr.shape != size or arr.size == 0:
                 raise ValueError("columns must be non-empty 1-D arrays of one length")
             arr.setflags(write=False)

@@ -409,6 +409,24 @@ def test_table_rows_are_built_once_and_only_when_read(monkeypatch):
     assert built == [0, 1, 2, 3, 4]
 
 
+def test_a_callers_columns_are_copied_and_left_writeable():
+    table = interval_table(BUSY_UNIT, FIXTURE_MOMENTS, 0.95, 10_000,
+                           Method.TWO_SIDED_STATISTIC, 4)
+    fields = dict(characteristic=table.characteristic, method=table.method,
+                  confidence=table.confidence)
+    mine = {name: getattr(table, name).copy() for name in _COLUMNS}
+    copy = intervals.IntervalTable(**fields, **mine)
+    for name in _COLUMNS:
+        assert mine[name].flags.writeable, name
+        assert not np.shares_memory(getattr(copy, name), mine[name]), name
+        assert not getattr(copy, name).flags.writeable, name
+        assert np.array_equal(getattr(copy, name), getattr(table, name)), name
+    assert copy.rows == table.rows
+    short = dict(mine, upper=mine["upper"][:-1])
+    with pytest.raises(ValueError, match="one length"):
+        intervals.IntervalTable(**fields, **short)
+
+
 def test_tables_compare_by_identity():
     make = lambda: interval_table(BUSY_UNIT, FIXTURE_MOMENTS, 0.95, 10_000,
                                   Method.TWO_SIDED_STATISTIC, 4)
