@@ -2,9 +2,11 @@
 
 Subcommands: ``quantile`` (limit-law quantiles and widths), ``moments``
 (coefficients from a sample file), ``estimate`` (point/interval tables from
-a sample file), ``simulate`` (busy-cycle Monte Carlo), and ``reproduce``
-(the standard worked example: exponential service at unit rates, buffer
-levels 0..4).
+a sample file to buffer level ``--n``, which is also the moment order),
+``simulate`` (busy-cycle Monte Carlo), and ``reproduce`` (the standard
+worked example: exponential service at unit rates, buffer levels 0..4, with
+the interval tables of both methods at the sample's size or at the
+published widths).
 
 Exit codes: 0 success, 1 validation/usage/parse errors, 2 numeric
 degeneracy that prevents any output.  The default seed is 0 and can be
@@ -23,8 +25,8 @@ import numpy as np
 
 from .ecdf import build_ecdf, read_sample_file
 from .errors import DegeneracyError
-from .intervals import IntervalRow, IntervalTable, Method, interval_table
-from .kolmogorov import LimitLaw, quantile, width_for
+from .intervals import IntervalTable, Method, _interval_table, interval_table
+from .kolmogorov import ConfidenceSpec, LimitLaw, quantile, width_for
 from .moments import MomentVector, moments_empirical, moments_exponential
 from .recursion import Characteristic, CharacteristicSpec, estimate_characteristic
 from .simulate import (
@@ -43,9 +45,11 @@ SEED_ENV_VAR = "LOSSQ_SEED"
 # Exp(1) service sample of 10,000 at confidence 0.95, with the widths used
 # alongside them
 FIXTURE_MOMENTS = (0.5031, 0.2488, 0.1234, 0.0615, 0.0308)
-FIXTURE_WIDTH_TWO_SIDED = 0.013581
-FIXTURE_WIDTH_ONE_SIDED = 0.01224
-FIXTURE_WIDTH_SUM = 0.0208
+FIXTURE_WIDTHS = {
+    LimitLaw.TWO_SIDED: 0.013581,
+    LimitLaw.ONE_SIDED: 0.01224,
+    LimitLaw.ONE_SIDED_SUM: 0.0208,
+}
 
 _SYSTEMS = ("mg1n", "gim1n")
 _ARRIVAL_SIDE = (
@@ -139,8 +143,7 @@ def _run_estimate(args: argparse.Namespace) -> int:
     spec = _characteristic_spec(args)
     # the unsorted sample is dropped once sorted, before the moments run
     ecdf = build_ecdf(read_sample_file(args.input))
-    order = args.order if args.order is not None else args.n
-    moments = moments_empirical(ecdf, spec.weighting_rate, order)
+    moments = moments_empirical(ecdf, spec.weighting_rate, args.n)
 
     if args.confidence is None:
         result = estimate_characteristic(spec, moments, args.n)
@@ -171,19 +174,9 @@ def _render_points(args: argparse.Namespace, natural_values: np.ndarray) -> str:
     return json.dumps(payload, indent=2)
 
 
-# IntervalRow.flags() of every combination of the three flag columns,
-# indexed by upper_infinite + 2 * clamped + 4 * degenerate
-_FLAG_SETS = tuple(
-    IntervalRow(0, 0.0, 0.0, 0.0, bool(c & 1), bool(c & 2), bool(c & 4)).flags()
-    for c in range(8)
-)
-
-
 def _render_intervals(args: argparse.Namespace, table: IntervalTable, n_obs: int) -> str:
-    codes = table.upper_infinite + 2 * table.clamped + 4 * table.degenerate
-    flags = [_FLAG_SETS[c] for c in codes.tolist()]
     columns = (range(table.order + 1), table.lower.tolist(), table.point.tolist(),
-               table.upper.tolist(), flags)
+               table.upper.tolist(), table.flags())
     if args.format == "table":
         rows = [
             [str(k), _fmt(lower), _fmt(point), _fmt(upper), ",".join(f)]
@@ -285,30 +278,21 @@ def _run_reproduce(args: argparse.Namespace) -> int:
         print(_render_text_table(["n", "theoretical"], chain_rows))
         return 0
 
-    if args.fixture is not None:
-        eps_two = FIXTURE_WIDTH_TWO_SIDED
-        eps_one = FIXTURE_WIDTH_ONE_SIDED
-        gamma = FIXTURE_WIDTH_SUM
-    else:
-        eps_two = width_for(LimitLaw.TWO_SIDED, 0.95, args.n_obs).width
-        eps_one = width_for(LimitLaw.ONE_SIDED, 0.95, args.n_obs).width
-        gamma = width_for(LimitLaw.ONE_SIDED_SUM, 0.95, args.n_obs).width
-
-    for title, widths in (
-        (f"busy-period bounds, two-sided-statistic method (eps = {eps_two:g}):",
-         (eps_two, 2.0 * eps_two)),
-        (f"busy-period bounds, one-sided-statistics method "
-         f"(eps = {eps_one:g}, gamma = {gamma:g}):", (eps_one, gamma)),
-    ):
-        chains = busy.chains(empirical, order, *widths)
-        columns = zip(theory_chain[1:], *(
-            busy.to_natural(c) for c in (chains.point, chains.lower, chains.upper)
-        ))
-        block = [["0"] + [_fmt(1.0)] * 4]
-        block += [[str(k)] + [_fmt(float(v)) for v in row]
-                  for k, row in enumerate(columns, start=1)]
+    for method in Method:
+        if args.fixture is None:
+            table = interval_table(busy, empirical, 0.95, args.n_obs, method, order)
+        else:
+            widths = tuple(ConfidenceSpec(0.95, 10_000, law, FIXTURE_WIDTHS[law])
+                           for law in method.laws)
+            table = _interval_table(busy, empirical, method, widths, order)
+        detail = ", ".join(f"{name} = {c.width:g}"
+                           for name, c in zip(("eps", "gamma"), table.confidence))
+        columns = zip(theory_chain.tolist(), table.point.tolist(), table.lower.tolist(),
+                      table.upper.tolist())
+        block = [[str(k)] + [_fmt(v) for v in row] for k, row in enumerate(columns)]
         print()
-        print(title)
+        print(f"busy-period bounds, {method.name.lower().replace('_', '-')} method "
+              f"({detail}):")
         print(_render_text_table(["n", "theoretical", "point", "lower", "upper"], block))
     return 0
 
@@ -366,14 +350,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="arrival rate for mg1n; service rate for gim1n",
     )
     p.add_argument("--mean-service", type=float, help="mean service time (mg1n)")
-    p.add_argument("--n", type=int, required=True, help="largest buffer level")
+    p.add_argument("--n", type=int, required=True,
+                   help="largest buffer level, which is also the moment order")
     p.add_argument("--input", required=True, help="file with one observation per line")
     p.add_argument("--confidence", type=float, help="confidence level for intervals")
     p.add_argument(
         "--method", choices=[m.value for m in Method], default=Method.TWO_SIDED_STATISTIC.value
     )
     p.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    p.add_argument("--order", type=int, help="moment order (default: --n)")
     p.set_defaults(handler=_run_estimate)
 
     p = sub.add_parser("simulate", help="busy-cycle Monte Carlo")

@@ -1,4 +1,6 @@
-"""Exceptions shared across the package."""
+"""Exceptions and the argument check shared across the package."""
+
+import math
 
 
 class ParseError(ValueError):
@@ -7,3 +9,9 @@ class ParseError(ValueError):
 
 class DegeneracyError(ArithmeticError):
     """A numeric degeneracy prevents producing a finite estimate."""
+
+
+def check_positive(name: str, value: float) -> None:
+    """Raise :class:`ValueError` unless ``value`` is positive and finite."""
+    if value <= 0.0 or not math.isfinite(value):
+        raise ValueError(f"{name} must be positive and finite")

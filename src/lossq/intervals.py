@@ -35,6 +35,19 @@ class Method(enum.Enum):
     TWO_SIDED_STATISTIC = "two-sided"
     ONE_SIDED_STATISTICS = "one-sided"
 
+    @property
+    def laws(self) -> tuple[LimitLaw, ...]:
+        """The limit laws of this method's widths, in the order the bound
+        chains take them (``r_0`` first)."""
+        if self is Method.TWO_SIDED_STATISTIC:
+            return (LimitLaw.TWO_SIDED,)
+        return (LimitLaw.ONE_SIDED, LimitLaw.ONE_SIDED_SUM)
+
+
+# each flag column and the name a row reports it by, in report order
+_FLAGS = (("upper_infinite", "upper-inf"), ("clamped", "clamped"),
+         ("degenerate", "degenerate"))
+
 
 @dataclass(frozen=True)
 class IntervalRow:
@@ -49,14 +62,7 @@ class IntervalRow:
     degenerate: bool = False
 
     def flags(self) -> tuple[str, ...]:
-        out = []
-        if self.upper_infinite:
-            out.append("upper-inf")
-        if self.clamped:
-            out.append("clamped")
-        if self.degenerate:
-            out.append("degenerate")
-        return tuple(out)
+        return tuple(name for column, name in _FLAGS if getattr(self, column))
 
 
 # the columns in IntervalRow's field order, after its level
@@ -98,6 +104,12 @@ class IntervalTable:
     def order(self) -> int:
         return int(self.point.size) - 1
 
+    def flags(self) -> list[tuple[str, ...]]:
+        """Each level's flag names, as :meth:`IntervalRow.flags` gives them."""
+        columns = [getattr(self, column).tolist() for column, _ in _FLAGS]
+        return [tuple(name for (_, name), on in zip(_FLAGS, level) if on)
+                for level in zip(*columns)]
+
     @cached_property
     def rows(self) -> tuple[IntervalRow, ...]:
         """The columns as one :class:`IntervalRow` per level, built once."""
@@ -116,39 +128,53 @@ def interval_table(
     """Point and interval estimates on the natural scale for levels 0..order.
 
     Widths are resolved from the confidence level and sample size via the
-    matching limit laws, one kernel call gives the point and bound chains on
-    the recursion scale, and all three are mapped to the characteristic's
-    own scale.  The loss-probability map inverts and therefore swaps the
-    bounds, and caps the upper bound at 1 (flagged); rows whose
+    method's limit laws, one kernel call gives the unit point and bound
+    chains, and :meth:`CharacteristicSpec.natural_scale` maps all three to
+    the characteristic's own scale, swapping the bounds where the map
+    reverses their order (a negative seed, or the loss probability).  The
+    loss probability caps its upper bound at 1 (flagged); rows whose
     recursion-scale values cannot be inverted are flagged degenerate and
     carry the trivial bracket (0, 1].  Lower bounds are floored at zero
     (flagged) for the nonnegative characteristics, and a row whose values
     violate lower <= point <= upper after the conventions is flagged
     degenerate rather than reordered.
     """
+    widths = tuple(width_for(law, confidence, n_obs) for law in method.laws)
+    return _interval_table(spec, moments, method, widths, order)
+
+
+def _interval_table(
+    spec: CharacteristicSpec,
+    moments: MomentVector,
+    method: Method,
+    widths: tuple[ConfidenceSpec, ...],
+    order: int,
+) -> IntervalTable:
+    """:func:`interval_table` for widths already resolved, one per law of
+    ``method.laws``."""
     if method is Method.TWO_SIDED_STATISTIC:
-        widths = (width_for(LimitLaw.TWO_SIDED, confidence, n_obs),)
         eps, gamma = widths[0].width, 2.0 * widths[0].width
     else:
-        widths = tuple(width_for(law, confidence, n_obs)
-                       for law in (LimitLaw.ONE_SIDED, LimitLaw.ONE_SIDED_SUM))
         eps, gamma = (w.width for w in widths)
     chains = spec.chains(moments, order, eps, gamma)
-
-    # level 0 is the seed itself, which no convention below touches
-    q_low, q, q_upp = (np.concatenate(([spec.seed], c))
-                       for c in (chains.lower, chains.point, chains.upper))
-    clamped = np.concatenate(([False], chains.clamped))
-    if spec.kind is Characteristic.LOSS_PROBABILITY:
-        invalid = (q_low <= 0.0) | (q_upp <= 0.0) | (q <= 0.0)
-        with np.errstate(divide="ignore"):
-            lower, point, upper = (spec.to_natural(v) for v in (q_upp, q, q_low))
+    loss_probability = spec.kind is Characteristic.LOSS_PROBABILITY
+    lower, point, upper = (spec.natural_scale(c)
+                           for c in (chains.lower, chains.point, chains.upper))
+    if spec.seed < 0.0 or loss_probability:
+        lower, upper = upper, lower
+    # level 0 is the seed itself, which no convention below touches, and a
+    # zero seed makes every level the seed
+    clamped = np.concatenate(([False], chains.clamped & (spec.seed != 0.0)))
+    if loss_probability:
+        # the seed is 1, so the unit chains are on the recursion scale, where
+        # a tiny positive value (whose reciprocal overflows) is still valid
+        invalid = np.concatenate(([False], (chains.lower <= 0.0) | (chains.upper <= 0.0)
+                                  | (chains.point <= 0.0)))
         capped = ~invalid & (upper > 1.0)
         lower, upper = np.where(invalid, 0.0, lower), np.where(invalid | capped, 1.0, upper)
         clamped |= capped
     else:
         invalid = False
-        lower, point, upper = (spec.to_natural(v) for v in (q_low, q, q_upp))
         floored = lower < 0.0
         lower = np.where(floored, 0.0, lower)
         clamped |= floored

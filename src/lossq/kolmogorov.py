@@ -139,19 +139,25 @@ def law_cdf(law: LimitLaw, z: float) -> float:
     return _LAW_CDFS[law](z)
 
 
+def _bisect(below, lo: float, hi: float) -> float:
+    """The midpoint of the 1e-12 bracket that bisection narrows [lo, hi] to,
+    moving ``lo`` up to each midpoint where ``below(mid)`` holds and ``hi``
+    down to the others."""
+    while hi - lo > _BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def quantile(law: LimitLaw, p: float) -> float:
     """Solve law(z*) = p by bisection on [0, 10] to a 1e-12 bracket."""
     if not 0.0 < p < 1.0:
         raise ValueError("quantile level must lie strictly between 0 and 1")
     cdf = _LAW_CDFS[law]
-    lo, hi = _BISECT_LO, _BISECT_HI
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda z: cdf(z) < p, _BISECT_LO, _BISECT_HI)
 
 
 def width_for(law: LimitLaw, confidence: float, n_obs: int) -> ConfidenceSpec:
@@ -176,14 +182,7 @@ def crossing_point() -> tuple[float, float]:
     def diff(x: float) -> float:
         return -math.expm1(-0.5 * x * x) - conv_cdf(x)
 
-    lo, hi = 0.5, 3.0
-    flo = diff(lo)
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if (diff(mid) > 0.0) == (flo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    x0 = 0.5 * (lo + hi)
+    positive_at_lo = diff(0.5) > 0.0
+    x0 = _bisect(lambda x: (diff(x) > 0.0) == positive_at_lo, 0.5, 3.0)
     level = 0.5 * ((-math.expm1(-0.5 * x0 * x0)) + conv_cdf(x0))
     return x0, level

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ecdf import EmpiricalCdf
+from .errors import check_positive
 
 __all__ = [
     "MomentVector",
@@ -40,8 +41,7 @@ class MomentVector:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.rate <= 0.0 or not math.isfinite(self.rate):
-            raise ValueError("rate must be positive and finite")
+        check_positive("rate", self.rate)
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("values must be a non-empty 1-D collection")
@@ -129,8 +129,7 @@ def moments_exponential(rate: float, service_rate: float, order: int) -> MomentV
     sequence, computed stably as ``(m / (a + m)) * (a / (a + m))^i``.
     """
     _check_rate_order(rate, order)
-    if service_rate <= 0.0 or not math.isfinite(service_rate):
-        raise ValueError("service_rate must be positive and finite")
+    check_positive("service_rate", service_rate)
     base = service_rate / (rate + service_rate)
     ratio = rate / (rate + service_rate)
     out = base * ratio ** np.arange(order + 1, dtype=float)
@@ -138,7 +137,6 @@ def moments_exponential(rate: float, service_rate: float, order: int) -> MomentV
 
 
 def _check_rate_order(rate: float, order: int) -> None:
-    if rate <= 0.0 or not math.isfinite(rate):
-        raise ValueError("rate must be positive and finite")
+    check_positive("rate", rate)
     if order < 0:
         raise ValueError("order must be non-negative")

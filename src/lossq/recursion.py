@@ -11,7 +11,7 @@ recursion in the Poisson-weighted moment coefficients:
 with the confidence-bound chains when widths are given, and keeps the point
 chain of each moment vector for the next call on it.  The recursion is
 linear in the seed, so every characteristic is one seed map of that unit
-chain: ``spec.to_natural(spec.seed * unit)``.  By Wald's identity busy =
+chain: ``spec.natural_scale(unit)``.  By Wald's identity busy =
 m * served and lost = (lambda m - 1) * served + 1.  Estimates are returned
 raw — a negative value on a nonnegative characteristic is reported via
 sign-anomaly flags, never silently clamped.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError
+from .errors import DegeneracyError, check_positive
 from .moments import MomentVector
 
 __all__ = [
@@ -64,20 +64,17 @@ class CharacteristicSpec:
     service_rate: float | None = None
 
     def __post_init__(self) -> None:
-        def positive(name: str) -> None:
-            v = getattr(self, name)
-            if v is None:
-                raise ValueError(f"{self.kind.value} requires {name}")
-            if v <= 0.0 or not math.isfinite(v):
-                raise ValueError(f"{name} must be positive and finite")
-
         if self.kind in (Characteristic.BUSY_PERIOD, Characteristic.LOST_CUSTOMERS):
-            positive("arrival_rate")
-            positive("mean_service")
+            required = ("arrival_rate", "mean_service")
         elif self.kind is Characteristic.SERVED_CUSTOMERS:
-            positive("arrival_rate")
+            required = ("arrival_rate",)
         else:
-            positive("service_rate")
+            required = ("service_rate",)
+        for name in required:
+            value = getattr(self, name)
+            if value is None:
+                raise ValueError(f"{self.kind.value} requires {name}")
+            check_positive(name, value)
 
     @classmethod
     def busy_period(cls, arrival_rate: float, mean_service: float) -> "CharacteristicSpec":
@@ -113,41 +110,52 @@ class CharacteristicSpec:
             return self.arrival_rate * self.mean_service - 1.0
         return 1.0
 
-    def to_natural(self, q):
-        """Map recursion-scale values (a float or an array) to the
-        characteristic's own scale."""
+    def natural_scale(self, chain: np.ndarray) -> np.ndarray:
+        """Levels 0..order on the characteristic's own scale, from a unit
+        chain for levels 1..order.
+
+        The recursion is linear in the seed, so the recursion-scale values
+        are ``seed * [1, chain]``: a zero seed gives zeros (never
+        ``0 * inf``) and a product past the largest double is infinite.  The
+        lost count then adds 1 and the loss probability takes the
+        reciprocal.  A negative seed and the reciprocal reverse the order
+        of a lower and an upper chain.
+        """
+        if self.seed == 0.0:
+            q = np.zeros(chain.size + 1)
+        else:
+            with np.errstate(over="ignore"):
+                q = self.seed * np.concatenate(([1.0], chain))
         if self.kind is Characteristic.LOST_CUSTOMERS:
             return q + 1.0
         if self.kind is Characteristic.LOSS_PROBABILITY:
-            return 1.0 / q
+            with np.errstate(divide="ignore", over="ignore"):
+                return 1.0 / q
         return q
 
     def chains(
         self, moments: MomentVector, order: int, eps: float = 0.0, gamma: float = 0.0
     ) -> "BoundSequences":
-        """Recursion-scale chains of this characteristic for levels 1..order:
-        the unit-seed chains of :func:`solve_recursion` scaled by the seed."""
+        """The unit-seed chains of :func:`solve_recursion` for levels
+        1..order, once the moment vector's rate is checked against the
+        rate this characteristic weights at."""
         if moments.rate != self.weighting_rate:
             raise ValueError(
                 f"moment vector was built at rate {moments.rate}, but this "
                 f"characteristic weights at rate {self.weighting_rate}"
             )
-        return solve_recursion(moments, order, eps, gamma).scaled(self.seed)
+        return solve_recursion(moments, order, eps, gamma)
 
 
 @dataclass(frozen=True, eq=False)
 class BoundSequences:
-    """Recursion-scale point, lower and upper chains for levels 1..order.
-
-    ``upper_infinite`` reports that the divider width swallowed the leading
-    coefficient, making every upper bound infinite; ``clamped`` marks levels
-    where a lower-bound clamping convention fired.
+    """Unit-seed point, lower and upper chains for levels 1..order;
+    ``clamped`` marks levels where a lower-bound clamping convention fired.
     """
 
     point: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    upper_infinite: bool
     clamped: np.ndarray
 
     def __post_init__(self) -> None:
@@ -160,26 +168,6 @@ class BoundSequences:
     def order(self) -> int:
         return int(self.lower.size)
 
-    def scaled(self, seed: float) -> "BoundSequences":
-        """The chains for seed Q_0 = ``seed``, given the unit-seed chains.
-
-        The recursion is linear in the seed, so a negative seed swaps the
-        lower and upper chains, and a zero seed gives zero chains with no
-        flags (never ``0 * inf``).
-        """
-        if seed == 0.0:
-            zero = np.zeros(self.order)
-            return BoundSequences(point=zero, lower=zero, upper=zero, upper_infinite=False,
-                                  clamped=np.zeros(self.order, dtype=bool))
-        with np.errstate(over="ignore"):  # a product past the largest double is inf
-            point, lower, upper = seed * self.point, seed * self.lower, seed * self.upper
-        if seed < 0.0:
-            lower, upper = upper, lower
-        return BoundSequences(
-            point=point, lower=lower, upper=upper,
-            upper_infinite=self.upper_infinite and seed > 0.0, clamped=self.clamped,
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class RecursionResult:
@@ -187,7 +175,6 @@ class RecursionResult:
     levels whose natural value is negative."""
 
     natural_values: np.ndarray
-    order: int
     sign_anomalies: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
@@ -294,8 +281,7 @@ def solve_recursion(
     point = _point_chain(moments, order)[1:]
     clamped = np.zeros(order + 1, dtype=bool)
     if eps == 0.0 and gamma == 0.0:
-        return BoundSequences(point=point, lower=point, upper=point,
-                              upper_infinite=False, clamped=clamped[1:])
+        return BoundSequences(point=point, lower=point, upper=point, clamped=clamped[1:])
     lead = 1.0 - float(r[1]) if order >= 2 else 0.0
     upper_infinite = r0 <= eps
     r_up, r_down = r + gamma, r - gamma
@@ -359,10 +345,7 @@ def solve_recursion(
         upp[k] = u
         positive = positive and r2 * u > 0.0
         k += 1
-    return BoundSequences(
-        point=point, lower=low[1:], upper=upp[1:],
-        upper_infinite=upper_infinite, clamped=clamped[1:],
-    )
+    return BoundSequences(point=point, lower=low[1:], upper=upp[1:], clamped=clamped[1:])
 
 
 def estimate_characteristic(
@@ -373,14 +356,15 @@ def estimate_characteristic(
     For the loss probability any non-positive recursion value makes the
     reciprocal meaningless and raises :class:`DegeneracyError`.
     """
-    q = np.concatenate(([spec.seed], spec.chains(moments, order).point))
-    if spec.kind is Characteristic.LOSS_PROBABILITY and np.any(q <= 0.0):
+    chain = spec.chains(moments, order).point
+    # the loss probability's seed is 1, so the unit chain is its recursion scale
+    if spec.kind is Characteristic.LOSS_PROBABILITY and np.any(chain <= 0.0):
         raise DegeneracyError(
             "loss-probability recursion produced a non-positive value; "
             "the reciprocal estimate is undefined"
         )
-    natural = spec.to_natural(q)
+    natural = spec.natural_scale(chain)
     return RecursionResult(
-        natural_values=natural, order=order,
+        natural_values=natural,
         sign_anomalies=tuple(np.flatnonzero(natural < 0.0).tolist()),
     )

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ecdf import EmpiricalCdf, Sample, build_ecdf, ks_statistics
+from .errors import check_positive
 from .moments import MomentVector, _check_rate_order, moments_empirical, moments_exponential
 
 __all__ = [
@@ -55,17 +56,12 @@ _NARROW_WIDTH = 1.0
 _NARROW_NODES = 64
 
 
-def _positive(name: str, v: float) -> None:
-    if v <= 0.0 or not math.isfinite(v):
-        raise ValueError(f"{name} must be positive and finite")
-
-
 @dataclass(frozen=True)
 class Exponential:
     rate: float
 
     def __post_init__(self) -> None:
-        _positive("rate", self.rate)
+        check_positive("rate", self.rate)
 
     def mean(self) -> float:
         return 1.0 / self.rate
@@ -92,7 +88,7 @@ class ErlangK:
     def __post_init__(self) -> None:
         if self.shape < 1 or self.shape != int(self.shape):
             raise ValueError("shape must be a positive integer")
-        _positive("rate", self.rate)
+        check_positive("rate", self.rate)
 
     def mean(self) -> float:
         return self.shape / self.rate
@@ -129,7 +125,7 @@ class Deterministic:
     value: float
 
     def __post_init__(self) -> None:
-        _positive("value", self.value)
+        check_positive("value", self.value)
 
     def mean(self) -> float:
         return self.value
@@ -157,7 +153,7 @@ class Uniform:
     def __post_init__(self) -> None:
         if self.low < 0.0 or not math.isfinite(self.low):
             raise ValueError("low must be non-negative and finite")
-        _positive("high", self.high)
+        check_positive("high", self.high)
         if not self.low < self.high:
             raise ValueError("low must be strictly below high")
 
@@ -295,7 +291,7 @@ def simulate_busy_period(
     batch draws its service times first, then its arrival counts.  Runs
     therefore pool exactly across splits at chunk-aligned offsets.
     """
-    _positive("arrival_rate", arrival_rate)
+    check_positive("arrival_rate", arrival_rate)
     if buffer < 0:
         raise ValueError("buffer must be non-negative")
     if replications < 1:
@@ -373,7 +369,7 @@ def loss_probability_oracle(
     """
     if not isinstance(interarrival, Exponential):
         raise ValueError("the closed form requires exponential interarrivals")
-    _positive("service_rate", service_rate)
+    check_positive("service_rate", service_rate)
     if buffer_total < 1:
         raise ValueError("buffer_total must be at least 1")
     rho = interarrival.rate / service_rate

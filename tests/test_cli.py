@@ -250,6 +250,16 @@ def test_estimate_rejects_zero_buffer(capsys, unit_exp_sample):
     assert "--n" in capsys.readouterr().err
 
 
+def test_estimate_takes_its_moment_order_from_n(capsys, unit_exp_sample):
+    # the recursion to level n reads r_0..r_{n-1}, so --n fixes the order and
+    # there is no --order to set
+    path, _ = unit_exp_sample
+    assert main(["estimate", "--system", "mg1n", "--characteristic", "served",
+                 "--rate", "1.0", "--n", "4", "--input", str(path),
+                 "--order", "4"]) == 1
+    assert "unrecognized arguments: --order 4" in capsys.readouterr().err
+
+
 def test_estimate_loss_probability_near_the_balanced_value(
         capsys, unit_exp_sample):
     # Interarrival sample at rate 1 against service rate 1, capacity 3: the
@@ -507,6 +517,24 @@ def test_reproduce_sampled_run_names_its_source(capsys):
     assert "one-sided-statistics method" in out
 
 
+@pytest.mark.parametrize("n_obs, seed", [(2000, 5), (30, 2)])
+def test_reproduce_sampled_bounds_are_the_interval_tables(capsys, n_obs, seed):
+    # each bound block prints the columns of interval_table at confidence
+    # 0.95 on the sample's own size, next to the closed-form chain
+    assert main(["reproduce", "--n-obs", str(n_obs), "--seed", str(seed)]) == 0
+    blocks = capsys.readouterr().out.split("\n\n")[1:]
+    busy = CharacteristicSpec.busy_period(1.0, 1.0)
+    moments = moments_empirical(build_ecdf(draw_samples(Exponential(1.0), n_obs, seed)),
+                                1.0, 4)
+    theory = estimate_characteristic(busy, moments_exponential(1.0, 1.0, 4), 4).natural_values
+    for method, block in zip(Method, blocks, strict=True):
+        table = interval_table(busy, moments, 0.95, n_obs, method, 4)
+        columns = zip(theory.tolist(), table.point.tolist(), table.lower.tolist(),
+                      table.upper.tolist())
+        want = [[str(k), *map(_fmt, row)] for k, row in enumerate(columns)]
+        assert [line.split() for line in block.splitlines()[2:]] == want
+
+
 # ---------------------------------------------------------------------------
 # Exit codes under fuzzed arguments
 # ---------------------------------------------------------------------------
@@ -562,7 +590,6 @@ _OPTIONS = {
         "--confidence": ([None, "0.95", "0.5"], _BAD_PROBABILITIES),
         "--method": ([None, "two-sided", "one-sided"], ["three-sided"]),
         "--format": ([None, "table", "csv", "json"], ["xml"]),
-        "--order": ([None, "40", "60"], ["-1", "0", "2", "x"]),
     },
     "simulate": {
         "--dist": (["exp:1", "erlang:2:2", "det:1", "uniform:0:2"],

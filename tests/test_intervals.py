@@ -44,7 +44,7 @@ def test_two_sided_bounds_match_frozen_chain():
     b = solve_recursion(FIXTURE_MOMENTS, 4, FIXTURE_EPS_TWO, 2.0 * FIXTURE_EPS_TWO)
     assert b.lower == pytest.approx(CANONICAL_TWO_LOWER, abs=1e-9)
     assert b.upper == pytest.approx(CANONICAL_TWO_UPPER, abs=1e-9)
-    assert not b.upper_infinite
+    assert np.isfinite(b.upper).all()
     assert not b.clamped.any()
 
 
@@ -52,7 +52,7 @@ def test_one_sided_bounds_match_frozen_chain():
     b = solve_recursion(FIXTURE_MOMENTS, 4, FIXTURE_EPS_ONE, FIXTURE_GAMMA_SUM)
     assert b.lower == pytest.approx(CANONICAL_ONE_LOWER, abs=1e-9)
     assert b.upper == pytest.approx(CANONICAL_ONE_UPPER, abs=1e-9)
-    assert not b.upper_infinite
+    assert np.isfinite(b.upper).all()
     assert not b.clamped.any()
 
 
@@ -84,9 +84,9 @@ def test_two_sided_is_one_sided_with_doubled_tail_width():
     table = interval_table(spec, FIXTURE_MOMENTS, 0.95, 10_000,
                            Method.TWO_SIDED_STATISTIC, 4)
     eps = width_for(LimitLaw.TWO_SIDED, 0.95, 10_000).width
-    b = solve_recursion(FIXTURE_MOMENTS, 4, eps, 2.0 * eps).scaled(1.3)
-    assert [row.lower for row in table.rows[1:]] == b.lower.tolist()
-    assert [row.upper for row in table.rows[1:]] == b.upper.tolist()
+    b = solve_recursion(FIXTURE_MOMENTS, 4, eps, 2.0 * eps)
+    assert [row.lower for row in table.rows[1:]] == (1.3 * b.lower).tolist()
+    assert [row.upper for row in table.rows[1:]] == (1.3 * b.upper).tolist()
     assert [row.clamped for row in table.rows[1:]] == b.clamped.tolist()
 
 
@@ -114,23 +114,35 @@ def test_vanishing_width_collapses_to_the_point_chain():
 
 
 def test_zero_seed_gives_zero_bounds():
-    b = solve_recursion(FIXTURE_MOMENTS, 4, 0.01, 0.02).scaled(0.0)
-    assert np.array_equal(b.lower, np.zeros(4))
-    assert np.array_equal(b.upper, np.zeros(4))
-    assert not b.upper_infinite
-    assert not b.clamped.any()
+    # lost count at lambda * m = 1: every recursion value is the seed 0, so
+    # every natural value is 1 and no flag of the unit chains carries over
+    spec = CharacteristicSpec.lost_customers(0.5, 2.0)
+    moments = moments_exponential(0.5, 1.0, 12)
+    assert spec.seed == 0.0
+    table = interval_table(spec, moments, 0.95, 40, Method.TWO_SIDED_STATISTIC, 12)
+    eps = width_for(LimitLaw.TWO_SIDED, 0.95, 40).width
+    assert solve_recursion(moments, 12, eps, 2.0 * eps).clamped.any()
+    for column in (table.lower, table.point, table.upper):
+        assert np.array_equal(column, np.ones(13))
+    assert not (table.upper_infinite | table.clamped | table.degenerate).any()
 
 
 def test_negative_seed_swaps_the_unit_chains():
-    # Scaling by -0.5 is exact, so the swap identity holds bit-for-bit.
-    unit = solve_recursion(FIXTURE_MOMENTS, 4, 0.01, 0.02)
-    neg = unit.scaled(-0.5)
-    assert np.array_equal(neg.lower, -0.5 * unit.upper)
-    assert np.array_equal(neg.upper, -0.5 * unit.lower)
-    assert np.array_equal(neg.point, -0.5 * unit.point)
-    assert not neg.upper_infinite
-    assert np.all(neg.lower <= neg.point)
-    assert np.all(neg.point <= neg.upper)
+    # lost count with seed -0.125: the table's lower bound is the image of
+    # the unit upper chain and its upper bound that of the unit lower chain;
+    # scaling by -0.125 is exact, so the identity holds bit for bit
+    spec = CharacteristicSpec.lost_customers(1.0, 0.875)
+    assert spec.seed == -0.125
+    table = interval_table(spec, FIXTURE_MOMENTS, 0.95, 10_000,
+                           Method.TWO_SIDED_STATISTIC, 4)
+    eps = width_for(LimitLaw.TWO_SIDED, 0.95, 10_000).width
+    unit = solve_recursion(FIXTURE_MOMENTS, 4, eps, 2.0 * eps)
+    assert np.array_equal(table.lower[1:], -0.125 * unit.upper + 1.0)
+    assert np.array_equal(table.upper[1:], -0.125 * unit.lower + 1.0)
+    assert np.array_equal(table.point[1:], -0.125 * unit.point + 1.0)
+    assert not (table.upper_infinite | table.clamped | table.degenerate).any()
+    assert np.all(table.lower <= table.point)
+    assert np.all(table.point <= table.upper)
 
 
 def _random_config(rng):
@@ -145,31 +157,39 @@ def _random_config(rng):
     return seed, moments, eps, gamma, order
 
 
+def _natural_chains(spec, moments, order, eps, gamma):
+    """The spec's lower, point and upper chains on the natural scale."""
+    b = spec.chains(moments, order, eps, gamma)
+    return tuple(spec.natural_scale(c) for c in (b.lower, b.point, b.upper))
+
+
 def test_bounds_sandwich_the_point_chain():
     rng = np.random.default_rng(31)
     for _ in range(200):
         seed, moments, eps, gamma, order = _random_config(rng)
-        b = solve_recursion(moments, order, eps, gamma).scaled(seed)
-        q = seed * solve_recursion(moments, order).point
-        assert np.array_equal(b.point, q)
-        assert np.all(b.lower <= q + 1e-12)
-        assert np.all(q <= b.upper + 1e-12)
+        spec = CharacteristicSpec.busy_period(moments.rate, seed)
+        lower, point, upper = _natural_chains(spec, moments, order, eps, gamma)
+        q = seed * np.concatenate(([1.0], solve_recursion(moments, order).point))
+        assert np.array_equal(point, q)
+        assert np.all(lower <= q + 1e-12)
+        assert np.all(q <= upper + 1e-12)
 
 
 def test_wider_widths_never_tighten_the_bounds():
     rng = np.random.default_rng(37)
     for _ in range(200):
         seed, moments, eps, gamma, order = _random_config(rng)
-        narrow = solve_recursion(moments, order, eps, gamma).scaled(seed)
-        wide = solve_recursion(moments, order, 1.5 * eps, 1.5 * gamma).scaled(seed)
-        assert np.all(wide.lower <= narrow.lower + 1e-12)
-        assert np.all(narrow.upper <= wide.upper + 1e-12)
+        spec = CharacteristicSpec.busy_period(moments.rate, seed)
+        narrow_lower, _, narrow_upper = _natural_chains(spec, moments, order, eps, gamma)
+        wide_lower, _, wide_upper = _natural_chains(spec, moments, order,
+                                                    1.5 * eps, 1.5 * gamma)
+        assert np.all(wide_lower <= narrow_lower + 1e-12)
+        assert np.all(narrow_upper <= wide_upper + 1e-12)
 
 
 def test_width_swallowing_the_leading_coefficient_makes_uppers_infinite():
     moments = MomentVector(rate=1.0, values=np.array([0.01, 0.005, 0.002]))
     b = solve_recursion(moments, 3, 0.02, 0.04)
-    assert b.upper_infinite
     assert np.all(np.isinf(b.upper))
     assert math.isfinite(b.lower[0]) and math.isfinite(b.lower[1])
     # the lower chain eventually meets an infinite upper term and clamps to 0
@@ -210,19 +230,22 @@ def test_table_rows_restate_the_engine_on_the_natural_scale():
 ])
 def test_table_is_the_seed_map_of_the_engine(spec):
     # one kernel run per table: the points repeat estimate_characteristic
-    # exactly, and the bounds are the seeded engine chains on the natural
-    # scale (lost-count seeds -0.44, 0 and 0.2 cover the swap and zero rules)
+    # exactly, and the bounds are the seed map of the unit engine chains,
+    # seed * chain (+ 1 for the lost count), swapped for a negative seed
+    # (lost-count seeds -0.44, 0 and 0.2 cover the swap and zero rules)
     moments = moments_exponential(0.8, 1.0, 6)
     table = interval_table(spec, moments, 0.95, 500, Method.ONE_SIDED_STATISTICS, 6)
     points = estimate_characteristic(spec, moments, 6).natural_values
     assert [row.point for row in table.rows] == points.tolist()
     eps = width_for(LimitLaw.ONE_SIDED, 0.95, 500).width
     gamma = width_for(LimitLaw.ONE_SIDED_SUM, 0.95, 500).width
-    engine = solve_recursion(moments, 6, eps, gamma).scaled(spec.seed)
-    upper = spec.to_natural(engine.upper)
-    lower = np.maximum(spec.to_natural(engine.lower), 0.0)
+    engine = solve_recursion(moments, 6, eps, gamma)
+    shift = 1.0 if spec.kind is Characteristic.LOST_CUSTOMERS else 0.0
+    lower, upper = (spec.seed * c + shift for c in (engine.lower, engine.upper))
+    if spec.seed < 0.0:
+        lower, upper = upper, lower
     assert [row.upper for row in table.rows[1:]] == upper.tolist()
-    assert [row.lower for row in table.rows[1:]] == lower.tolist()
+    assert [row.lower for row in table.rows[1:]] == np.maximum(lower, 0.0).tolist()
 
 
 def test_table_level_zero_is_the_seed_on_the_natural_scale():

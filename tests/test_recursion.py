@@ -86,11 +86,39 @@ def test_seed_per_characteristic():
     assert CharacteristicSpec.loss_probability(3.0).seed == 1.0
 
 
-def test_to_natural_maps():
-    assert CharacteristicSpec.busy_period(1.0, 1.0).to_natural(2.5) == 2.5
-    assert CharacteristicSpec.served_customers(1.0).to_natural(2.5) == 2.5
-    assert CharacteristicSpec.lost_customers(1.0, 1.0).to_natural(-0.25) == 0.75
-    assert CharacteristicSpec.loss_probability(1.0).to_natural(4.0) == 0.25
+def test_natural_scale_maps():
+    # seed * [1, chain], then + 1 for the lost count and 1 / q for the loss
+    # probability; every product and sum here is exact
+    chain = np.array([2.5, 4.0])
+    natural = {
+        CharacteristicSpec.busy_period(1.0, 2.0): [2.0, 5.0, 8.0],
+        CharacteristicSpec.served_customers(1.0): [1.0, 2.5, 4.0],
+        CharacteristicSpec.lost_customers(1.0, 0.5): [0.5, -0.25, -1.0],
+        CharacteristicSpec.lost_customers(1.0, 1.5): [1.5, 2.25, 3.0],
+        CharacteristicSpec.loss_probability(1.0): [1.0, 0.4, 0.25],
+    }
+    for spec, want in natural.items():
+        got = spec.natural_scale(chain)
+        assert got.tolist() == want
+        assert chain.tolist() == [2.5, 4.0]
+
+
+def test_natural_scale_of_an_overflowed_chain():
+    # a product past the largest double is inf, with no warning; a zero seed
+    # is the seed at every level, never 0 * inf; a zero or overflowed
+    # loss-probability value inverts to inf and 0
+    chain = np.array([1e308, math.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        busy = CharacteristicSpec.busy_period(1.0, 4.0).natural_scale(chain)
+        lost = CharacteristicSpec.lost_customers(1.0, 0.5).natural_scale(chain)
+        zero = CharacteristicSpec.lost_customers(1.0, 1.0).natural_scale(chain)
+        loss = CharacteristicSpec.loss_probability(1.0).natural_scale(
+            np.array([5e-324, 0.0, math.inf]))
+    assert busy.tolist() == [4.0, math.inf, math.inf]
+    assert lost.tolist() == [0.5, -5e307 + 1.0, -math.inf]
+    assert zero.tolist() == [1.0, 1.0, 1.0]
+    assert loss.tolist() == [1.0, math.inf, math.inf, 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +184,7 @@ def test_zero_widths_give_the_point_chain_alone():
     chains = solve_recursion(moments, 4)
     assert np.array_equal(chains.lower, chains.point)
     assert np.array_equal(chains.upper, chains.point)
-    assert not chains.upper_infinite and not chains.clamped.any()
+    assert not chains.clamped.any()
     # the point chain does not depend on the widths
     bounded = solve_recursion(moments, 4, 0.01, 0.02)
     assert np.array_equal(bounded.point, chains.point)
@@ -189,7 +217,9 @@ def test_unit_rate_exponential_lost_chain_is_one():
     moments = moments_exponential(1.0, 1.0, 4)
     spec = CharacteristicSpec.lost_customers(1.0, 1.0)
     res = estimate_characteristic(spec, moments, 4)
-    assert np.array_equal(spec.chains(moments, 4).point, np.zeros(4))
+    assert spec.seed == 0.0
+    assert np.array_equal(spec.natural_scale(spec.chains(moments, 4).point) - 1.0,
+                          np.zeros(5))
     assert np.array_equal(res.natural_values, np.ones(5))
 
 
@@ -305,10 +335,14 @@ def test_recursion_is_linear_in_the_seed():
     rng = np.random.default_rng(5)
     moments = _random_moments(rng, 1.0)
     unit = solve_recursion(moments, 5)
+    busy = estimate_characteristic(CharacteristicSpec.busy_period(1.0, 2.0), moments, 5)
+    served = estimate_characteristic(CharacteristicSpec.served_customers(1.0), moments, 5)
+    lost = estimate_characteristic(CharacteristicSpec.lost_customers(1.0, 4.0), moments, 5)
     # scaling by a power of two is exact in every float operation
     assert np.array_equal(_seeded_chain(1.0, moments.values, 5), unit.point)
-    assert np.array_equal(_seeded_chain(2.0, moments.values, 5), unit.scaled(2.0).point)
-    assert unit.scaled(3.0).point == pytest.approx(
+    assert np.array_equal(_seeded_chain(1.0, moments.values, 5), served.natural_values[1:])
+    assert np.array_equal(_seeded_chain(2.0, moments.values, 5), busy.natural_values[1:])
+    assert lost.natural_values[1:] - 1.0 == pytest.approx(
         _seeded_chain(3.0, moments.values, 5), rel=1e-12
     )
 
@@ -382,8 +416,9 @@ def test_zero_seed_stays_zero_past_an_overflowed_unit_chain():
     spec = CharacteristicSpec.lost_customers(4.0, 0.25)
     assert spec.seed == 0.0
     chains = spec.chains(moments, 1000, 0.01, 0.02)
+    assert np.isinf(chains.upper[-1])
     for arr in (chains.point, chains.lower, chains.upper):
-        assert np.array_equal(arr, np.zeros(1000))
+        assert np.array_equal(spec.natural_scale(arr), np.ones(1001))
     res = estimate_characteristic(spec, moments, 1000)
     assert np.array_equal(res.natural_values, np.ones(1001))
 
@@ -468,8 +503,9 @@ def _reference_chains(moments, order, eps, gamma):
 
 
 def _assert_matches_reference(moments, order, eps, gamma):
-    """Point, lower, clamped and upper_infinite bit-identical to the plain
-    loop, upper within 1e-14 relative.  Where the loop's bounds are NaN (a
+    """Point, lower and clamped bit-identical to the plain loop, every upper
+    bound infinite where the loop's width swallows r_0, upper within 1e-14
+    relative.  Where the loop's bounds are NaN (a
     0 * inf or inf - inf past the largest double) the kernel's lower bound is
     0 and clamped and its upper bound inf."""
     with warnings.catch_warnings():
@@ -479,7 +515,8 @@ def _assert_matches_reference(moments, order, eps, gamma):
         point, lower, upper, upper_infinite, clamped = _reference_chains(
             moments, order, eps, gamma)
     assert np.array_equal(got.point, point)
-    assert got.upper_infinite == upper_infinite
+    if upper_infinite:
+        assert np.all(got.upper == math.inf)
     assert not np.isnan(got.lower).any() and not np.isnan(got.upper).any()
     nan_low, nan_upp = np.isnan(lower), np.isnan(upper)
     assert np.array_equal(got.lower[~nan_low], lower[~nan_low])

@@ -1,0 +1,178 @@
+"""Golden grid of CLI outputs: a digest per call and one for the whole grid.
+
+Runs every subcommand in-process through ``lossq.cli.main`` on seeded sample
+files written to a temporary directory, and prints, per call, the sha256 of
+its stdout, stderr and exit code, followed by the sha256 of all those lines.
+A refactor that must not change behaviour gives the same output before and
+after; ``diff`` of two runs names the calls that differ.
+
+The package is imported from the ``src`` directory next to this file, so a
+second checkout is compared by running its own copy:
+
+    python tools/golden_grid.py > after.txt
+    python ../parent/tools/golden_grid.py > before.txt
+    diff before.txt after.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from lossq.cli import SEED_ENV_VAR, main  # noqa: E402
+
+
+def _sample_files() -> dict[str, str]:
+    """Seeded sample files by name.  They are written to the working
+    directory, so that file names in error messages are the same on every
+    run."""
+    rng = np.random.default_rng(20091)
+
+    def lines(values) -> str:
+        return "".join(f"{float(v)!r}\n" for v in values)
+
+    return {
+        "exp.txt": lines(rng.exponential(1.0, 2000)),
+        "small.txt": lines(rng.uniform(0.2, 3.0, 36)),
+        "heavy.txt": lines(rng.lognormal(0.0, 1.5, 1000)),
+        "det.txt": lines(np.full(200, 1.0)),
+        "far.txt": lines(np.full(10, 1000.0)),
+        "empty.txt": "",
+        "bad.txt": "1.0\nabc\n2.0\n",
+        "negative.txt": "1.0\n-2.0\n",
+    }
+
+
+_SAMPLES = ("exp.txt", "small.txt", "heavy.txt", "det.txt")
+_FORMATS = ("table", "csv", "json")
+_INTERVALS = ((), ("--confidence", "0.95"), ("--confidence", "0.9", "--method", "one-sided"),
+              ("--confidence", "0.95", "--method", "two-sided"),
+              ("--confidence", "0.5", "--method", "one-sided"))
+
+
+def _estimate_calls():
+    # (rate, mean services giving a negative, zero and positive lost seed)
+    rates = ((0.5, (1.0, 2.0, 4.0)), (0.8, (0.625, 1.25, 2.5)), (2.0, (0.25, 0.5, 1.0)))
+    for sample, (rate, services), n, interval, fmt in itertools.product(
+            _SAMPLES, rates, ("1", "4", "50", "200"), _INTERVALS, _FORMATS):
+        common = ["--rate", repr(rate), "--n", n, "--input", sample, "--format", fmt,
+                  *interval]
+        yield ["estimate", "--system", "mg1n", "--characteristic", "busy",
+               "--mean-service", repr(services[1]), *common]
+        yield ["estimate", "--system", "mg1n", "--characteristic", "served",
+               "--mean-service", repr(services[1]), *common]
+        for service in services:
+            yield ["estimate", "--system", "mg1n", "--characteristic", "lost",
+                   "--mean-service", repr(service), *common]
+        yield ["estimate", "--system", "gim1n", "--characteristic", "loss-prob", *common]
+    base = ["estimate", "--system", "mg1n", "--characteristic", "busy", "--rate", "0.8",
+            "--mean-service", "1.25", "--n", "30", "--input", "exp.txt"]
+    for extra in (["--order", "28"], ["--order", "29"], ["--order", "30"],
+                  ["--order", "300"], ["--confidence", "0.95", "--order", "31"]):
+        yield base + extra
+    # r_0 = 0 (exit 2), bad inputs, bad options, cross-option errors
+    yield ["estimate", "--system", "mg1n", "--characteristic", "busy", "--rate", "5",
+           "--mean-service", "1", "--n", "4", "--input", "far.txt"]
+    yield ["estimate", "--system", "gim1n", "--characteristic", "loss-prob", "--rate", "5",
+           "--n", "4", "--input", "far.txt", "--confidence", "0.95"]
+    for sample in ("empty.txt", "bad.txt", "negative.txt", "missing.txt"):
+        yield ["estimate", "--system", "mg1n", "--characteristic", "served", "--rate", "1",
+               "--n", "4", "--input", sample]
+    for bad in (["--n", "0"], ["--confidence", "1.5"], ["--rate", "0"], ["--rate", "nan"],
+                ["--characteristic", "loss-prob"], ["--method", "three-sided"]):
+        argv = ["estimate", "--system", "mg1n", "--characteristic", "busy", "--rate", "1",
+                "--mean-service", "1", "--n", "4", "--input", "exp.txt", "--confidence",
+                "0.95"]
+        yield argv + bad
+    yield ["estimate", "--system", "gim1n", "--characteristic", "busy", "--rate", "1",
+           "--n", "4", "--input", "exp.txt"]
+    yield ["estimate", "--system", "mg1n", "--characteristic", "lost", "--rate", "1",
+           "--n", "4", "--input", "exp.txt"]
+
+
+def _calls():
+    """(environment overrides, argv) for every call of the grid."""
+    for law, p, n in itertools.product(("two-sided", "one-sided", "one-sided-sum"),
+                                       ("0.5", "0.9", "0.95", "0.99"), (None, "1", "10000")):
+        yield {}, ["quantile", "--law", law, "--p", p] + ([] if n is None else ["--n", n])
+    yield {}, ["quantile", "--law", "two-sided", "--p", "1.5"]
+    yield {}, ["quantile", "--law", "two-sided", "--p", "0.95", "--n", "0"]
+    for sample, rate, order in itertools.product(_SAMPLES, ("0.5", "1", "3"), ("0", "4", "40")):
+        yield {}, ["moments", "--input", sample, "--rate", rate, "--order", order]
+    for sample in ("empty.txt", "bad.txt", "missing.txt"):
+        yield {}, ["moments", "--input", sample, "--rate", "1", "--order", "4"]
+    for argv in _estimate_calls():
+        yield {}, argv
+    for dist, rate, n in itertools.product(("exp:1", "erlang:2:2", "det:1", "uniform:0:2"),
+                                           ("0.5", "0.9"), ("0", "3")):
+        yield {}, ["simulate", "--dist", dist, "--rate", rate, "--n", n,
+                   "--replications", "200", "--seed", "7"]
+    yield {SEED_ENV_VAR: "3"}, ["simulate", "--dist", "exp:1", "--rate", "0.5", "--n", "2",
+                                "--replications", "50", "--emit-samples", "emitted.txt",
+                                "--n-obs", "20"]
+    yield {SEED_ENV_VAR: "x"}, ["simulate", "--dist", "exp:1", "--rate", "0.5", "--n", "2",
+                                "--replications", "50"]
+    yield {}, ["simulate", "--dist", "gamma:1", "--rate", "0.5", "--n", "2",
+               "--replications", "50"]
+    for extra in ([], ["--theoretical"], ["--fixture", "published"], ["--fixture", "reference"],
+                  ["--n-obs", "2000", "--seed", "5"], ["--n-obs", "100", "--seed", "1"],
+                  ["--n-obs", "1", "--seed", "2"], ["--n-obs", "0"]):
+        yield {}, ["reproduce", *extra]
+    yield {SEED_ENV_VAR: "9"}, ["reproduce", "--n-obs", "500"]
+    yield {SEED_ENV_VAR: "x"}, ["reproduce"]
+    for argv in ([], ["frobnicate"], ["--help"], ["quantile", "--help"]):
+        yield {}, argv
+
+
+def _run(env: dict, argv: list[str]) -> tuple[str, int]:
+    saved = {name: os.environ.get(name) for name in env}
+    os.environ.update(env)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+    blob = b"\0".join((out.getvalue().encode(), err.getvalue().encode(), str(code).encode()))
+    return hashlib.sha256(blob).hexdigest(), code
+
+
+def run_grid() -> list[str]:
+    """One line per call, ``digest exit-code [env] argv``, in grid order."""
+    os.environ["COLUMNS"] = "80"  # argparse wraps help and usage to this width
+    os.environ.pop(SEED_ENV_VAR, None)
+    lines = []
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, text in _sample_files().items():
+                Path(name).write_text(text, encoding="utf-8")
+            for env, argv in _calls():
+                digest, code = _run(env, argv)
+                lines.append(f"{digest} {code} {json.dumps([env, argv])}")
+        finally:
+            os.chdir(home)
+    return lines
+
+
+if __name__ == "__main__":
+    grid = run_grid()
+    print("\n".join(grid))
+    total = hashlib.sha256("\n".join(grid).encode()).hexdigest()
+    print(f"total {total} over {len(grid)} calls")
