@@ -8,7 +8,8 @@ worked example: exponential service at unit rates, buffer levels 0..4, with
 the interval tables of both methods at the sample's size or at the
 published widths).
 
-Exit codes: 0 success, 1 validation/usage/parse errors, 2 numeric
+Exit codes: 0 success, 1 validation/usage/parse errors and an allocation
+refused for want of memory (say, a huge ``--n`` or ``--order``), 2 numeric
 degeneracy that prevents any output.  The default seed is 0 and can be
 overridden with the ``LOSSQ_SEED`` environment variable.
 """
@@ -25,7 +26,7 @@ import numpy as np
 
 from .ecdf import build_ecdf, read_sample_file
 from .errors import DegeneracyError
-from .intervals import IntervalTable, Method, _interval_table, interval_table
+from .intervals import Method, _interval_table, interval_table
 from .kolmogorov import ConfidenceSpec, LimitLaw, quantile, width_for
 from .moments import MomentVector, moments_empirical, moments_exponential
 from .recursion import Characteristic, CharacteristicSpec, estimate_characteristic
@@ -52,49 +53,39 @@ FIXTURE_WIDTHS = {
 }
 
 _SYSTEMS = ("mg1n", "gim1n")
-_ARRIVAL_SIDE = (
-    Characteristic.BUSY_PERIOD,
-    Characteristic.SERVED_CUSTOMERS,
-    Characteristic.LOST_CUSTOMERS,
-)
 
 
 def _characteristic_spec(args: argparse.Namespace) -> CharacteristicSpec:
-    """Cross-validate the estimate arguments and build the characteristic spec."""
+    """Cross-validate the estimate arguments and build the characteristic spec.
+
+    The loss probability is estimated from the service side (``gim1n``),
+    every other characteristic from the arrival side (``mg1n``).
+    """
     characteristic = Characteristic(args.characteristic)
-    if args.system not in _SYSTEMS:
-        raise ValueError(f"unknown system {args.system!r}")
-    if args.n is None or args.n < 1:
+    if args.n < 1:
         raise ValueError("--n must be at least 1")
     if args.confidence is not None and not 0.0 < args.confidence < 1.0:
         raise ValueError("--confidence must lie strictly between 0 and 1")
-    if args.rate is None:
-        raise ValueError("missing --rate")
-    if args.system == "mg1n":
-        if characteristic not in _ARRIVAL_SIDE:
-            raise ValueError(
-                "loss-prob is estimated from the service side; "
-                "use --system gim1n"
-            )
-        if args.mean_service is None:
-            raise ValueError("missing --mean-service (required for mg1n)")
-        if characteristic is Characteristic.BUSY_PERIOD:
-            return CharacteristicSpec.busy_period(args.rate, args.mean_service)
-        if characteristic is Characteristic.LOST_CUSTOMERS:
-            return CharacteristicSpec.lost_customers(args.rate, args.mean_service)
-        return CharacteristicSpec.served_customers(args.rate)
-    if characteristic is not Characteristic.LOSS_PROBABILITY:
-        raise ValueError(
-            f"{characteristic.value} is estimated from the arrival "
-            f"side; use --system mg1n"
-        )
-    return CharacteristicSpec.loss_probability(args.rate)
+    if characteristic is Characteristic.LOSS_PROBABILITY:
+        side, system = "service", "gim1n"
+    else:
+        side, system = "arrival", "mg1n"
+    if args.system != system:
+        raise ValueError(f"{characteristic.value} is estimated from the {side} side; "
+                         f"use --system {system}")
+    if system == "gim1n":
+        return CharacteristicSpec.loss_probability(args.rate)
+    if args.mean_service is None:
+        raise ValueError("missing --mean-service (required for mg1n)")
+    return CharacteristicSpec(characteristic, arrival_rate=args.rate,
+                              mean_service=args.mean_service)
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
+def _seed(args: argparse.Namespace) -> int:
+    """``--seed``, else the ``LOSSQ_SEED`` environment variable, else 0."""
+    if args.seed is not None:
+        return args.seed
+    raw = os.environ.get(SEED_ENV_VAR, "0")
     try:
         return int(raw)
     except ValueError:
@@ -116,6 +107,37 @@ def _render_text_table(headers: list[str], rows: list[list[str]]) -> str:
     for row in rows:
         lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
     return "\n".join(lines)
+
+
+def _render_levels(columns: dict[str, list], fmt: str = "table",
+                   header: dict | None = None, index: str = "n") -> str:
+    """A table with one row per level 0..order, as text, CSV or JSON.
+
+    ``columns`` maps each column's heading to its values per level: floats,
+    or for ``flags`` a tuple of flag names, joined with "," in the text
+    table and ";" in CSV and listed in JSON.  The text and CSV tables head
+    the level column ``index``.  In JSON, ``header`` gives the fields before
+    ``rows``, each row starts with its ``level``, and the ``estimate``
+    column is keyed ``point``.
+    """
+    levels = range(len(next(iter(columns.values()))))
+    if fmt == "json":
+        keys = ["point" if h == "estimate" else h for h in columns]
+        rows = [
+            {"level": k, **{key: list(v[k]) if key == "flags" else v[k]
+                            for key, v in zip(keys, columns.values())}}
+            for k in levels
+        ]
+        return json.dumps({**(header or {}), "rows": rows}, indent=2)
+    cell, join = (_fmt, ",") if fmt == "table" else (repr, ";")
+    rows = [
+        [str(k)] + [join.join(v[k]) if h == "flags" else cell(v[k])
+                    for h, v in columns.items()]
+        for k in levels
+    ]
+    if fmt == "table":
+        return _render_text_table([index, *columns], rows)
+    return "\n".join(",".join(row) for row in [[index, *columns], *rows])
 
 
 # --- subcommand handlers ---------------------------------------------------
@@ -144,77 +166,27 @@ def _run_estimate(args: argparse.Namespace) -> int:
     # the unsorted sample is dropped once sorted, before the moments run
     ecdf = build_ecdf(read_sample_file(args.input))
     moments = moments_empirical(ecdf, spec.weighting_rate, args.n)
+    header = {"characteristic": spec.kind.value, "system": args.system}
 
     if args.confidence is None:
-        result = estimate_characteristic(spec, moments, args.n)
-        print(_render_points(args, result.natural_values))
+        points = estimate_characteristic(spec, moments, args.n).natural_values
+        print(_render_levels({"estimate": points.tolist()}, args.format, header))
         return 0
     table = interval_table(
         spec, moments, args.confidence, ecdf.n_obs, Method(args.method), args.n,
     )
-    print(_render_intervals(args, table, ecdf.n_obs))
+    header.update(method=table.method.value, n_obs=ecdf.n_obs, confidence=[
+        {"law": c.law.value, "confidence": c.confidence, "n_obs": c.n_obs, "width": c.width}
+        for c in table.confidence
+    ])
+    columns = {name: getattr(table, name).tolist() for name in ("lower", "point", "upper")}
+    print(_render_levels({**columns, "flags": table.flags()}, args.format, header))
     return 0
-
-
-def _render_points(args: argparse.Namespace, natural_values: np.ndarray) -> str:
-    if args.format == "table":
-        rows = [[str(k), _fmt(float(v))] for k, v in enumerate(natural_values)]
-        return _render_text_table(["n", "estimate"], rows)
-    if args.format == "csv":
-        lines = ["n,estimate"]
-        lines += [f"{k},{float(v)!r}" for k, v in enumerate(natural_values)]
-        return "\n".join(lines)
-    payload = {
-        "characteristic": args.characteristic,
-        "system": args.system,
-        "rows": [
-            {"level": k, "point": float(v)} for k, v in enumerate(natural_values)
-        ],
-    }
-    return json.dumps(payload, indent=2)
-
-
-def _render_intervals(args: argparse.Namespace, table: IntervalTable, n_obs: int) -> str:
-    columns = (range(table.order + 1), table.lower.tolist(), table.point.tolist(),
-               table.upper.tolist(), table.flags())
-    if args.format == "table":
-        rows = [
-            [str(k), _fmt(lower), _fmt(point), _fmt(upper), ",".join(f)]
-            for k, lower, point, upper, f in zip(*columns)
-        ]
-        return _render_text_table(["n", "lower", "point", "upper", "flags"], rows)
-    if args.format == "csv":
-        lines = ["n,lower,point,upper,flags"]
-        lines += [
-            f"{k},{lower!r},{point!r},{upper!r}," + ";".join(f)
-            for k, lower, point, upper, f in zip(*columns)
-        ]
-        return "\n".join(lines)
-    payload = {
-        "characteristic": table.characteristic.value,
-        "system": args.system,
-        "method": table.method.value,
-        "n_obs": n_obs,
-        "confidence": [
-            {
-                "law": c.law.value,
-                "confidence": c.confidence,
-                "n_obs": c.n_obs,
-                "width": c.width,
-            }
-            for c in table.confidence
-        ],
-        "rows": [
-            {"level": k, "lower": lower, "point": point, "upper": upper, "flags": list(f)}
-            for k, lower, point, upper, f in zip(*columns)
-        ],
-    }
-    return json.dumps(payload, indent=2)
 
 
 def _run_simulate(args: argparse.Namespace) -> int:
     dist = parse_distribution(args.dist)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     result = simulate_busy_period(
         args.rate, dist, args.n, args.replications, seed
     )
@@ -244,7 +216,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
 
 
 def _run_reproduce(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     order = 4
     busy = CharacteristicSpec.busy_period(1.0, 1.0)
     theory = moments_exponential(1.0, 1.0, order)
@@ -260,22 +232,16 @@ def _run_reproduce(args: argparse.Namespace) -> int:
         sample = draw_samples(Exponential(1.0), args.n_obs, seed)
         empirical = moments_empirical(build_ecdf(sample), 1.0, order)
         source = f"simulated sample (N = {args.n_obs}, seed = {seed})"
-
-    headers = ["i", "theoretical"] + ([source] if empirical is not None else [])
-    rows = []
-    for i in range(order + 1):
-        row = [str(i), _fmt(float(theory.values[i]))]
-        if empirical is not None:
-            row.append(_fmt(float(empirical.values[i])))
-        rows.append(row)
+    coefficients = {"theoretical": theory.values.tolist()}
+    if empirical is not None:
+        coefficients[source] = empirical.values.tolist()
     print("moment coefficients (weighting rate 1):")
-    print(_render_text_table(headers, rows))
+    print(_render_levels(coefficients, index="i"))
 
     if empirical is None:
         print()
         print("expected busy period (exponential service, unit rates):")
-        chain_rows = [[str(k), _fmt(float(v))] for k, v in enumerate(theory_chain)]
-        print(_render_text_table(["n", "theoretical"], chain_rows))
+        print(_render_levels({"theoretical": theory_chain.tolist()}))
         return 0
 
     for method in Method:
@@ -287,13 +253,11 @@ def _run_reproduce(args: argparse.Namespace) -> int:
             table = _interval_table(busy, empirical, method, widths, order)
         detail = ", ".join(f"{name} = {c.width:g}"
                            for name, c in zip(("eps", "gamma"), table.confidence))
-        columns = zip(theory_chain.tolist(), table.point.tolist(), table.lower.tolist(),
-                      table.upper.tolist())
-        block = [[str(k)] + [_fmt(v) for v in row] for k, row in enumerate(columns)]
+        columns = {name: getattr(table, name).tolist() for name in ("point", "lower", "upper")}
         print()
         print(f"busy-period bounds, {method.name.lower().replace('_', '-')} method "
               f"({detail}):")
-        print(_render_text_table(["n", "theoretical", "point", "lower", "upper"], block))
+        print(_render_levels({"theoretical": theory_chain.tolist(), **columns}))
     return 0
 
 
@@ -401,8 +365,9 @@ def main(argv=None) -> int:
     except DegeneracyError as exc:
         print(f"lossq: error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
-        print(f"lossq: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # a MemoryError may carry no message; its name then says what failed
+        print(f"lossq: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

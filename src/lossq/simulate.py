@@ -7,9 +7,8 @@ moment coefficients in closed form (``law.moments(rate, order)``).
 Sample drawing uses a PCG64 generator seeded explicitly.  The busy-cycle
 simulator advances whole batches of replications in vectorized rounds (one
 service completion per round) on counter-spaced Philox streams — one stream
-per batch of ``REPLICATION_CHUNK`` cycles — so runs are reproducible and
-batches can be split or pooled at chunk boundaries without changing any
-replication's outcome.  The generator identities are part of the
+per batch of ``REPLICATION_CHUNK`` cycles — so a run is reproducible from its
+seed and replication count alone.  The generator identities are part of the
 reproducibility contract and are recorded in results.
 """
 
@@ -275,7 +274,6 @@ def simulate_busy_period(
     buffer: int,
     replications: int,
     seed: int,
-    first_replication: int = 0,
 ) -> SimulationResult:
     """Monte Carlo means of busy-period length, served and lost counts.
 
@@ -287,28 +285,21 @@ def simulate_busy_period(
     leaves the system empty.
 
     Replication ``j`` is served by the Philox stream numbered
-    ``(first_replication + j) // REPLICATION_CHUNK``; within one round the
-    batch draws its service times first, then its arrival counts.  Runs
-    therefore pool exactly across splits at chunk-aligned offsets.
+    ``j // REPLICATION_CHUNK``; within one round the batch draws its service
+    times first, then its arrival counts.
     """
     check_positive("arrival_rate", arrival_rate)
     if buffer < 0:
         raise ValueError("buffer must be non-negative")
     if replications < 1:
         raise ValueError("replications must be at least 1")
-    if first_replication < 0 or first_replication % REPLICATION_CHUNK:
-        raise ValueError(
-            f"first_replication must be a non-negative multiple of "
-            f"{REPLICATION_CHUNK}"
-        )
     root = np.random.Philox(np.random.SeedSequence(seed))
-    first_chunk = first_replication // REPLICATION_CHUNK
     sums = np.zeros(3)
     sumsq = np.zeros(3)
     done = 0
     while done < replications:
         count = min(REPLICATION_CHUNK, replications - done)
-        rng = np.random.Generator(root.jumped(first_chunk + done // REPLICATION_CHUNK))
+        rng = np.random.Generator(root.jumped(done // REPLICATION_CHUNK))
         t, served, lost = _run_cycles(rng, arrival_rate, dist, buffer, count)
         for j, arr in enumerate((t, served, lost)):
             sums[j] += arr.sum()

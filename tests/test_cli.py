@@ -9,13 +9,15 @@ import re
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lossq.cli import SEED_ENV_VAR, _fmt, _render_intervals, _render_text_table, main
+from lossq import cli
+from lossq.cli import SEED_ENV_VAR, _fmt, _render_text_table, main
 from lossq.ecdf import build_ecdf
 from lossq.intervals import Method, interval_table
 from lossq.moments import MomentVector, moments_empirical, moments_exponential
@@ -149,6 +151,32 @@ def test_an_input_without_observations_is_one_error_line(capsys, tmp_path, text,
     assert captured.err == f"lossq: error: no observations found in {path}\n"
 
 
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 7.28 TiB for an array with shape (1000000000001,)",
+     "Unable to allocate 7.28 TiB for an array with shape (1000000000001,)"),
+    ("", "MemoryError"),
+], ids=["numpy", "bare"])
+@pytest.mark.parametrize("argv", [
+    ["moments", "--rate", "1.0", "--order", "100000000000"],
+    ["estimate", "--system", "mg1n", "--characteristic", "busy", "--rate", "1",
+     "--mean-service", "1", "--n", "1000000000000"],
+], ids=["moments", "estimate"])
+def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch, tmp_path, argv,
+                                                 message, shown):
+    # the moments are where a huge order first allocates; the stand-in
+    # raises at once, so nothing is allocated
+    def refuse(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "moments_empirical", refuse)
+    path = tmp_path / "obs.txt"
+    path.write_text("1.0\n2.0\n")
+    assert main(argv + ["--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"lossq: error: {shown}\n"
+
+
 # ---------------------------------------------------------------------------
 # estimate
 # ---------------------------------------------------------------------------
@@ -222,7 +250,8 @@ def test_estimate_requires_mean_service_for_arrival_side(capsys, unit_exp_sample
     path, _ = unit_exp_sample
     assert main(["estimate", "--system", "mg1n", "--characteristic", "busy",
                  "--rate", "1.0", "--n", "4", "--input", str(path)]) == 1
-    assert "mean-service" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "lossq: error: missing --mean-service (required for mg1n)\n")
 
 
 def test_estimate_rejects_loss_probability_on_the_arrival_side(
@@ -232,7 +261,9 @@ def test_estimate_rejects_loss_probability_on_the_arrival_side(
                  "--characteristic", "loss-prob", "--rate", "1.0",
                  "--mean-service", "1.0", "--n", "4",
                  "--input", str(path)]) == 1
-    assert "gim1n" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "lossq: error: loss-prob is estimated from the service side; "
+        "use --system gim1n\n")
 
 
 def test_estimate_rejects_busy_period_on_the_service_side(
@@ -240,7 +271,9 @@ def test_estimate_rejects_busy_period_on_the_service_side(
     path, _ = unit_exp_sample
     assert main(["estimate", "--system", "gim1n", "--characteristic", "busy",
                  "--rate", "1.0", "--n", "4", "--input", str(path)]) == 1
-    assert "mg1n" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "lossq: error: busy is estimated from the arrival side; "
+        "use --system mg1n\n")
 
 
 def test_estimate_rejects_zero_buffer(capsys, unit_exp_sample):
@@ -329,13 +362,32 @@ def test_estimate_zero_seed_stays_at_one_past_an_overflowed_chain(
 
 
 # ---------------------------------------------------------------------------
-# The columnar interval renderer against the row-based one
+# The level-table renderer against the renderers it replaced
 # ---------------------------------------------------------------------------
 
 
+def _reference_render_points(args, natural_values):
+    """The point renderer as it was written before the level-table renderer."""
+    if args.format == "table":
+        rows = [[str(k), _fmt(float(v))] for k, v in enumerate(natural_values)]
+        return _render_text_table(["n", "estimate"], rows)
+    if args.format == "csv":
+        lines = ["n,estimate"]
+        lines += [f"{k},{float(v)!r}" for k, v in enumerate(natural_values)]
+        return "\n".join(lines)
+    payload = {
+        "characteristic": args.characteristic,
+        "system": args.system,
+        "rows": [
+            {"level": k, "point": float(v)} for k, v in enumerate(natural_values)
+        ],
+    }
+    return json.dumps(payload, indent=2)
+
+
 def _reference_render_intervals(args, table, n_obs):
-    """_render_intervals as it was written over table.rows, one IntervalRow
-    per level."""
+    """The interval renderer as it was written over table.rows, one
+    IntervalRow per level."""
     if args.format == "table":
         rows = [
             [str(r.level), _fmt(r.lower), _fmt(r.point), _fmt(r.upper),
@@ -398,17 +450,48 @@ def _render_cases():
                moments_empirical(ecdf, 1.0, 6), n_obs, 6)
 
 
+def _estimate_output(monkeypatch, capsys, fmt, system, spec, moments, n_obs, order,
+                     *interval):
+    """What ``lossq estimate`` prints for these moments: the file is not read
+    and the moments are stubbed, so any vector and sample size can go in."""
+    monkeypatch.setattr(cli, "read_sample_file", lambda path: None)
+    monkeypatch.setattr(cli, "build_ecdf", lambda sample: SimpleNamespace(n_obs=n_obs))
+    monkeypatch.setattr(cli, "moments_empirical", lambda ecdf, rate, n: moments)
+    argv = ["estimate", "--system", system, "--characteristic", spec.kind.value,
+            "--rate", repr(spec.weighting_rate), "--n", str(order), "--input", "unread",
+            "--format", fmt, *interval]
+    if system == "mg1n":
+        argv += ["--mean-service", repr(spec.mean_service or 1.0)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n")
+    return out[:-1]
+
+
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
-def test_interval_renderer_matches_the_row_based_renderer(fmt):
+def test_interval_renderer_matches_the_row_based_renderer(monkeypatch, capsys, fmt):
     flags = set()
     for system, spec, moments, n_obs, order in _render_cases():
         for method in Method:
             table = interval_table(spec, moments, 0.95, n_obs, method, order)
             args = argparse.Namespace(format=fmt, system=system)
             want = _reference_render_intervals(args, table, n_obs)
-            assert _render_intervals(args, table, n_obs) == want
+            assert _estimate_output(monkeypatch, capsys, fmt, system, spec, moments, n_obs,
+                                    order, "--confidence", "0.95",
+                                    "--method", method.value) == want
             flags.update(f for row in table.rows for f in row.flags())
     assert flags == {"upper-inf", "clamped", "degenerate"}
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_point_renderer_matches_the_reference_renderer(monkeypatch, capsys, fmt):
+    for system, spec, moments, n_obs, order in _render_cases():
+        points = estimate_characteristic(spec, moments, order).natural_values
+        args = argparse.Namespace(format=fmt, system=system,
+                                  characteristic=spec.kind.value)
+        want = _reference_render_points(args, points)
+        assert _estimate_output(monkeypatch, capsys, fmt, system, spec, moments, n_obs,
+                                order) == want
 
 
 # ---------------------------------------------------------------------------

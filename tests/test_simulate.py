@@ -18,6 +18,7 @@ from lossq.simulate import (
     ErlangK,
     Exponential,
     Uniform,
+    _run_cycles,
     draw_samples,
     ks_law_experiment,
     loss_probability_oracle,
@@ -179,9 +180,6 @@ def test_simulator_validation():
         simulate_busy_period(1.0, Exponential(1.0), -1, 10, seed=1)
     with pytest.raises(ValueError):
         simulate_busy_period(1.0, Exponential(1.0), 2, 0, seed=1)
-    with pytest.raises(ValueError, match="multiple"):
-        simulate_busy_period(1.0, Exponential(1.0), 2, 10, seed=1,
-                             first_replication=100)
 
 
 def test_zero_buffer_deterministic_service_is_exact():
@@ -213,17 +211,18 @@ def test_simulator_is_reproducible():
     assert a != c
 
 
-def test_split_runs_pool_exactly_at_chunk_boundaries():
-    # 2^15 replications in one call vs two chunk-aligned halves: all sums
-    # and divisors are powers of two, so the pooled means agree exactly.
+def test_each_chunk_of_replications_runs_on_its_own_jump_of_the_seed_stream():
+    # 2^15 replications: the first chunk is a one-chunk run of the same seed,
+    # the second runs on the seed's Philox stream jumped once.  All sums and
+    # divisors are powers of two, so the pooled means agree exactly.
     full = simulate_busy_period(1.0, Exponential(1.0), 2, 2 * REPLICATION_CHUNK,
                                 seed=21)
     head = simulate_busy_period(1.0, Exponential(1.0), 2, REPLICATION_CHUNK,
-                                seed=21, first_replication=0)
-    tail = simulate_busy_period(1.0, Exponential(1.0), 2, REPLICATION_CHUNK,
-                                seed=21, first_replication=REPLICATION_CHUNK)
-    for field in ("busy_period", "served", "lost"):
-        pooled = 0.5 * (getattr(head, field).mean + getattr(tail, field).mean)
+                                seed=21)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(21)).jumped(1))
+    tail = _run_cycles(rng, 1.0, Exponential(1.0), 2, REPLICATION_CHUNK)
+    for field, values in zip(("busy_period", "served", "lost"), tail):
+        pooled = 0.5 * (getattr(head, field).mean + values.sum() / REPLICATION_CHUNK)
         assert getattr(full, field).mean == pooled
 
 
