@@ -12,6 +12,11 @@ Exit codes: 0 success, 1 validation/usage/parse errors and an allocation
 refused for want of memory (say, a huge ``--n`` or ``--order``), 2 numeric
 degeneracy that prevents any output.  The default seed is 0 and can be
 overridden with the ``LOSSQ_SEED`` environment variable.
+
+The module itself imports only the standard library and the NumPy-free
+modules (``kolmogorov``, ``choices``, ``errors``); each handler imports what
+it calls.  So ``quantile`` and ``--help`` load no NumPy, and only
+``simulate`` and a sampled ``reproduce`` load the simulator.
 """
 
 from __future__ import annotations
@@ -22,21 +27,9 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from .ecdf import build_ecdf, read_sample_file
+from .choices import Characteristic, Method
 from .errors import DegeneracyError
-from .intervals import Method, _interval_table, interval_table
 from .kolmogorov import ConfidenceSpec, LimitLaw, quantile, width_for
-from .moments import MomentVector, moments_empirical, moments_exponential
-from .recursion import Characteristic, CharacteristicSpec, estimate_characteristic
-from .simulate import (
-    SAMPLE_GENERATOR,
-    Exponential,
-    draw_samples,
-    parse_distribution,
-    simulate_busy_period,
-)
 
 __all__ = ["main"]
 
@@ -55,12 +48,14 @@ FIXTURE_WIDTHS = {
 _SYSTEMS = ("mg1n", "gim1n")
 
 
-def _characteristic_spec(args: argparse.Namespace) -> CharacteristicSpec:
+def _characteristic_spec(args: argparse.Namespace):
     """Cross-validate the estimate arguments and build the characteristic spec.
 
     The loss probability is estimated from the service side (``gim1n``),
     every other characteristic from the arrival side (``mg1n``).
     """
+    from .recursion import CharacteristicSpec
+
     characteristic = Characteristic(args.characteristic)
     if args.n < 1:
         raise ValueError("--n must be at least 1")
@@ -154,6 +149,9 @@ def _run_quantile(args: argparse.Namespace) -> int:
 
 
 def _run_moments(args: argparse.Namespace) -> int:
+    from .ecdf import build_ecdf, read_sample_file
+    from .moments import moments_empirical
+
     ecdf = build_ecdf(read_sample_file(args.input))
     vector = moments_empirical(ecdf, args.rate, args.order)
     print(",".join(f"r_{i}" for i in range(vector.order + 1)))
@@ -162,6 +160,11 @@ def _run_moments(args: argparse.Namespace) -> int:
 
 
 def _run_estimate(args: argparse.Namespace) -> int:
+    from .ecdf import build_ecdf, read_sample_file
+    from .intervals import interval_table
+    from .moments import moments_empirical
+    from .recursion import estimate_characteristic
+
     spec = _characteristic_spec(args)
     # the unsorted sample is dropped once sorted, before the moments run
     ecdf = build_ecdf(read_sample_file(args.input))
@@ -185,6 +188,9 @@ def _run_estimate(args: argparse.Namespace) -> int:
 
 
 def _run_simulate(args: argparse.Namespace) -> int:
+    from .simulate import (SAMPLE_GENERATOR, draw_samples, parse_distribution,
+                           simulate_busy_period)
+
     dist = parse_distribution(args.dist)
     seed = _seed(args)
     result = simulate_busy_period(
@@ -216,6 +222,10 @@ def _run_simulate(args: argparse.Namespace) -> int:
 
 
 def _run_reproduce(args: argparse.Namespace) -> int:
+    from .intervals import _interval_table, interval_table
+    from .moments import MomentVector, moments_exponential
+    from .recursion import CharacteristicSpec, estimate_characteristic
+
     seed = _seed(args)
     order = 4
     busy = CharacteristicSpec.busy_period(1.0, 1.0)
@@ -226,9 +236,13 @@ def _run_reproduce(args: argparse.Namespace) -> int:
         empirical = None
         source = None
     elif args.fixture is not None:
-        empirical = MomentVector(rate=1.0, values=np.array(FIXTURE_MOMENTS))
+        empirical = MomentVector(rate=1.0, values=FIXTURE_MOMENTS)
         source = "reference coefficients"
     else:
+        from .ecdf import build_ecdf
+        from .moments import moments_empirical
+        from .simulate import Exponential, draw_samples
+
         sample = draw_samples(Exponential(1.0), args.n_obs, seed)
         empirical = moments_empirical(build_ecdf(sample), 1.0, order)
         source = f"simulated sample (N = {args.n_obs}, seed = {seed})"

@@ -11,15 +11,15 @@ tail.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .kolmogorov import ConfidenceSpec, LimitLaw, width_for
+from .choices import Characteristic, Method
+from .kolmogorov import ConfidenceSpec, width_for
 from .moments import MomentVector
-from .recursion import Characteristic, CharacteristicSpec
+from .recursion import CharacteristicSpec
 
 __all__ = [
     "Method",
@@ -27,21 +27,6 @@ __all__ = [
     "IntervalTable",
     "interval_table",
 ]
-
-
-class Method(enum.Enum):
-    """Which sup-statistic drives the confidence widths."""
-
-    TWO_SIDED_STATISTIC = "two-sided"
-    ONE_SIDED_STATISTICS = "one-sided"
-
-    @property
-    def laws(self) -> tuple[LimitLaw, ...]:
-        """The limit laws of this method's widths, in the order the bound
-        chains take them (``r_0`` first)."""
-        if self is Method.TWO_SIDED_STATISTIC:
-            return (LimitLaw.TWO_SIDED,)
-        return (LimitLaw.ONE_SIDED, LimitLaw.ONE_SIDED_SUM)
 
 
 # each flag column and the name a row reports it by, in report order

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -28,10 +29,12 @@ __all__ = [
 ]
 
 _SERIES_TOL = 1e-17
-_SMALL_Z = 0.1
+_SMALL_Z = 0.04  # K underflows to 0 below about 0.0407
 _DUAL_SWITCH = 0.75
+_SERIES_Z = 0.5
 _BISECT_LO, _BISECT_HI = 0.0, 10.0
 _BISECT_TOL = 1e-12
+_BISECT_REL = 1e-10
 
 
 class LimitLaw(enum.Enum):
@@ -60,30 +63,9 @@ class ConfidenceSpec:
             raise ValueError("width must be positive")
 
 
-def kolmogorov_cdf(z: float) -> float:
-    """Limit law of the scaled two-sided statistic.
-
-    For z <= 0.1 the value is below 1e-100 and is returned as 0.  For small
-    z the alternating series cancels catastrophically, so a theta-transformed
-    form of the same function with all-positive terms is summed instead; for
-    larger z the symmetric-in-j alternating series is used.  Both branches
-    sum until the next term falls below 1e-17, keeping the evaluation strictly
-    monotone and everywhere below the one-sided law at float resolution.
-    """
-    if z <= _SMALL_Z:
-        return 0.0
-    if z <= _DUAL_SWITCH:
-        # sqrt(2 pi)/z * sum over odd j of exp(-j^2 pi^2 / (8 z^2))
-        scale = math.pi * math.pi / (8.0 * z * z)
-        total = 0.0
-        j = 1
-        while True:
-            term = math.exp(-j * j * scale)
-            if term < _SERIES_TOL:
-                break
-            total += term
-            j += 2
-        return min(1.0, max(0.0, math.sqrt(2.0 * math.pi) / z * total))
+def _alternating_tail(z: float) -> float:
+    """``1 - K(z)`` from the alternating series 2 sum_j (-1)^(j+1) exp(-2 j^2 z^2),
+    summed until the next term falls below 1e-17; accurate for z > 0.75."""
     total = 0.0
     sign = -1.0
     j = 1
@@ -94,14 +76,56 @@ def kolmogorov_cdf(z: float) -> float:
         total += sign * term
         sign = -sign
         j += 1
-    return min(1.0, max(0.0, 1.0 + 2.0 * total))
+    return -2.0 * total
+
+
+def kolmogorov_cdf(z: float) -> float:
+    """Limit law of the scaled two-sided statistic.
+
+    For small z the alternating series cancels catastrophically, so a
+    theta-transformed form of the same function with all-positive terms is
+    summed instead: its first term is always kept, so that K keeps its
+    relative accuracy down to z = 0.04, below which it underflows and is
+    returned as 0 (K(0.1) is about 6.6e-53).  For larger z the alternating
+    series is used.  Both branches stop at the first later term below 1e-17,
+    keeping the evaluation monotone and everywhere below the one-sided law
+    at float resolution.
+    """
+    if z <= _SMALL_Z:
+        return 0.0
+    if z <= _DUAL_SWITCH:
+        # sqrt(2 pi)/z * sum over odd j of exp(-j^2 pi^2 / (8 z^2))
+        scale = math.pi * math.pi / (8.0 * z * z)
+        term = math.exp(-scale)
+        total = 0.0
+        j = 1
+        while True:
+            total += term
+            j += 2
+            term = math.exp(-j * j * scale)
+            if term < _SERIES_TOL:
+                break
+        return min(1.0, max(0.0, math.sqrt(2.0 * math.pi) / z * total))
+    return min(1.0, max(0.0, 1.0 - _alternating_tail(z)))
+
+
+def _kolmogorov_sf(z: float) -> float:
+    """``1 - K(z)``, without the cancellation of ``1 - kolmogorov_cdf(z)``
+    in the upper tail."""
+    if z <= _DUAL_SWITCH:
+        return 1.0 - kolmogorov_cdf(z)
+    return _alternating_tail(z)
 
 
 def one_sided_cdf(z: float) -> float:
     """Limit law of either scaled one-sided statistic: 1 - exp(-2 z^2)."""
     if z <= 0.0:
         return 0.0
-    return 1.0 - math.exp(-2.0 * z * z)
+    return -math.expm1(-2.0 * z * z)
+
+
+def _one_sided_sf(z: float) -> float:
+    return 1.0 if z <= 0.0 else math.exp(-2.0 * z * z)
 
 
 def normal_cdf(z: float) -> float:
@@ -113,9 +137,26 @@ def conv_cdf(z: float) -> float:
     """Law of the sum of the two independent one-sided statistics.
 
     Closed form: 1 - exp(-2 z^2) - sqrt(pi) z exp(-z^2) (2 Phi(sqrt(2) z) - 1).
+    Below z = 0.5 the closed form cancels (the law is about (2/3) z^4 near
+    0), so the same function is summed as the all-positive series
+    exp(-w) sum_{m>=2} w^m (1/m! - 1/(2m-1)!!) in w = 2 z^2.
     """
     if z <= 0.0:
         return 0.0
+    if z < _SERIES_Z:
+        w = 2.0 * z * z
+        total = 0.0
+        power_over_factorial = power_over_double_factorial = w
+        m = 1
+        while True:
+            m += 1
+            power_over_factorial *= w / m
+            power_over_double_factorial *= w / (2 * m - 1)
+            term = power_over_factorial - power_over_double_factorial
+            if term <= _SERIES_TOL * total:
+                break
+            total += term
+        return math.exp(-w) * total
     value = (
         1.0
         - math.exp(-2.0 * z * z)
@@ -127,10 +168,25 @@ def conv_cdf(z: float) -> float:
     return min(1.0, max(0.0, value))
 
 
+def _conv_sf(z: float) -> float:
+    """``1 - conv_cdf(z)``: exp(-2 z^2) + sqrt(pi) z exp(-z^2) erf(z), a sum
+    of positive terms."""
+    if z < _SERIES_Z:
+        return 1.0 - conv_cdf(z)
+    return min(1.0, math.exp(-2.0 * z * z)
+               + math.sqrt(math.pi) * z * math.exp(-z * z) * math.erf(z))
+
+
 _LAW_CDFS = {
     LimitLaw.TWO_SIDED: kolmogorov_cdf,
     LimitLaw.ONE_SIDED: one_sided_cdf,
     LimitLaw.ONE_SIDED_SUM: conv_cdf,
+}
+# each law's survival function 1 - F, accurate where F is close to 1
+_LAW_SFS = {
+    LimitLaw.TWO_SIDED: _kolmogorov_sf,
+    LimitLaw.ONE_SIDED: _one_sided_sf,
+    LimitLaw.ONE_SIDED_SUM: _conv_sf,
 }
 
 
@@ -140,10 +196,11 @@ def law_cdf(law: LimitLaw, z: float) -> float:
 
 
 def _bisect(below, lo: float, hi: float) -> float:
-    """The midpoint of the 1e-12 bracket that bisection narrows [lo, hi] to,
+    """The midpoint of the bracket that bisection narrows [lo, hi] to,
     moving ``lo`` up to each midpoint where ``below(mid)`` holds and ``hi``
-    down to the others."""
-    while hi - lo > _BISECT_TOL:
+    down to the others, until the bracket is within 1e-12 and within 1e-10
+    of ``hi`` (the relative bound decides only below about 0.006)."""
+    while hi - lo > _BISECT_TOL or hi - lo > _BISECT_REL * hi:
         mid = 0.5 * (lo + hi)
         if below(mid):
             lo = mid
@@ -153,17 +210,25 @@ def _bisect(below, lo: float, hi: float) -> float:
 
 
 def quantile(law: LimitLaw, p: float) -> float:
-    """Solve law(z*) = p by bisection on [0, 10] to a 1e-12 bracket."""
+    """Solve law(z*) = p by bisection on [0, 10], to a 1e-12 bracket and a
+    relative 1e-10 one.  Above p = 0.5 the bisection compares the survival
+    function with 1 - p, which is exact there, so that levels close to 1
+    keep their relative accuracy."""
     if not 0.0 < p < 1.0:
         raise ValueError("quantile level must lie strictly between 0 and 1")
-    cdf = _LAW_CDFS[law]
-    return _bisect(lambda z: cdf(z) < p, _BISECT_LO, _BISECT_HI)
+    if p <= 0.5:
+        cdf = _LAW_CDFS[law]
+        return _bisect(lambda z: cdf(z) < p, _BISECT_LO, _BISECT_HI)
+    sf, q = _LAW_SFS[law], 1.0 - p
+    return _bisect(lambda z: sf(z) > q, _BISECT_LO, _BISECT_HI)
 
 
 def width_for(law: LimitLaw, confidence: float, n_obs: int) -> ConfidenceSpec:
     """Resolve a confidence level to the additive width z*/sqrt(n_obs)."""
     if n_obs < 1:
         raise ValueError("n_obs must be at least 1")
+    if n_obs > sys.float_info.max:
+        raise ValueError("n_obs is too large to convert to a float")
     z = quantile(law, confidence)
     return ConfidenceSpec(
         confidence=confidence, n_obs=n_obs, law=law, width=z / math.sqrt(n_obs)

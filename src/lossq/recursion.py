@@ -19,13 +19,13 @@ sign-anomaly flags, never silently clamped.
 
 from __future__ import annotations
 
-import enum
 import math
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
+from .choices import Characteristic
 from .errors import DegeneracyError, check_positive
 from .moments import MomentVector
 
@@ -37,15 +37,6 @@ __all__ = [
     "solve_recursion",
     "estimate_characteristic",
 ]
-
-
-class Characteristic(enum.Enum):
-    """Output characteristic of a finite-buffer loss system."""
-
-    BUSY_PERIOD = "busy"
-    SERVED_CUSTOMERS = "served"
-    LOST_CUSTOMERS = "lost"
-    LOSS_PROBABILITY = "loss-prob"
 
 
 @dataclass(frozen=True)

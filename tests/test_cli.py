@@ -16,12 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lossq import cli
-from lossq.cli import SEED_ENV_VAR, _fmt, _render_text_table, main
+import lossq.ecdf
+import lossq.moments
+from lossq.cli import SEED_ENV_VAR, _fmt, _render_text_table, build_parser, main
 from lossq.ecdf import build_ecdf
 from lossq.intervals import Method, interval_table
 from lossq.moments import MomentVector, moments_empirical, moments_exponential
-from lossq.recursion import CharacteristicSpec, estimate_characteristic
+from lossq.recursion import Characteristic, CharacteristicSpec, estimate_characteristic
 from lossq.simulate import Exponential, draw_samples
 
 
@@ -73,6 +74,24 @@ def test_quantile_rejects_an_empty_sample_before_printing(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "lossq: error:" in captured.err
+
+
+def test_quantile_rejects_a_sample_size_past_the_largest_float(capsys):
+    # the width divides by sqrt(N), which would overflow converting N
+    huge = "1" + "0" * 400
+    assert main(["quantile", "--law", "two-sided", "--p", "0.95", "--n", huge]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "lossq: error: n_obs is too large to convert to a float\n"
+
+
+@pytest.mark.parametrize("option, enum", [("--characteristic", Characteristic),
+                                          ("--method", Method)])
+def test_estimate_choices_are_the_enum_values(option, enum):
+    estimate = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices["estimate"]
+    action = next(a for a in estimate._actions if option in a.option_strings)
+    assert list(action.choices) == [member.value for member in enum]
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +187,7 @@ def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch, tmp_path, 
     def refuse(*args):
         raise MemoryError(message)
 
-    monkeypatch.setattr(cli, "moments_empirical", refuse)
+    monkeypatch.setattr(lossq.moments, "moments_empirical", refuse)
     path = tmp_path / "obs.txt"
     path.write_text("1.0\n2.0\n")
     assert main(argv + ["--input", str(path)]) == 1
@@ -454,9 +473,9 @@ def _estimate_output(monkeypatch, capsys, fmt, system, spec, moments, n_obs, ord
                      *interval):
     """What ``lossq estimate`` prints for these moments: the file is not read
     and the moments are stubbed, so any vector and sample size can go in."""
-    monkeypatch.setattr(cli, "read_sample_file", lambda path: None)
-    monkeypatch.setattr(cli, "build_ecdf", lambda sample: SimpleNamespace(n_obs=n_obs))
-    monkeypatch.setattr(cli, "moments_empirical", lambda ecdf, rate, n: moments)
+    monkeypatch.setattr(lossq.ecdf, "read_sample_file", lambda path: None)
+    monkeypatch.setattr(lossq.ecdf, "build_ecdf", lambda sample: SimpleNamespace(n_obs=n_obs))
+    monkeypatch.setattr(lossq.moments, "moments_empirical", lambda ecdf, rate, n: moments)
     argv = ["estimate", "--system", system, "--characteristic", spec.kind.value,
             "--rate", repr(spec.weighting_rate), "--n", str(order), "--input", "unread",
             "--format", fmt, *interval]
@@ -656,7 +675,7 @@ _OPTIONS = {
     "quantile": {
         "--law": (["two-sided", "one-sided", "one-sided-sum"], ["sideways", None]),
         "--p": (["0.95", "0.5"], _BAD_PROBABILITIES + [None]),
-        "--n": ([None, "1", "10000"], _BAD_LEVELS),
+        "--n": ([None, "1", "10000"], _BAD_LEVELS + ["1" + "0" * 400]),
     },
     "moments": {
         "--input": (["good"], _BAD_INPUTS + [None]),

@@ -1,9 +1,12 @@
-"""Every exported name resolves; SciPy stays off the import and every CLI
-subcommand, and the laws' closed forms load only ``scipy.special``; reading
-a sample file loads no decompressor.
+"""Every exported name resolves, and the package's lazy re-exports are the
+defining modules' objects; SciPy stays off the import and every CLI
+subcommand, and the laws' closed forms load only ``scipy.special``; NumPy
+stays off ``import lossq`` and ``lossq quantile``, and the simulator off the
+subcommands that estimate from a file or the fixture; reading a sample file
+loads no decompressor.
 
-The SciPy checks run in a fresh interpreter, because the test process
-itself has SciPy loaded already.
+The import checks run in a fresh interpreter, because the test process
+itself has SciPy and NumPy loaded already.
 """
 
 import importlib
@@ -35,7 +38,7 @@ def _run(code: str):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-MODULES = ["lossq", "lossq.cli", "lossq.ecdf", "lossq.intervals",
+MODULES = ["lossq", "lossq.choices", "lossq.cli", "lossq.ecdf", "lossq.intervals",
            "lossq.kolmogorov", "lossq.moments", "lossq.recursion", "lossq.simulate"]
 
 
@@ -47,6 +50,102 @@ def test_every_exported_name_resolves(module):
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def test_package_exports_are_the_defining_modules_objects():
+    import lossq
+
+    for name in lossq.__all__:
+        value = getattr(lossq, name)
+        if name != "__version__":
+            assert getattr(sys.modules[value.__module__], name) is value, name
+        # the first access leaves the name in the package, so the next is a
+        # plain lookup
+        assert vars(lossq)[name] is value, name
+
+
+def test_enums_keep_their_old_homes():
+    import lossq.choices
+    import lossq.intervals
+    import lossq.recursion
+
+    assert lossq.recursion.Characteristic is lossq.choices.Characteristic
+    assert lossq.intervals.Method is lossq.choices.Method
+
+
+def test_dir_and_star_import_cover_the_exports():
+    import lossq
+
+    assert set(lossq.__all__) <= set(dir(lossq))
+    assert {"simulate", "cli", "kolmogorov"} <= set(dir(lossq))
+    namespace = {}
+    exec("from lossq import *", namespace)
+    assert set(lossq.__all__) <= set(namespace)
+
+
+def test_unknown_attribute_names_itself():
+    import lossq
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lossq.no_such_name
+
+
+def test_submodules_resolve_as_attributes():
+    code = (
+        "import json, sys, lossq\n"
+        "print(json.dumps([lossq.simulate is sys.modules['lossq.simulate'],\n"
+        "                  lossq.kolmogorov.__name__]))"
+    )
+    assert _run(code) == [True, "lossq.kolmogorov"]
+
+
+PRINT_LOADED = (
+    "print(json.dumps(sorted(m for m in sys.modules "
+    "if m in ('numpy', 'lossq.simulate'))))"
+)
+
+
+def test_import_leaves_numpy_unloaded():
+    assert _run(f"import json, sys, lossq\n{PRINT_LOADED}") == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    *(["quantile", "--law", law, "--p", "0.95", *n]
+      for law in ("two-sided", "one-sided", "one-sided-sum") for n in ([], ["--n", "500"])),
+], ids=lambda argv: " ".join(argv))
+def test_quantile_and_help_leave_numpy_unloaded(argv):
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from lossq.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        f"{PRINT_LOADED}"
+    )
+    assert _run(code) == []
+
+
+def test_file_and_fixture_runs_leave_the_simulator_unloaded(tmp_path):
+    sample = tmp_path / "sample.txt"
+    sample.write_text("".join(f"{0.1 * (i % 17) + 0.05}\n" for i in range(400)))
+    estimate = ["estimate", "--system", "mg1n", "--characteristic", "busy", "--rate", "0.8",
+                "--mean-service", "0.9", "--n", "6", "--input", str(sample)]
+    runs = [
+        estimate,
+        estimate + ["--confidence", "0.95", "--method", "one-sided", "--format", "json"],
+        ["moments", "--input", str(sample), "--rate", "1", "--order", "40"],
+        ["reproduce", "--fixture", "published"],
+        ["reproduce", "--theoretical"],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from lossq.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        f"{PRINT_LOADED}"
+    )
+    assert _run(code) == ["numpy"]
 
 
 @pytest.mark.parametrize("module", ["lossq", "lossq.cli"])
@@ -102,8 +201,8 @@ def test_law_moments_load_only_scipy_special():
 def test_reading_sample_files_loads_no_decompressor(tmp_path):
     # NumPy's own import brings in bz2 and lzma (through shutil), so the
     # check is that reading, on the fast path and the fallback, adds none of
-    # them, and that gzip, which only NumPy's path-based reader imports,
-    # stays out altogether
+    # them to what importing the reader's module loads, and that gzip, which
+    # only NumPy's path-based reader imports, stays out altogether
     fast = tmp_path / "fast.txt.gz"
     fast.write_text("".join(f"{0.1 * (i % 17) + 0.05}\n" for i in range(400)))
     fallback = tmp_path / "fallback.txt.bz2"
@@ -116,6 +215,7 @@ def test_reading_sample_files_loads_no_decompressor(tmp_path):
     ] + [["moments", "--input", str(fallback), "--rate", "1", "--order", "4"]]
     code = (
         "import contextlib, io, json, sys\n"
+        "import lossq.ecdf\n"
         "from lossq.cli import main\n"
         "codecs = ('gzip', 'bz2', 'lzma')\n"
         "before = sorted(m for m in codecs if m in sys.modules)\n"

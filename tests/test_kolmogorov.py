@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -32,7 +33,10 @@ Z_ONE_SIDED_SUM = 2.073026244748064
 def test_two_sided_law_anchors():
     assert kolmogorov_cdf(1.3581) == pytest.approx(0.95, abs=1e-3)
     assert kolmogorov_cdf(10.0) == pytest.approx(1.0, abs=1e-12)
-    assert kolmogorov_cdf(0.1) == 0.0
+    # K(0.1) = 6.609305242245e-53 by the 200-digit alternating series; K
+    # underflows to 0 below about z = 0.0407
+    assert kolmogorov_cdf(0.1) == pytest.approx(6.6093052422454707514e-53, rel=1e-12)
+    assert kolmogorov_cdf(0.04) == 0.0
     assert kolmogorov_cdf(0.0) == 0.0
     assert kolmogorov_cdf(-1.0) == 0.0
 
@@ -146,6 +150,71 @@ def test_quantile_ordering_above_the_crossing_level():
         assert q_sum <= 2.0 * q_one <= 2.0 * q_two + 1e-12
 
 
+def _two_sided_reference(z):
+    # the defining alternating series, whose terms are about 1 while K(z) is
+    # about exp(-pi^2 / (8 z^2)): the working precision adds the digits that
+    # cancel, so that 50 digits are left
+    with mpmath.workdps(60 + int(0.54 / z**2)):
+        cut = mpmath.mpf(10) ** -mpmath.mp.dps
+        total, j = mpmath.mpf(0), 1
+        while (term := mpmath.exp(-2 * j * j * z * z)) > cut:
+            total += (-1) ** j * term
+            j += 1
+        return 1 + 2 * total
+
+
+def _cancelling_digits(z):
+    # the closed forms below cancel to about z^2 (one-sided) and z^4 (sum)
+    return 60 + max(0, int(-4 * mpmath.log10(z)))
+
+
+def _one_sided_reference(z):
+    with mpmath.workdps(_cancelling_digits(z)):
+        return 1 - mpmath.exp(-2 * z * z)
+
+
+def _sum_reference(z):
+    with mpmath.workdps(_cancelling_digits(z)):
+        return (1 - mpmath.exp(-2 * z * z)
+                - mpmath.sqrt(mpmath.pi) * z * mpmath.exp(-z * z) * mpmath.erf(z))
+
+
+_REFERENCES = {
+    LimitLaw.TWO_SIDED: _two_sided_reference,
+    LimitLaw.ONE_SIDED: _one_sided_reference,
+    LimitLaw.ONE_SIDED_SUM: _sum_reference,
+}
+
+_LEVELS = (1e-30, 1e-20, 1e-12, 1e-6, 1e-3, 0.05, 0.3, 0.5, 0.5000001, 0.7, 0.95,
+           0.99, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12)
+
+
+@pytest.mark.parametrize("law", list(LimitLaw))
+@pytest.mark.parametrize("p", _LEVELS)
+def test_quantile_matches_the_50_digit_law(law, p):
+    # the true quantile lies within 1e-9 (relative) of the computed one
+    # exactly when the increasing law crosses p inside that bracket
+    z = mpmath.mpf(quantile(law, p))
+    reference = _REFERENCES[law]
+    with mpmath.workdps(50):
+        assert reference(z * (1 - mpmath.mpf("1e-9"))) < p < reference(z * (1 + mpmath.mpf("1e-9")))
+
+
+@pytest.mark.parametrize("law, z", [
+    (LimitLaw.TWO_SIDED, 0.05), (LimitLaw.TWO_SIDED, 0.1), (LimitLaw.TWO_SIDED, 0.15),
+    (LimitLaw.TWO_SIDED, 0.1777), (LimitLaw.TWO_SIDED, 0.5),
+    (LimitLaw.ONE_SIDED, 1e-150), (LimitLaw.ONE_SIDED, 1e-10), (LimitLaw.ONE_SIDED, 0.01),
+    (LimitLaw.ONE_SIDED_SUM, 1e-70), (LimitLaw.ONE_SIDED_SUM, 1e-4),
+    (LimitLaw.ONE_SIDED_SUM, 0.01), (LimitLaw.ONE_SIDED_SUM, 0.3),
+    (LimitLaw.ONE_SIDED_SUM, 0.4999), (LimitLaw.ONE_SIDED_SUM, 0.5),
+])
+def test_small_arguments_keep_relative_accuracy(law, z):
+    # no silent zero and no cancellation where the laws are tiny
+    reference = float(_REFERENCES[law](mpmath.mpf(z)))
+    assert reference > 0.0
+    assert law_cdf(law, z) == pytest.approx(reference, rel=1e-12)
+
+
 # ---------------------------------------------------------------- widths
 
 
@@ -162,6 +231,13 @@ def test_width_scales_with_root_sample_size(law, n):
     spec = width_for(law, 0.95, n)
     assert spec.width == pytest.approx(quantile(law, 0.95) / math.sqrt(n), abs=1e-15)
     assert law_cdf(law, spec.width * math.sqrt(n)) == pytest.approx(0.95, abs=1e-9)
+
+
+def test_width_rejects_a_sample_size_past_the_largest_float():
+    with pytest.raises(ValueError, match="too large"):
+        width_for(LimitLaw.TWO_SIDED, 0.95, 10**400)
+    assert width_for(LimitLaw.TWO_SIDED, 0.95, 10**300).width == pytest.approx(
+        Z_TWO_SIDED * 1e-150, rel=1e-12)
 
 
 def test_confidence_spec_validation():
