@@ -41,9 +41,7 @@ class Sample:
         arr = np.asarray(values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("sample must be a non-empty 1-D collection")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-            raise ValueError("sample values must be positive finite numbers")
-        return arr
+        return _check_positive_finite(arr)
 
     @property
     def n_obs(self) -> int:
@@ -103,6 +101,12 @@ class KsStatistics:
             raise ValueError("two_sided must equal max of the one-sided statistics")
 
 
+def _check_positive_finite(arr: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+        raise ValueError("sample values must be positive finite numbers")
+    return arr
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -133,19 +137,27 @@ def ks_statistics(ecdf: EmpiricalCdf, model_cdf: Callable) -> KsStatistics:
     Tied observations stack naturally because k indexes positions, not
     distinct values.  ``model_cdf`` may be scalar-only or vectorized.
     """
-    xs = ecdf.sorted_values
-    f = _evaluate_cdf(model_cdf, xs)
-    if np.any(f < -1e-12) or np.any(f > 1.0 + 1e-12):
-        bad = float(f[np.argmax(np.abs(f - 0.5))])
-        raise ValueError(f"model CDF returned a value outside [0, 1]: {bad}")
-    f = np.clip(f, 0.0, 1.0)
-    n = ecdf.n_obs
-    k = np.arange(1, n + 1, dtype=float)
-    plus = max(float(np.max(k / n - f)), 0.0)
-    minus = max(float(np.max(f - (k - 1.0) / n)), 0.0)
+    plus, minus = _sup_deviations(ecdf.sorted_values, model_cdf)
+    plus, minus = float(plus), float(minus)
     return KsStatistics(
         two_sided=max(minus, plus), one_sided_minus=minus, one_sided_plus=plus
     )
+
+
+def _sup_deviations(xs: np.ndarray, model_cdf: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """The deviations above and below (``plus``, ``minus``) of each row of
+    ``xs``, sorted ascending along the last axis, from ``model_cdf``: one
+    CDF call for all rows."""
+    f = _evaluate_cdf(model_cdf, xs)
+    if np.any(f < -1e-12) or np.any(f > 1.0 + 1e-12):
+        bad = float(f.flat[np.argmax(np.abs(f - 0.5))])
+        raise ValueError(f"model CDF returned a value outside [0, 1]: {bad}")
+    f = np.clip(f, 0.0, 1.0)
+    n = xs.shape[-1]
+    k = np.arange(1, n + 1, dtype=float)
+    plus = np.maximum(np.max(k / n - f, axis=-1), 0.0)
+    minus = np.maximum(np.max(f - (k - 1.0) / n, axis=-1), 0.0)
+    return plus, minus
 
 
 def _evaluate_cdf(model_cdf: Callable, xs: np.ndarray) -> np.ndarray:
@@ -155,9 +167,10 @@ def _evaluate_cdf(model_cdf: Callable, xs: np.ndarray) -> np.ndarray:
             return f
     except (TypeError, ValueError):
         pass
-    return np.fromiter(
-        (float(model_cdf(float(x))) for x in xs), dtype=float, count=xs.size
+    f = np.fromiter(
+        (float(model_cdf(float(x))) for x in xs.flat), dtype=float, count=xs.size
     )
+    return f.reshape(xs.shape)
 
 
 def read_sample_file(path) -> Sample:

@@ -8,18 +8,20 @@ Sample drawing uses a PCG64 generator seeded explicitly.  The busy-cycle
 simulator advances whole batches of replications in vectorized rounds (one
 service completion per round) on counter-spaced Philox streams — one stream
 per batch of ``REPLICATION_CHUNK`` cycles — so a run is reproducible from its
-seed and replication count alone.  The generator identities are part of the
-reproducibility contract and are recorded in results.
+seed and replication count alone; the last few cycles of a batch finish on
+Python scalars with the same draws.  The generator identities are part of
+the reproducibility contract and are recorded in results.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ecdf import EmpiricalCdf, Sample, build_ecdf, ks_statistics
+from .ecdf import EmpiricalCdf, Sample, _check_positive_finite, _sup_deviations
 from .errors import check_positive
 from .moments import MomentVector, _check_rate_order, moments_empirical, moments_exponential
 
@@ -49,6 +51,23 @@ REPLICATION_CHUNK = 16384
 
 SAMPLE_GENERATOR = "numpy-pcg64"
 SIMULATION_GENERATOR = f"numpy-philox-chunk{REPLICATION_CHUNK}"
+# a batch with at most this many cycles left finishes on Python scalars:
+# ``Generator.poisson`` on an array costs about 14 us however short the
+# array, a scalar draw about 1 us (NumPy 2.4, one core of a 2-vCPU VM)
+_SCALAR_TAIL = 16
+# the most services a run may expect to draw (replications times the mean
+# served per busy cycle).  On the same core a run draws about 4.6e6 services
+# a second in full chunks and 2.4e5 in a single cycle: 20 s to 7 minutes
+_SERVICE_BUDGET = 1e8
+# the levels of the served chain that the budget check computes at most
+_BUDGET_LEVELS = 1000
+# a waiting count never comes near 2^62, so a larger buffer acts as this one
+# and keeps ``buffer - waiting`` within int64
+_BUFFER_CAP = 2**62
+# KS-law experiment: the most observations held in one block of trials.  A
+# block and its CDF temporaries take about 1 MB; all 1000 x 1000 trials at
+# once would add about 30 MB to the peak RSS
+_KS_BLOCK_VALUES = 2**14
 # Uniform.moments: the width a (h - l) up to which it averages the Poisson
 # pmf by Gauss-Legendre quadrature, and the number of nodes
 _NARROW_WIDTH = 1.0
@@ -285,14 +304,34 @@ def simulate_busy_period(
     leaves the system empty.
 
     Replication ``j`` is served by the Philox stream numbered
-    ``j // REPLICATION_CHUNK``; within one round the batch draws its service
-    times first, then its arrival counts.
+    ``j // REPLICATION_CHUNK``.  In each round, the cycles of a chunk that
+    are still running, in replication order, draw their service times with
+    one ``dist.draw`` call and then one Poisson arrival count each, in the
+    same order.  Once at most ``_SCALAR_TAIL`` cycles of a chunk are left,
+    the arrival counts are drawn one scalar call at a time: the generator
+    gives the same values, so the result does not depend on where the
+    switch happens.
+
+    A run is refused with :class:`ValueError` before any draw when
+    ``replications`` times the expected number served per cycle exceeds
+    ``_SERVICE_BUDGET`` (at load rho = arrival_rate * mean >= 1 a cycle
+    serves about rho^buffer customers, so such runs would not end).  Below
+    load 1 the number served per cycle is at most 1 / (1 - rho); only when
+    that bound is over budget, and at load >= 1, the exact mean is taken
+    from the served-customers point chain on ``dist.moments``.  That chain
+    is computed up to level ``_BUDGET_LEVELS`` at most; a larger buffer is
+    charged the last level times the ratio of the last two levels to the
+    power of the levels left.
     """
     check_positive("arrival_rate", arrival_rate)
+    buffer = _integer("buffer", buffer)
+    replications = _integer("replications", replications)
     if buffer < 0:
         raise ValueError("buffer must be non-negative")
     if replications < 1:
         raise ValueError("replications must be at least 1")
+    _check_budget(arrival_rate, dist, buffer, replications)
+    buffer = min(buffer, _BUFFER_CAP)
     root = np.random.Philox(np.random.SeedSequence(seed))
     sums = np.zeros(3)
     sumsq = np.zeros(3)
@@ -321,6 +360,50 @@ def simulate_busy_period(
     )
 
 
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+
+
+def _check_budget(
+    arrival_rate: float, dist: ServiceDistribution, buffer: int, replications: int
+) -> None:
+    load = arrival_rate * dist.mean()
+    if buffer == 0:
+        served = 1.0
+    elif load < 1.0 and replications / (1.0 - load) <= _SERVICE_BUDGET:
+        return
+    else:
+        served = _expected_served(arrival_rate, dist, min(buffer, _BUFFER_CAP))
+    if replications * served > _SERVICE_BUDGET:
+        raise ValueError(
+            f"the run would draw about {replications * served:.3g} services (load "
+            f"{load:.3g}, buffer {buffer}, {replications} replications), more than "
+            f"the simulator's budget of {_SERVICE_BUDGET:.0e}"
+        )
+
+
+def _expected_served(arrival_rate: float, dist: ServiceDistribution, buffer: int) -> float:
+    """The mean number served per busy cycle: the unit point chain at level
+    ``buffer``, extended past ``_BUDGET_LEVELS`` at its last ratio.  The
+    chain is nondecreasing, so it is inf once it overflows."""
+    from .recursion import solve_recursion
+
+    levels = min(buffer, _BUDGET_LEVELS)
+    moments = dist.moments(arrival_rate, levels)
+    if moments.values[0] == 0.0:
+        # r_0, the chance that a service sees no arrival, underflowed
+        return math.inf
+    chain = solve_recursion(moments, levels).point
+    last = chain[-1]
+    if buffer == levels or last == math.inf:
+        return float(last)
+    with np.errstate(over="ignore"):
+        return float(last * (last / chain[-2]) ** (buffer - levels))
+
+
 def _run_cycles(
     rng: np.random.Generator,
     arrival_rate: float,
@@ -333,7 +416,7 @@ def _run_cycles(
     served = np.zeros(count, dtype=np.int64)
     lost = np.zeros(count, dtype=np.int64)
     active = np.arange(count)
-    while active.size:
+    while active.size > _SCALAR_TAIL:
         s = dist.draw(rng, active.size)
         arrivals = rng.poisson(arrival_rate * s)
         t[active] += s
@@ -345,7 +428,39 @@ def _run_cycles(
         keep = w > 0
         waiting[active] = w - keep
         active = active[keep]
+    if active.size:
+        cycles = [list(c) for c in zip(waiting[active].tolist(), t[active].tolist(),
+                                       served[active].tolist(), lost[active].tolist())]
+        _finish_cycles(rng, arrival_rate, dist, buffer, cycles)
+        _, t[active], served[active], lost[active] = zip(*cycles)
     return t, served.astype(float), lost.astype(float)
+
+
+def _finish_cycles(
+    rng: np.random.Generator,
+    arrival_rate: float,
+    dist: ServiceDistribution,
+    buffer: int,
+    cycles: list[list],
+) -> None:
+    """The rounds of ``_run_cycles`` on a few ``[waiting, time, served,
+    lost]`` cycles, updated in place until each ends: each round draws its
+    service times with one ``dist.draw`` call and then each arrival count
+    with a scalar ``rng.poisson``, in the same order as the indexed rounds."""
+    poisson = rng.poisson
+    running = cycles
+    while running:
+        kept = []
+        for cycle, s in zip(running, dist.draw(rng, len(running)).tolist()):
+            arrivals = poisson(arrival_rate * s)
+            joined = min(arrivals, buffer - cycle[0])
+            cycle[1] += s
+            cycle[2] += 1
+            cycle[3] += arrivals - joined
+            if cycle[0] + joined:
+                cycle[0] += joined - 1
+                kept.append(cycle)
+        running = kept
 
 
 def loss_probability_oracle(
@@ -381,24 +496,30 @@ def ks_law_experiment(
 
     Each trial draws ``n_obs`` observations from ``dist`` on its own
     spawned stream, builds the empirical CDF, and records the sup
-    deviations from the true CDF scaled by sqrt(n_obs).
+    deviations from the true CDF scaled by sqrt(n_obs).  Trials are
+    measured in blocks of at most ``_KS_BLOCK_VALUES`` observations: the
+    block's rows are sorted in place and share one ``dist.cdf`` call.
     """
     if n_obs < 100:
         raise ValueError("n_obs must be at least 100")
     if trials < 100:
         raise ValueError("trials must be at least 100")
     children = np.random.SeedSequence(seed).spawn(trials)
-    scale = math.sqrt(n_obs)
-    two = np.empty(trials)
-    minus = np.empty(trials)
     plus = np.empty(trials)
-    for i, child in enumerate(children):
-        rng = np.random.Generator(np.random.PCG64(child))
-        ecdf = build_ecdf(Sample(dist.draw(rng, n_obs)))
-        stats = ks_statistics(ecdf, dist.cdf)
-        two[i] = scale * stats.two_sided
-        minus[i] = scale * stats.one_sided_minus
-        plus[i] = scale * stats.one_sided_plus
+    minus = np.empty(trials)
+    block = max(1, _KS_BLOCK_VALUES // n_obs)
+    rows = np.empty((min(block, trials), n_obs))
+    for lo in range(0, trials, block):
+        part = rows[:min(block, trials - lo)]
+        for row, child in zip(part, children[lo:lo + block]):
+            row[:] = dist.draw(np.random.Generator(np.random.PCG64(child)), n_obs)
+        _check_positive_finite(part)
+        part.sort(axis=1)
+        plus[lo:lo + block], minus[lo:lo + block] = _sup_deviations(part, dist.cdf)
+    scale = math.sqrt(n_obs)
+    two = scale * np.maximum(minus, plus)
+    minus *= scale
+    plus *= scale
     corr = float(np.corrcoef(minus, plus)[0, 1])
     return KsLawResult(
         two_sided=two, one_sided_minus=minus, one_sided_plus=plus,

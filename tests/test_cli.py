@@ -546,6 +546,17 @@ def test_simulate_rejects_bad_distribution(capsys):
     assert "bad distribution spec" in capsys.readouterr().err
 
 
+def test_simulate_refuses_a_run_that_cannot_finish(capsys):
+    assert main(["simulate", "--dist", "det:1", "--rate", "5", "--n", "30",
+                 "--replications", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "lossq: error: the run would draw about 5.07e+64 services (load 5, buffer 30, "
+        "1 replications), more than the simulator's budget of 1e+08\n"
+    )
+
+
 def test_emitted_samples_round_trip(capsys, tmp_path):
     out_path = tmp_path / "emitted.txt"
     assert main(["simulate", "--dist", "exp:1", "--rate", "1.0", "--n", "1",
@@ -669,8 +680,10 @@ _BAD_PROBABILITIES = ["0", "1", "1.5", "-0.1", "nan", "x"]
 _BAD_INPUTS = ["empty", "blank", "bad", "negative", "binary", "directory", "missing"]
 
 # per subcommand and option: (values accepted on their own, values that are
-# not); None leaves the option out, True gives a switch.  The simulator runs
-# until every busy cycle ends, so its load stays at most 1 and its buffer small
+# not); None leaves the option out, True gives a switch.  The simulator's
+# loads and buffers either run in well under a second (a cycle at load 3 and
+# buffer 2 serves a few hundred customers) or go over its service budget and
+# are refused (load 1.5 and buffer 60: about 1e11 customers a cycle)
 _OPTIONS = {
     "quantile": {
         "--law": (["two-sided", "one-sided", "one-sided-sum"], ["sideways", None]),
@@ -697,8 +710,8 @@ _OPTIONS = {
         "--dist": (["exp:1", "erlang:2:2", "det:1", "uniform:0:2"],
                    ["exp:0", "exp:-1", "erlang:0:1", "uniform:2:1", "det", "gamma:1",
                     "exp:x", "", None]),
-        "--rate": (["0.5", "1"], ["0", "-1", "nan", "inf", "x", "", None]),
-        "--n": (["0", "1", "2"], ["-1", "x", None]),
+        "--rate": (["0.5", "1", "1.5", "3"], ["0", "-1", "nan", "inf", "x", "", None]),
+        "--n": (["0", "1", "2", "60"], ["-1", "x", None]),
         "--replications": (["1", "20"], ["0", "-1", "x", None]),
         "--seed": ([None, "0", "7"], ["-1", "x"]),
         "--emit-samples": ([None, "emit"], ["emit-nowhere", "directory"]),

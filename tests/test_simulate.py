@@ -5,11 +5,14 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lossq.simulate
 from lossq.ecdf import Sample, build_ecdf, ks_statistics
 from lossq.kolmogorov import kolmogorov_cdf, one_sided_cdf
 from lossq.moments import moments_exponential
-from lossq.recursion import CharacteristicSpec, estimate_characteristic
+from lossq.recursion import CharacteristicSpec, estimate_characteristic, solve_recursion
 from lossq.simulate import (
     REPLICATION_CHUNK,
     SAMPLE_GENERATOR,
@@ -18,6 +21,7 @@ from lossq.simulate import (
     ErlangK,
     Exponential,
     Uniform,
+    _expected_served,
     _run_cycles,
     draw_samples,
     ks_law_experiment,
@@ -182,6 +186,27 @@ def test_simulator_validation():
         simulate_busy_period(1.0, Exponential(1.0), 2, 0, seed=1)
 
 
+@pytest.mark.parametrize("bad", [2.5, 3.0, "3", None])
+def test_simulator_rejects_a_non_integer_buffer_or_replication_count(bad):
+    with pytest.raises(ValueError, match="buffer must be an integer"):
+        simulate_busy_period(1.0, Exponential(1.0), bad, 10, seed=1)
+    with pytest.raises(ValueError, match="replications must be an integer"):
+        simulate_busy_period(1.0, Exponential(1.0), 2, bad, seed=1)
+
+
+def test_simulator_accepts_numpy_integers():
+    want = simulate_busy_period(0.8, Exponential(1.0), 3, 40, seed=2)
+    got = simulate_busy_period(0.8, Exponential(1.0), np.int64(3), np.int32(40), seed=2)
+    assert got == want and type(got.replications) is int
+
+
+@pytest.mark.parametrize("replications", [5, 40])
+def test_a_buffer_past_int64_acts_as_one_no_cycle_fills(replications):
+    # at load 0.5 no waiting count comes near a million
+    huge = simulate_busy_period(0.5, Exponential(1.0), 10**30, replications, seed=3)
+    assert huge == simulate_busy_period(0.5, Exponential(1.0), 10**6, replications, seed=3)
+
+
 def test_zero_buffer_deterministic_service_is_exact():
     # With no waiting room the busy cycle is a single service: length and
     # served count are deterministic, so their standard errors vanish.
@@ -224,6 +249,123 @@ def test_each_chunk_of_replications_runs_on_its_own_jump_of_the_seed_stream():
     for field, values in zip(("busy_period", "served", "lost"), tail):
         pooled = 0.5 * (getattr(head, field).mean + values.sum() / REPLICATION_CHUNK)
         assert getattr(full, field).mean == pooled
+
+
+def _reference_cycles(rng, arrival_rate, dist, buffer, count):
+    """Reference busy-cycle rounds: indexed NumPy rounds, with no scalar
+    tail, until every cycle has ended."""
+    waiting = np.zeros(count, dtype=np.int64)
+    t = np.zeros(count)
+    served = np.zeros(count, dtype=np.int64)
+    lost = np.zeros(count, dtype=np.int64)
+    active = np.arange(count)
+    while active.size:
+        s = dist.draw(rng, active.size)
+        arrivals = rng.poisson(arrival_rate * s)
+        t[active] += s
+        served[active] += 1
+        w = waiting[active]
+        joined = np.minimum(arrivals, buffer - w)
+        lost[active] += arrivals - joined
+        w = w + joined
+        keep = w > 0
+        waiting[active] = w - keep
+        active = active[keep]
+    return t, served.astype(float), lost.astype(float)
+
+
+# load: the largest buffer drawn.  A cycle at load 1.5 serves about 1.5^buffer
+# customers, so its buffers stay small enough for the reference to finish
+_LOAD_BUFFERS = {0.3: 60, 0.95: 60, 1.5: 6}
+# arrival means of 10 and more take NumPy's other Poisson sampler (PTRS):
+# (arrival rate, law, buffer), with every or some services drawing one
+_HIGH_ARRIVAL_MEANS = [(1.0, Deterministic(12.0), 0), (1.0, Uniform(8.0, 16.0), 0),
+                       (3.0, Exponential(1.0), 2)]
+
+
+@st.composite
+def _cycle_configs(draw):
+    """(arrival rate, law, buffer, count), with counts on both sides of the
+    scalar tail's threshold."""
+    tail = lossq.simulate._SCALAR_TAIL
+    count = draw(st.sampled_from([1, tail, tail + 1]) | st.integers(1, 3 * tail))
+    if draw(st.integers(0, 4)) == 0:
+        return (*draw(st.sampled_from(_HIGH_ARRIVAL_MEANS)), count)
+    load = draw(st.sampled_from(sorted(_LOAD_BUFFERS)))
+    buffer = draw(st.integers(0, _LOAD_BUFFERS[load]))
+    return load, draw(st.sampled_from(UNIT_MEAN_DISTS)), buffer, count
+
+
+@settings(max_examples=120, deadline=None)
+@given(config=_cycle_configs(), seed=st.integers(0, 2**32 - 1))
+def test_cycles_equal_the_indexed_rounds_bit_for_bit(config, seed):
+    arrival_rate, dist, buffer, count = config
+
+    def stream():
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+    got = _run_cycles(stream(), arrival_rate, dist, buffer, count)
+    want = _reference_cycles(stream(), arrival_rate, dist, buffer, count)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Service budget
+# ---------------------------------------------------------------------------
+
+
+def test_a_run_that_cannot_finish_is_refused_before_any_draw(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("the refused run drew")
+
+    monkeypatch.setattr(lossq.simulate, "_run_cycles", no_draws)
+    with pytest.raises(ValueError, match=r"about 5\.07e\+64 services .* budget of 1e\+08"):
+        simulate_busy_period(5.0, Deterministic(1.0), 30, 1, seed=1)
+    # r_0, the chance that a service brings no arrival, underflows to 0
+    with pytest.raises(ValueError, match="about inf services"):
+        simulate_busy_period(1000.0, Deterministic(1.0), 1, 1, seed=1)
+    with pytest.raises(ValueError, match="budget"):
+        simulate_busy_period(1.5, Exponential(1.0), 10**30, 1, seed=1)
+    with pytest.raises(ValueError, match="budget"):
+        simulate_busy_period(0.5, Exponential(1.0), 0, 10**8 + 1, seed=1)
+
+
+def test_expected_served_is_the_served_chain():
+    assert _expected_served(5.0, Deterministic(1.0), 30) == pytest.approx(5.0708e64, rel=1e-4)
+    assert _expected_served(0.95, Exponential(1.0), 50) == pytest.approx(18.538, rel=1e-4)
+    # at unit load with exponential services a cycle serves buffer + 1
+    assert _expected_served(1.0, Exponential(1.0), 4) == pytest.approx(5.0, rel=1e-12)
+
+
+def test_expected_served_past_the_computed_levels_grows_at_the_last_ratio(monkeypatch):
+    monkeypatch.setattr(lossq.simulate, "_BUDGET_LEVELS", 10)
+    chain = solve_recursion(Uniform(0.0, 2.0).moments(1.5, 10), 10).point
+    want = chain[-1] * (chain[-1] / chain[-2]) ** 15
+    assert _expected_served(1.5, Uniform(0.0, 2.0), 25) == pytest.approx(want, rel=1e-12)
+    assert _expected_served(1.5, Uniform(0.0, 2.0), 2**62) == math.inf
+
+
+@pytest.mark.parametrize("load", [0.5, 1.0, 1.5])
+def test_the_budget_admits_exactly_the_runs_within_it(monkeypatch, load):
+    monkeypatch.setattr(lossq.simulate, "_SERVICE_BUDGET", 100.0)
+    served = _expected_served(load, ErlangK(2, 2.0), 3)
+    fits = int(100.0 // served)
+    simulate_busy_period(load, ErlangK(2, 2.0), 3, fits, seed=1)
+    with pytest.raises(ValueError, match="budget"):
+        simulate_busy_period(load, ErlangK(2, 2.0), 3, fits + 1, seed=1)
+
+
+def test_below_load_one_within_the_bound_no_moments_are_computed(monkeypatch):
+    def no_moments(self, rate, order):
+        raise AssertionError("moments computed")
+
+    monkeypatch.setattr(lossq.simulate, "_SERVICE_BUDGET", 100.0)
+    monkeypatch.setattr(ErlangK, "moments", no_moments)
+    # 1 / (1 - 0.5) = 2 customers per cycle at most, so 50 cycles fit
+    simulate_busy_period(0.5, ErlangK(2, 2.0), 40, 50, seed=1)
+    with pytest.raises(AssertionError, match="moments computed"):
+        simulate_busy_period(0.5, ErlangK(2, 2.0), 40, 51, seed=1)
 
 
 def test_simulated_busy_period_matches_the_recursion():
@@ -323,6 +465,50 @@ def test_ks_law_experiment_structure_and_reproducibility():
     assert res.correlation == pytest.approx(
         float(np.corrcoef(res.one_sided_minus, res.one_sided_plus)[0, 1])
     )
+
+
+def _per_trial_ks(dist, n_obs, trials, seed):
+    """The experiment one trial at a time, through ``ks_statistics``."""
+    scale = math.sqrt(n_obs)
+    rows = []
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.Generator(np.random.PCG64(child))
+        stats = ks_statistics(build_ecdf(Sample(dist.draw(rng, n_obs))), dist.cdf)
+        rows.append([scale * stats.two_sided, scale * stats.one_sided_minus,
+                     scale * stats.one_sided_plus])
+    two, minus, plus = np.array(rows).T
+    return two, minus, plus, float(np.corrcoef(minus, plus)[0, 1])
+
+
+@pytest.mark.parametrize("dist", [Exponential(1.0), ErlangK(2, 2.0), Uniform(0.5, 1.5)])
+@pytest.mark.parametrize("n_obs", [1000, 1500])
+def test_blocked_ks_experiment_equals_the_per_trial_one(dist, n_obs):
+    trials = 155
+    assert trials % (lossq.simulate._KS_BLOCK_VALUES // n_obs) != 0
+    res = ks_law_experiment(dist, n_obs, trials, seed=8)
+    two, minus, plus, corr = _per_trial_ks(dist, n_obs, trials, 8)
+    assert res.two_sided.tobytes() == two.tobytes()
+    assert res.one_sided_minus.tobytes() == minus.tobytes()
+    assert res.one_sided_plus.tobytes() == plus.tobytes()
+    assert res.correlation == corr
+
+
+class _StubLaw:
+    def __init__(self, draw, cdf):
+        self.draw, self.cdf = draw, cdf
+
+
+def test_blocked_ks_experiment_raises_the_per_trial_errors():
+    zero = _StubLaw(lambda rng, size: np.zeros(size), lambda x: np.zeros_like(x))
+    with pytest.raises(ValueError, match="sample values must be positive finite"):
+        ks_law_experiment(zero, 100, 100, seed=1)
+    outside = _StubLaw(lambda rng, size: rng.uniform(1.0, 2.0, size), lambda x: x)
+    with pytest.raises(ValueError, match="model CDF returned a value outside"):
+        ks_law_experiment(outside, 100, 100, seed=1)
+    # a scalar-only CDF is evaluated point by point, as by ks_statistics
+    scalar = _StubLaw(Exponential(1.0).draw, lambda x: -math.expm1(-x))
+    blocked = ks_law_experiment(scalar, 100, 100, seed=2)
+    assert blocked.two_sided.tobytes() == _per_trial_ks(scalar, 100, 100, 2)[0].tobytes()
 
 
 def test_scaled_statistics_follow_their_limit_laws():
