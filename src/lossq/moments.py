@@ -4,9 +4,11 @@ The coefficient of order i is the integral of ``exp(-a x) (a x)^i / i!``
 against the distribution of the holding time (service or interarrival),
 where ``a`` is the opposing flow's rate.  These coefficients drive the
 convolution recursion for finite-buffer characteristics.  This module
-holds the exact atomic sum over an empirical CDF and the closed form for
-exponential holding times; each law in :mod:`lossq.simulate` gives its own
-closed form as ``law.moments(rate, order)``.
+holds the exact atomic sum over an empirical CDF, the closed form for
+exponential holding times, and the Poisson tail probabilities that the
+other laws' closed forms (and the Erlang CDF) are made of; each law in
+:mod:`lossq.simulate` gives its own closed form as
+``law.moments(rate, order)``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,27 @@ _SUM_TOL = 1e-9
 _WINDOW_CUT = 2.0**-53
 _TINY = np.finfo(float).tiny
 _LOG_TINY = math.log(_TINY)
+_HALF_ULP = 2.0**-53
+# stirlerr(n) = log(n!) - log(sqrt(2 pi n) (n/e)^n) at n = 0..15, where its
+# asymptotic series is not yet accurate (Loader 2000, to 25 digits)
+_STIRLERR = np.array([
+    0.0, 0.08106146679532725822, 0.04134069595540929409, 0.02767792568499833915,
+    0.02079067210376509311, 0.01664469118982119216, 0.01387612882307074800,
+    0.01189670994589177010, 0.01041126526197209650, 0.009255462182712732918,
+    0.008330563433362871256, 0.007573675487951840795, 0.006942840107209529866,
+    0.006408994188004207068, 0.005951370112758847736, 0.005554733551962801371,
+])
+# bd0's series in v^2 with |v| < 0.1: the ninth term is below 2^-60 of the sum
+_BD0_TERMS = 8
+# a scalar k up to this takes P(N < k) as e^-y times its k-term polynomial
+# (exp(-y) is still normal wherever that tail is above 1e-300) and sums
+# P(N >= k) only where P(N < k) is above _POLY_CUT; elsewhere 1 - P(N < k)
+# loses at most log2(_POLY_CUT / (1 - _POLY_CUT)) bits
+_POLY_SHAPES = 3
+_POLY_CUT = 0.9
+_POLY_TERMS = 18
+# _ratio_series checks which elements are done once every this many terms
+_SERIES_STRIDE = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,3 +163,144 @@ def _check_rate_order(rate: float, order: int) -> None:
     check_positive("rate", rate)
     if order < 0:
         raise ValueError("order must be non-negative")
+
+
+def _poisson_tails(k, y) -> tuple[np.ndarray, np.ndarray]:
+    """Both tails of N ~ Poisson(y), ``(P(N < k), P(N >= k))``, broadcast
+    over integers k >= 0 and means y in [0, inf]; a NaN mean gives NaN.
+
+    The smaller tail is summed with positive terms and the larger one is 1
+    minus it, so both are accurate in relative terms.  Below y = k that is
+    the upper tail, ``pmf(k) (1 + y/(k+1) + y^2/((k+1)(k+2)) + ...)``; from
+    y = k on the lower one, ``pmf(k-1) (1 + (k-1)/y + (k-1)(k-2)/y^2 +
+    ...)``.  The pmf is Loader's saddle-point form (``_poisson_pmf``).  A
+    scalar k of at most ``_POLY_SHAPES`` takes a cheaper route: P(N < k)
+    is ``e^-y (1 + y + ... + y^(k-1)/(k-1)!)``, and the upper tail is
+    summed only where P(N < k) is above ``_POLY_CUT``.
+    """
+    y = np.asarray(y, dtype=float)
+    if np.ndim(k) == 0 and k <= _POLY_SHAPES:
+        lower, upper = _small_k_tails(int(k), y.ravel())
+        return lower.reshape(y.shape), upper.reshape(y.shape)
+    k, y = np.broadcast_arrays(np.asarray(k, dtype=float), y)
+    shape, k, y = k.shape, k.ravel(), y.ravel()
+    lower = np.full(k.shape, np.nan)
+    upper = np.full(k.shape, np.nan)
+    sure = (k == 0.0) | (y == np.inf)
+    lower[sure], upper[sure] = 0.0, 1.0
+    empty = (k > 0.0) & (y == 0.0)
+    lower[empty], upper[empty] = 1.0, 0.0
+    inside = (k > 0.0) & (y > 0.0) & (y < np.inf)
+    up, down = inside & (y < k), inside & (y >= k)
+    ks, ys = k[up], y[up]
+    upper[up] = _poisson_pmf(ks, ys) * _ratio_series(ys, 0.0, ks + 1.0, 1.0)
+    lower[up] = 1.0 - upper[up]
+    ks, ys = k[down], y[down]
+    lower[down] = _poisson_pmf(ks - 1.0, ys) * _ratio_series(ks - 1.0, -1.0, ys, 0.0)
+    upper[down] = 1.0 - lower[down]
+    return lower.reshape(shape), upper.reshape(shape)
+
+
+def _small_k_tails(k: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    if k == 0:
+        return np.zeros(y.shape), np.ones(y.shape)
+    # past y = 1000 the factor e^-y is 0, so the clipped polynomial changes
+    # nothing there and keeps 0 * inf out at y = inf
+    lower = _horner([1.0 / math.factorial(j) for j in range(k)], np.minimum(y, 1e3))
+    lower *= np.exp(-y)
+    upper = 1.0 - lower
+    near = lower > _POLY_CUT
+    ys = y[near]
+    # e^-y y^k / k! times sum_m y^m k! / (k+m)!, whose terms after
+    # _POLY_TERMS are below 2^-60 of the sum where P(N < k) > _POLY_CUT
+    scale = [1.0 / math.prod(range(k + 1, k + m + 1)) for m in range(_POLY_TERMS)]
+    upper[near] = np.exp(-ys) * ys**k / math.factorial(k) * _horner(scale, ys)
+    return lower, upper
+
+
+def _horner(coefs: list[float], z: np.ndarray) -> np.ndarray:
+    """sum_j coefs[j] z^j, elementwise."""
+    acc = np.full(z.shape, coefs[-1])
+    for c in coefs[-2::-1]:
+        acc *= z
+        acc += c
+    return acc
+
+
+def _ratio_series(num, num_step: float, den, den_step: float) -> np.ndarray:
+    """Elementwise sum over m >= 0 of the product of the first m factors
+    ``(num + j num_step) / (den + j den_step)``, j = 0, 1, ...  The factors
+    must fall with j and lie in [0, 1) until one is 0.  An element is done
+    once the geometric bound on the rest of its sum, ``term r / (1 - r)`` at
+    the next factor r, is below half an ulp of the sum.  That is checked
+    every ``_SERIES_STRIDE`` terms, and the done elements are dropped once
+    they are half of those left."""
+    num, den = (np.array(a, dtype=float) for a in np.broadcast_arrays(num, den))
+    total = np.empty(num.shape)
+    index = np.arange(num.size)
+    term, acc = np.ones(num.shape), np.ones(num.shape)
+    ratio = num / den
+    while index.size:
+        going = term * ratio > _HALF_ULP * acc * (1.0 - ratio)
+        # a done element adds only zeros from here, so its sum does not
+        # depend on when the others let it be dropped
+        term *= going
+        if 2 * np.count_nonzero(going) <= going.size:
+            total[index] = acc
+            index, term, acc, ratio, num, den = (
+                a[going] for a in (index, term, acc, ratio, num, den))
+        for _ in range(_SERIES_STRIDE):
+            term *= ratio
+            acc += term
+            if num_step:
+                num += num_step
+            if den_step:
+                den += den_step
+            np.divide(num, den, out=ratio)
+    return total
+
+
+def _poisson_pmf(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """P(N = x) for N ~ Poisson(y), at integers x >= 0 and finite y > 0.
+
+    For x >= 1 this is Loader's (2000) ``exp(-stirlerr(x) - bd0(x, y)) /
+    sqrt(2 pi x)``: both terms of the exponent are small where the pmf is
+    not, so its relative error stays a few ulps at every x, where
+    ``exp(x log y - y - lgamma(x + 1))`` loses about x log y ulps.
+    """
+    out = np.exp(-y)
+    pos = x > 0.0
+    xs = x[pos]
+    # y far below x (x / y past the largest double) makes bd0 inf: pmf 0
+    with np.errstate(over="ignore"):
+        out[pos] = np.exp(-_stirlerr(xs) - _bd0(xs, y[pos])) / np.sqrt(2.0 * math.pi * xs)
+    return out
+
+
+def _stirlerr(n: np.ndarray) -> np.ndarray:
+    """log(n!) - log(sqrt(2 pi n) (n/e)^n) at integers n >= 1: tabled up to
+    15, Stirling's series beyond."""
+    nn = n * n
+    out = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
+    small = n <= 15.0
+    out[small] = _STIRLERR[n[small].astype(np.intp)]
+    return out
+
+
+def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``x log(x/m) + m - x`` for x, m > 0, by its series in
+    v = (x - m)/(x + m) where |v| < 0.1, so that it keeps its relative
+    accuracy as x nears m (Loader 2000)."""
+    d = x - m
+    out = x * np.log(x / m) - d
+    near = np.abs(d) < 0.1 * (x + m)
+    d, xn = d[near], x[near]
+    v = d / (xn + m[near])
+    acc = d * v
+    odd = 2.0 * xn * v
+    v *= v
+    for j in range(1, _BD0_TERMS + 1):
+        odd *= v
+        acc += odd / (2 * j + 1)
+    out[near] = acc
+    return out

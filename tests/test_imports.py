@@ -1,7 +1,7 @@
 """Every exported name resolves, and the package's lazy re-exports are the
-defining modules' objects; SciPy stays off the import and every CLI
-subcommand, and the laws' closed forms load only ``scipy.special``; NumPy
-stays off ``import lossq`` and ``lossq quantile``, and the simulator off the
+defining modules' objects; SciPy stays off the import, every CLI subcommand,
+the laws, the simulator and the KS-law experiment; NumPy stays off
+``import lossq`` and ``lossq quantile``, and the simulator off the
 subcommands that estimate from a file or the fixture; reading a sample file
 loads no decompressor.
 
@@ -185,17 +185,31 @@ def test_cli_runs_leave_scipy_unloaded(tmp_path):
     assert _run(code) == []
 
 
-def test_law_moments_load_only_scipy_special():
+def test_laws_simulator_and_ks_experiment_load_no_scipy():
+    # every law's draw, cdf and moments (both Erlang routes, both uniform
+    # ones), the budget check above load 1, which takes the laws' moments,
+    # and a CLI run that it refuses
     code = (
-        "import json, sys\n"
-        "from lossq.simulate import ErlangK, Uniform\n"
-        "ErlangK(3, 2.0).moments(1.0, 50)\n"
-        "Uniform(0.3, 1.7).moments(1.0, 50)\n"
+        "import contextlib, io, json, sys\n"
+        "import numpy as np\n"
+        "from lossq.cli import main\n"
+        "from lossq.simulate import (Deterministic, ErlangK, Exponential, Uniform,\n"
+        "                            ks_law_experiment, simulate_busy_period)\n"
+        "rng = np.random.default_rng(1)\n"
+        "for law in (Exponential(1.0), ErlangK(2, 2.0), ErlangK(50, 3.0), Deterministic(1.0),\n"
+        "            Uniform(0.3, 1.7), Uniform(0.5, 0.5001)):\n"
+        "    law.cdf(law.draw(rng, 50))\n"
+        "    law.moments(1.0, 50)\n"
+        "for law in (ErlangK(2, 2.0), Uniform(0.0, 2.0)):\n"
+        "    simulate_busy_period(1.5, law, 8, 200, 7)\n"
+        "ks_law_experiment(ErlangK(2, 2.0), 100, 100, 1)\n"
+        "argv = ['simulate', '--dist', 'erlang:2:2', '--rate', '5', '--n', '30',\n"
+        "        '--replications', '1']\n"
+        "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+        "    assert main(argv) == 1 and 'budget' in err.getvalue()\n"
         f"{PRINT_SCIPY_MODULES}"
     )
-    loaded = _run(code)
-    assert "scipy.special" in loaded
-    assert not [m for m in loaded if m.startswith("scipy.integrate")]
+    assert _run(code) == []
 
 
 def test_reading_sample_files_loads_no_decompressor(tmp_path):

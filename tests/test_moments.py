@@ -21,6 +21,7 @@ from lossq import (
 )
 from lossq.ecdf import EmpiricalCdf
 from lossq.kolmogorov import LimitLaw, width_for
+from lossq.moments import _poisson_tails
 from lossq.simulate import Deterministic, ErlangK, Exponential, Uniform
 
 from support import PAIR_SLACK, exp_sup_distances, random_cdf_pairs
@@ -408,3 +409,85 @@ def test_analytic_exponential_sup_distance_helper():
     scan_bwd = max(float(np.max(-diff)), 0.0)
     assert scan_fwd - 1e-12 <= fwd <= scan_fwd + 1e-6
     assert scan_bwd - 1e-12 <= bwd <= scan_bwd + 1e-6
+
+
+# ------------------------------------------------------------ Poisson tails
+
+
+def _poisson_tails_50_digits(k: int, y: float) -> tuple[float, float]:
+    """(P(N < k), P(N >= k)) for N ~ Poisson(y) in 50-digit mpmath: the
+    smaller tail as a sum of positive terms, the larger as 1 minus it."""
+    if k == 0:
+        return 0.0, 1.0
+    with mpmath.workdps(50):
+        y = mpmath.mpf(y)
+        if y < k:
+            term = total = mpmath.exp(-y) * y**k / mpmath.factorial(k)
+            j = k
+            while term > total * mpmath.mpf(10) ** -55:
+                j += 1
+                term *= y / j
+                total += term
+            return float(1 - total), float(total)
+        term = total = mpmath.exp(-y)
+        for j in range(1, k):
+            term *= y / j
+            total += term
+        return float(total), float(1 - total)
+
+
+def _tail_means(k: int) -> np.ndarray:
+    # eleven decades, and the neighbourhood of the mean, where the two tails
+    # are near 1/2 and the summed one has the most terms
+    ys = list(np.logspace(-8, 3, 67))
+    if k:
+        root = math.sqrt(k)
+        ys += [k + sign * d for d in (1.0, 3 * root, 6 * root) for sign in (-1, 1)]
+    return np.array([y for y in ys if y > 0.0])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 10, 100, 1000, 1001])
+def test_poisson_tails_match_50_digit_sums(k):
+    ys = _tail_means(k)
+    want = np.array([_poisson_tails_50_digits(k, float(y)) for y in ys]).T
+    # a scalar k (the route the Erlang CDF takes) and an array of k (the
+    # uniform law's route)
+    for got in (_poisson_tails(k, ys), _poisson_tails(np.full(ys.size, k), ys)):
+        for tail, exact in zip(got, want):
+            err = np.abs(tail - exact)
+            assert np.max(err) <= 1e-15
+            big = exact >= 1e-300
+            assert np.max(err[big] / exact[big], initial=0.0) <= 1e-12
+
+
+def _tails_at(k, y) -> tuple[float, float]:
+    return tuple(t.item() for t in _poisson_tails(k, y))
+
+
+def test_poisson_tails_at_the_edges():
+    for k in (1, 2, 3, 4, 50):
+        # a scalar k up to 3 takes its own route; an array of k never does
+        for ks in (k, np.array([k])):
+            assert _tails_at(ks, 0.0) == (1.0, 0.0)
+            assert _tails_at(ks, np.inf) == (0.0, 1.0)
+            assert all(math.isnan(t) for t in _tails_at(ks, np.nan))
+    # N >= 0 is certain at every mean
+    for y in (0.0, 1e-300, 1.0, 1e300, np.inf):
+        assert _tails_at(0, y) == _tails_at(np.array([0]), y) == (0.0, 1.0)
+
+
+def test_poisson_tails_broadcast_and_keep_shapes():
+    ks = np.arange(0, 40)[:, None]
+    ys = np.logspace(-3, 2, 30)[None, :]
+    lower, upper = _poisson_tails(ks, ys)
+    assert lower.shape == upper.shape == (40, 30)
+    # each element is its own: a row of the grid is the same call alone,
+    # bit for bit, whichever elements share the call
+    for k in (0, 1, 5, 39):
+        row = _poisson_tails(np.full(30, k), ys[0])
+        assert lower[k].tobytes() == row[0].tobytes()
+        assert upper[k].tobytes() == row[1].tobytes()
+    assert np.all(np.diff(upper, axis=1) >= 0.0)
+    assert np.all(np.diff(upper, axis=0) <= 0.0)
+    scalar = _poisson_tails(7, 3.5)
+    assert scalar[0].shape == scalar[1].shape == ()

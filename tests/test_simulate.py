@@ -1,6 +1,7 @@
 """Tests for the service distributions, busy-cycle simulator and oracles."""
 
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -49,8 +50,9 @@ def test_distribution_validation():
             Exponential(bad)
         with pytest.raises(ValueError):
             Deterministic(bad)
-    with pytest.raises(ValueError):
-        ErlangK(0, 1.0)
+    for bad in (0, 2.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ErlangK(bad, 1.0)
     with pytest.raises(ValueError):
         ErlangK(2, -1.0)
     with pytest.raises(ValueError):
@@ -121,9 +123,13 @@ def test_erlang_cdf_keeps_relative_accuracy_in_the_lower_tail():
 
 
 def test_labels_round_trip_through_the_parser():
-    for dist in (Exponential(1.0), ErlangK(2, 1.5), Deterministic(0.7),
-                 Uniform(0.0, 2.0)):
+    # an integral float or a bool is a shape too, kept as an int
+    for dist in (Exponential(1.0), ErlangK(2, 1.5), ErlangK(2.0, 1.5), ErlangK(True, 1.0),
+                 Deterministic(0.7), Uniform(0.0, 2.0)):
         assert parse_distribution(dist.label()) == dist
+    assert ErlangK(2.0, 1.5).label() == "erlang:2:1.5"
+    assert ErlangK(True, 1.0).label() == "erlang:1:1"
+    assert type(ErlangK(2.0, 1.5).shape) is int
 
 
 def test_parser_accepts_case_and_whitespace():
@@ -509,6 +515,16 @@ def test_blocked_ks_experiment_raises_the_per_trial_errors():
     scalar = _StubLaw(Exponential(1.0).draw, lambda x: -math.expm1(-x))
     blocked = ks_law_experiment(scalar, 100, 100, seed=2)
     assert blocked.two_sided.tobytes() == _per_trial_ks(scalar, 100, 100, 2)[0].tobytes()
+
+
+def test_constant_statistics_have_no_correlation_and_no_warning():
+    # every draw of a point mass is the same sample, so both one-sided
+    # statistics are constant; np.corrcoef would divide 0 by 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = ks_law_experiment(Deterministic(1.0), 1000, 1000, 42)
+    assert np.ptp(res.one_sided_minus) == 0.0 and np.ptp(res.one_sided_plus) == 0.0
+    assert math.isnan(res.correlation)
 
 
 def test_scaled_statistics_follow_their_limit_laws():

@@ -125,11 +125,14 @@ def _calls():
                                 "--replications", "50"]
     yield {}, ["simulate", "--dist", "gamma:1", "--rate", "0.5", "--n", "2",
                "--replications", "50"]
-    # above load 1: a run within the service budget, and one far over it
-    yield {}, ["simulate", "--dist", "exp:1", "--rate", "1.5", "--n", "8",
-               "--replications", "200", "--seed", "7"]
-    yield {}, ["simulate", "--dist", "det:1", "--rate", "5", "--n", "30",
-               "--replications", "1"]
+    # above load 1, where the budget check takes the law's moments: a run
+    # within the service budget, and one far over it
+    for dist in ("exp:1", "erlang:2:2", "uniform:0:2"):
+        yield {}, ["simulate", "--dist", dist, "--rate", "1.5", "--n", "8",
+                   "--replications", "200", "--seed", "7"]
+    for dist in ("det:1", "erlang:2:2", "uniform:0:2"):
+        yield {}, ["simulate", "--dist", dist, "--rate", "5", "--n", "30",
+                   "--replications", "1"]
     for extra in ([], ["--theoretical"], ["--fixture", "published"], ["--fixture", "reference"],
                   ["--n-obs", "2000", "--seed", "5"], ["--n-obs", "100", "--seed", "1"],
                   ["--n-obs", "1", "--seed", "2"], ["--n-obs", "0"]):
