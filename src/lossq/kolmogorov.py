@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
 
 __all__ = [
     "LimitLaw",
@@ -45,22 +44,51 @@ class LimitLaw(enum.Enum):
     ONE_SIDED_SUM = "one-sided-sum"
 
 
-@dataclass(frozen=True)
 class ConfidenceSpec:
-    """A confidence level resolved to an additive width for a sample size."""
+    """A confidence level resolved to an additive width for a sample size.
+
+    Frozen, compared and hashed by its four fields.  It is a plain class,
+    not a dataclass, so that ``lossq quantile`` does not import
+    ``dataclasses`` (and with it ``inspect``, ``ast``, ``dis`` and
+    ``tokenize``)."""
+
+    _FIELDS = ("confidence", "n_obs", "law", "width")
 
     confidence: float
     n_obs: int
     law: LimitLaw
     width: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.confidence < 1.0:
+    def __init__(self, confidence: float, n_obs: int, law: LimitLaw, width: float) -> None:
+        if not 0.0 < confidence < 1.0:
             raise ValueError("confidence must lie strictly between 0 and 1")
-        if self.n_obs < 1:
+        if n_obs < 1:
             raise ValueError("n_obs must be at least 1")
-        if self.width <= 0.0:
+        if width <= 0.0:
             raise ValueError("width must be positive")
+        for name, value in zip(self._FIELDS, (confidence, n_obs, law, width)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def _alternating_tail(z: float) -> float:

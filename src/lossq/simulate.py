@@ -80,6 +80,10 @@ _KS_BLOCK_VALUES = 2**14
 # pmf by Gauss-Legendre quadrature, and the number of nodes
 _NARROW_WIDTH = 1.0
 _NARROW_NODES = 64
+# _sum_past: the first chunk of coefficients past the order, and the share
+# of the tail below which the rest is dropped
+_TAIL_CHUNK = 64
+_TAIL_REST = 2.0**-60
 
 
 @dataclass(frozen=True)
@@ -112,7 +116,11 @@ class ErlangK:
     rate: float
 
     def __post_init__(self) -> None:
-        if not (self.shape >= 1 and math.isfinite(self.shape) and self.shape == int(self.shape)):
+        try:
+            whole = self.shape >= 1 and math.isfinite(self.shape) and self.shape == int(self.shape)
+        except OverflowError:
+            raise ValueError("shape must be a positive integer within the float range") from None
+        if not whole:
             raise ValueError("shape must be a positive integer")
         # 2.0 and True are shapes too; as ints they label as the parser reads
         object.__setattr__(self, "shape", int(self.shape))
@@ -131,13 +139,22 @@ class ErlangK:
 
     def moments(self, rate: float, order: int) -> MomentVector:
         """Negative binomial: r_i = C(i+k-1, i) p^k q^i with p = m/(a+m) and
-        q = a/(a+m), for shape k, law rate m and weighting rate a."""
+        q = a/(a+m), for shape k, law rate m and weighting rate a.  The
+        coefficients fall from the mean k a / m on, so past it the tail is
+        their sum (``_sum_past``); below it the tail is 1 minus the
+        coefficients' sum, which is at most about two thirds there."""
         _check_rate_order(rate, order)
-        i = np.arange(order + 1, dtype=float)
         k = self.shape
         log_p, log_q = -math.log1p(rate / self.rate), -math.log1p(self.rate / rate)
-        log_r = _lgamma(i + k) - math.lgamma(k) - _lgamma(i + 1) + k * log_p + i * log_q
-        return MomentVector(rate=rate, values=np.exp(log_r))
+
+        def coefficients(i: np.ndarray) -> np.ndarray:
+            return np.exp(_lgamma(i + k) - math.lgamma(k) - _lgamma(i + 1)
+                          + k * log_p + i * log_q)
+
+        # below the mean, MomentVector's default: 1 minus the coefficients
+        tail = _sum_past(coefficients, order) if order >= k * rate / self.rate else None
+        return MomentVector(rate=rate, values=coefficients(np.arange(order + 1, dtype=float)),
+                            tail=tail)
 
     def label(self) -> str:
         return f"erlang:{self.shape}:{self.rate:g}"
@@ -204,7 +221,13 @@ class Uniform:
         both routes are within about 1e-12 relative where r_i >= 1e-300
         (the difference within 2e-13), except the difference on narrow laws
         far from 0 (6.1e-11 at a l = 100, a (h - l) = 1e-3); the quadrature
-        stays within 1e-12 there."""
+        stays within 1e-12 there.
+
+        The tail beyond the order is the same quadrature of the upper
+        Poisson tail on narrow laws.  On wide ones the coefficients fall
+        from the mean a (l + h) / 2 on, so past it the tail is their sum
+        (``_sum_past``); below it the tail is 1 minus the coefficients'
+        sum, which is at most about two thirds there."""
         _check_rate_order(rate, order)
         al, ah = rate * self.low, rate * self.high
         width = rate * (self.high - self.low)
@@ -213,11 +236,18 @@ class Uniform:
             nodes, weights = np.polynomial.legendre.leggauss(_NARROW_NODES)
             y = 0.5 * (al + ah) + 0.5 * (ah - al) * nodes
             log_pmf = i[:, None] * np.log(y) - y - _lgamma(i + 1.0)[:, None]
-            return MomentVector(rate=rate, values=0.5 * (np.exp(log_pmf) @ weights))
-        lower_l, upper_l = _poisson_tails(i + 1.0, al)
-        lower_h, upper_h = _poisson_tails(i + 1.0, ah)
-        diff = np.where(i < 0.5 * (al + ah), lower_l - lower_h, upper_h - upper_l)
-        return MomentVector(rate=rate, values=diff / width)
+            tail = 0.5 * float(_poisson_tails(order + 1, y)[1] @ weights)
+            return MomentVector(rate=rate, values=0.5 * (np.exp(log_pmf) @ weights),
+                                tail=tail)
+
+        def coefficients(i: np.ndarray) -> np.ndarray:
+            lower_l, upper_l = _poisson_tails(i + 1.0, al)
+            lower_h, upper_h = _poisson_tails(i + 1.0, ah)
+            return np.where(i < 0.5 * (al + ah), lower_l - lower_h, upper_h - upper_l) / width
+
+        # below the mean, MomentVector's default: 1 minus the coefficients
+        tail = _sum_past(coefficients, order) if order >= 0.5 * (al + ah) else None
+        return MomentVector(rate=rate, values=coefficients(i), tail=tail)
 
     def label(self) -> str:
         return f"uniform:{self.low:g}:{self.high:g}"
@@ -228,6 +258,24 @@ ServiceDistribution = Exponential | ErlangK | Deterministic | Uniform
 
 def _lgamma(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.lgamma, x.tolist()), float, x.size)
+
+
+def _sum_past(coefficients, order: int) -> float:
+    """sum_{i > order} coefficients(i) for coefficients that are log-concave
+    in i and fall from ``order`` on or soon after.  They are summed in
+    chunks of doubling length, from ``_TAIL_CHUNK``, until the geometric
+    bound on the rest at the ratio of the chunk's last two terms,
+    ``last^2 / (prev - last)``, is below ``_TAIL_REST`` of the sum."""
+    total, start, size = 0.0, order + 1, _TAIL_CHUNK
+    while math.isfinite(total):
+        terms = coefficients(np.arange(start, start + size, dtype=float))
+        total += math.fsum(terms.tolist())
+        prev, last = terms[-2], terms[-1]
+        if last == 0.0 or (last < prev and last * last < _TAIL_REST * total * (prev - last)):
+            break
+        start += size
+        size *= 2
+    return total
 
 
 def parse_distribution(text: str) -> ServiceDistribution:

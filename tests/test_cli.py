@@ -546,6 +546,16 @@ def test_simulate_rejects_bad_distribution(capsys):
     assert "bad distribution spec" in capsys.readouterr().err
 
 
+def test_simulate_rejects_an_erlang_shape_past_the_float_range(capsys):
+    assert main(["simulate", "--dist", "erlang:" + "9" * 400 + ":1", "--rate", "0.5",
+                 "--n", "2", "--replications", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("lossq: error: bad distribution spec")
+    assert captured.err.endswith("shape must be a positive integer within the float range\n")
+
+
 def test_simulate_refuses_a_run_that_cannot_finish(capsys):
     assert main(["simulate", "--dist", "det:1", "--rate", "5", "--n", "30",
                  "--replications", "1"]) == 1

@@ -1,7 +1,8 @@
 """Every exported name resolves, and the package's lazy re-exports are the
 defining modules' objects; SciPy stays off the import, every CLI subcommand,
 the laws, the simulator and the KS-law experiment; NumPy stays off
-``import lossq`` and ``lossq quantile``, and the simulator off the
+``import lossq`` and ``lossq quantile``, ``dataclasses`` off ``lossq
+quantile``, and the simulator off the
 subcommands that estimate from a file or the fixture; reading a sample file
 loads no decompressor.
 
@@ -121,6 +122,24 @@ def test_quantile_and_help_leave_numpy_unloaded(argv):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main({argv!r}) == 0\n"
         f"{PRINT_LOADED}"
+    )
+    assert _run(code) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["quantile", "--law", "one-sided-sum", "--p", "0.95", "--n", "500"],
+], ids=lambda argv: " ".join(argv))
+def test_quantile_and_help_load_no_dataclasses(argv):
+    # dataclasses imports inspect, and inspect ast, dis and tokenize: about
+    # 10 ms of a quantile call's startup
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from lossq.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m in\n"
+        "    ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize'))))"
     )
     assert _run(code) == []
 

@@ -1,6 +1,7 @@
 """Limit laws of the scaled sup statistics: CDFs, quantiles, widths."""
 
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -247,6 +248,22 @@ def test_confidence_spec_validation():
         ConfidenceSpec(confidence=0.95, n_obs=0, law=LimitLaw.TWO_SIDED, width=0.1)
     with pytest.raises(ValueError):
         ConfidenceSpec(confidence=0.95, n_obs=10, law=LimitLaw.TWO_SIDED, width=0.0)
+
+
+def test_confidence_spec_is_frozen_compared_and_hashed_by_its_fields():
+    spec = ConfidenceSpec(0.95, 10, LimitLaw.TWO_SIDED, 0.1)
+    same = ConfidenceSpec(confidence=0.95, n_obs=10, law=LimitLaw.TWO_SIDED, width=0.1)
+    other = ConfidenceSpec(0.95, 10, LimitLaw.ONE_SIDED, 0.1)
+    assert spec == same and hash(spec) == hash(same) and len({spec, same, other}) == 2
+    assert spec != other and spec != (0.95, 10, LimitLaw.TWO_SIDED, 0.1)
+    assert repr(spec) == ("ConfidenceSpec(confidence=0.95, n_obs=10, "
+                          "law=<LimitLaw.TWO_SIDED: 'two-sided'>, width=0.1)")
+    with pytest.raises(AttributeError):
+        spec.width = 0.2
+    with pytest.raises(AttributeError):
+        del spec.width
+    assert spec.width == 0.1
+    assert pickle.loads(pickle.dumps(spec)) == spec
 
 
 # -------------------------------------------------------- crossing point

@@ -52,6 +52,29 @@ def test_vector_order_and_read_only():
         m.values[0] = 0.9
 
 
+def test_vector_tail_defaults_to_the_mass_the_values_leave():
+    # 1 - fsum(values), and 0 when the values already reach 1
+    assert MomentVector(rate=1.0, values=np.array([0.5, 0.25])).tail == 0.25
+    third = MomentVector(rate=1.0, values=np.full(3, 0.1))
+    assert third.tail == 1.0 - math.fsum([0.1] * 3)
+    assert MomentVector(rate=1.0, values=np.array([0.5, 0.5 + 1e-12])).tail == 0.0
+    assert MomentVector(rate=1.0, values=np.array([0.5, 0.25]), tail=1e-300).tail == 1e-300
+
+
+@pytest.mark.parametrize("tail", [-1e-300, -0.1, 1.5, math.inf, math.nan])
+def test_vector_rejects_a_tail_outside_the_unit_interval(tail):
+    with pytest.raises(ValueError, match="tail"):
+        MomentVector(rate=1.0, values=np.array([0.5]), tail=tail)
+
+
+def test_vector_rejects_values_and_tail_past_one():
+    with pytest.raises(ValueError, match="sum to at most 1"):
+        MomentVector(rate=1.0, values=np.array([0.6, 0.3]), tail=0.2)
+    # within the tolerance of 1e-9 a vector is taken as it is
+    ok = MomentVector(rate=1.0, values=np.array([0.6, 0.3]), tail=0.1 + 1e-10)
+    assert ok.tail == 0.1 + 1e-10
+
+
 # -------------------------------------------------------- empirical route
 
 
@@ -212,6 +235,34 @@ def test_high_order_stops_with_exact_zeros():
     assert not np.any(want[last + 2:])
 
 
+@pytest.mark.parametrize("rate, order", [(1.0, 0), (1.0, 5), (0.7, 60), (3.0, 200),
+                                         (0.05, 400)])
+def test_window_tail_is_the_whole_sample_mean_of_the_upper_tails(rate, order):
+    # the loop runs to the order; the tail over its last window, plus 1 for
+    # each observation that never joined, is the mean of P(N_x > order)
+    # over every observation.  The sample holds ties, an observation past
+    # rate x = 708 that joins late, and one whose rate x overflows
+    rng = np.random.default_rng(11)
+    xs = np.concatenate([rng.gamma(2.0, 0.5, 3000), np.full(40, 0.75), [1200.0, 1e308]])
+    ecdf = build_ecdf(Sample(xs))
+    got = moments_empirical(ecdf, rate, order)
+    with np.errstate(over="ignore"):
+        ax = rate * ecdf.sorted_values
+    want = math.fsum(_poisson_tails(order + 1, ax)[1].tolist()) / ax.size
+    assert got.tail > 0.0
+    assert abs(got.tail - want) <= 2.0**-52 * want
+
+
+def test_window_tail_is_zero_when_the_loop_stops_early():
+    xs = draw_samples(Exponential(1.0), 1_000, seed=5).values
+    got = moments_empirical(build_ecdf(Sample(xs)), 1.0, 2_000)
+    assert got.values[-1] == 0.0 and got.tail == 0.0
+    # one order short of where the loop stops, the tail is still positive
+    last = _last_nonzero(got.values)
+    short = moments_empirical(build_ecdf(Sample(xs)), 1.0, last - 1)
+    assert short.tail > 0.0
+
+
 def test_empirical_route_validates_inputs():
     e = build_ecdf(Sample([1.0]))
     with pytest.raises(ValueError):
@@ -309,7 +360,68 @@ def test_law_moments_match_the_60_digit_closed_form(dist, rate, order):
     assert np.max(np.abs(got.values - want)[big] / want[big]) <= 1e-11
 
 
+def _law_tail_reference(dist, rate: float, order: int) -> float:
+    """P(N > order) for N ~ Poisson(rate S), S from the law, at 60 digits
+    or more."""
+    k = order + 1
+    with mpmath.workdps(80):
+        a = mpmath.mpf(rate)
+        if isinstance(dist, Exponential):
+            return float((a / (a + dist.rate)) ** k)
+        if isinstance(dist, ErlangK):
+            # fewer than `shape` service phases before the k-th arrival
+            q = a / (a + dist.rate)
+            return float(mpmath.fsum(mpmath.binomial(order + j, j) * q**k * (1 - q) ** j
+                                     for j in range(dist.shape)))
+        if isinstance(dist, Deterministic):
+            return float(mpmath.gammainc(k, 0, a * dist.value, regularized=True))
+        # the integral of P(Poisson(y) >= k) over [al, ah] is
+        # [y P(k, y) - k P(k + 1, y)] between its ends, P regularized
+        al, ah = a * dist.low, a * dist.high
+
+        def antiderivative(y):
+            return (y * mpmath.gammainc(k, 0, y, regularized=True)
+                    - k * mpmath.gammainc(k + 1, 0, y, regularized=True))
+
+        with mpmath.workdps(400):
+            return float((antiderivative(ah) - antiderivative(al)) / (ah - al))
+
+
+@pytest.mark.parametrize("dist, rate, order", [
+    (Exponential(1.3), 0.7, 5),
+    (Exponential(1.0), 1.5, 400),
+    (ErlangK(2, 2.0), 1.5, 1),
+    (ErlangK(2, 2.0), 1.5, 31),
+    (ErlangK(2, 2.0), 0.5, 31),
+    (ErlangK(2, 2.0), 1.0, 1000),
+    (ErlangK(3, 0.3), 5.0, 20),
+    (ErlangK(3, 0.3), 5.0, 60),
+    (ErlangK(1000, 2.5), 2.0, 700),
+    (ErlangK(1000, 2.5), 2.0, 850),
+    (Deterministic(1.0), 1.5, 1),
+    (Deterministic(1.0), 0.5, 31),
+    (Deterministic(744.0), 1.0, 900),
+    (Uniform(0.0, 2.0), 1.5, 1),
+    (Uniform(0.0, 2.0), 1.5, 31),
+    (Uniform(0.0, 2.0), 1.0, 1000),
+    (Uniform(100.0, 400.0), 1.0, 200),
+    (Uniform(100.0, 400.0), 1.0, 300),
+    (Uniform(100.0, 400.0), 1.0, 500),
+    (Uniform(0.5, 0.50001), 1.0, 3),
+    (Uniform(3.0, 3.001), 5.0, 60),
+], ids=lambda v: v.label() if hasattr(v, "label") else str(v))
+def test_law_tails_match_mpmath(dist, rate, order):
+    # both sides of each law's switch: a tail summed past the order, and a
+    # tail of about a third or more taken as 1 minus the coefficients
+    got = dist.moments(rate, order).tail
+    want = _law_tail_reference(dist, rate, order)
+    assert abs(got - want) <= 1e-13
+    if want >= 1e-300:
+        assert abs(got - want) <= 1e-11 * want
+
+
 def test_exponential_law_delegates_to_the_closed_form():
+    assert Exponential(1.0).moments(1.0, 4).tail == 2.0**-5
     assert np.array_equal(Exponential(1.0).moments(1.0, 4).values, EXACT_EXPONENTIAL)
     assert np.array_equal(Exponential(2.5).moments(0.4, 30).values,
                           moments_exponential(0.4, 2.5, 30).values)

@@ -21,6 +21,7 @@ from lossq.recursion import (
     estimate_characteristic,
     solve_recursion,
 )
+from lossq.simulate import Deterministic, ErlangK, Exponential, Uniform
 
 from support import CANONICAL_POINTS, FIXTURE_R, REPORTED_POINTS
 
@@ -271,9 +272,11 @@ def _mm1n_served(arrival_rate, service_rate, order):
 @example(rho=1.0001, service_rate=1.0, order=1000)
 def test_exact_exponential_moments_give_the_mm1n_closed_forms(rho, service_rate, order):
     # M/M/1/n: busy period (1/mu) sum_{j<=n} rho^j and served count
-    # sum_{j<=n} rho^j.  The tolerance is the benchmark's M/M/1/n one; the
-    # largest error seen is 4e-11 relative, near rho = 1 at n = 1000, where
-    # the recursion's two modes 1 and rho nearly coincide
+    # sum_{j<=n} rho^j.  Every term of the tail-sum recursion is positive,
+    # so nothing cancels near rho = 1 (the paper's form loses 4e-11 there,
+    # where its two modes 1 and rho nearly coincide).  The largest error
+    # seen is 5.3e-13, at rho = 1.56 and n = 1000: the coefficients' ratio
+    # a / (a + mu) carries two roundings, which rho^n raises n-fold
     arrival_rate = rho * service_rate
     moments = moments_exponential(arrival_rate, service_rate, order)
     busy = estimate_characteristic(
@@ -281,10 +284,47 @@ def test_exact_exponential_moments_give_the_mm1n_closed_forms(rho, service_rate,
     served = estimate_characteristic(
         CharacteristicSpec.served_customers(arrival_rate), moments, order)
     want = _mm1n_served(arrival_rate, service_rate, order)
-    assert served.natural_values == pytest.approx([float(w) for w in want], rel=1e-9)
+    assert served.natural_values == pytest.approx([float(w) for w in want], rel=1e-12)
     assert busy.natural_values == pytest.approx(
-        [float(w / service_rate) for w in want], rel=1e-9)
+        [float(w / service_rate) for w in want], rel=1e-12)
     assert busy.sign_anomalies == served.sign_anomalies == ()
+
+
+def _mpmath_chain(moments, levels):
+    """Q_1..Q_levels of the positive recursion at 30 digits, on the vector's
+    own values and tail taken exactly: the kernel's result without its
+    rounding."""
+    with mpmath.workdps(30):
+        r = [mpmath.mpf(float(v)) for v in moments.values]
+        tails = [mpmath.mpf(moments.tail)]
+        for v in reversed(r[1:]):
+            tails.append(tails[-1] + v)
+        tails.reverse()
+        d = [mpmath.mpf(0), 1 / r[0]]
+        for k in range(2, levels + 1):
+            d.append(mpmath.fdot(tails[1:k], d[k - 1:0:-1]) / r[0])
+        return np.array([float(q) for q in np.cumsum(d[1:])])
+
+
+_CHAIN_LAWS = {"exp": Exponential(1.0), "det": Deterministic(1.0),
+               "erlang:2": ErlangK(2, 2.0), "uniform": Uniform(0.0, 2.0)}
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9, 0.999, 1.0001, 1.5])
+@pytest.mark.parametrize("law", sorted(_CHAIN_LAWS))
+def test_point_chain_matches_mpmath_across_block_edges(law, rho):
+    # every law has mean 1, so the arrival rate is the load; the chain of a
+    # vector of order m reaches level m + 1, so these orders put the last
+    # level before, on and after each of the first block edges (32, 64)
+    for order in (0, 1, 30, 31, 32, 63, 64, 999):
+        moments = _CHAIN_LAWS[law].moments(rho, order)
+        got = solve_recursion(moments, order + 1).point
+        want = _mpmath_chain(moments, order + 1)
+        # det at load 1.5 passes the largest double near level 1000
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), finite), order
+        assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * want[finite]), order
+        _assert_near_the_sequential_loop(moments, got)
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +362,41 @@ def _random_moments(rng, rate, order=5):
     return MomentVector(rate=rate, values=raw)
 
 
-def _seeded_chain(seed, r, order):
-    # the recursion run directly from Q_0 = seed, one level at a time
-    q = [seed, seed / r[0]]
+def _tail_sums(moments):
+    """R_0..R_m, summed from the top as the kernel sums them."""
+    r = moments.values
+    return np.cumsum(np.concatenate(([moments.tail], r[:0:-1])))[::-1]
+
+
+def _sequential_chain(moments, order, seed=1.0):
+    """Q_1..Q_order of the positive recursion from Q_0 = seed, one level at
+    a time: r_0 D_k = [k = 1] seed + sum_{i=1}^{k-1} R_i D_{k-i} and
+    Q_k = D_1 + ... + D_k.  An overflowed D stays inf."""
+    tails, r0 = _tail_sums(moments), float(moments.values[0])
+    d = np.zeros(order + 1)
+    d[1] = seed / r0
     for k in range(2, order + 1):
-        tail = sum(r[i] * q[k - i] for i in range(2, k))
-        q.append(((1.0 - r[1]) * q[k - 1] - tail) / r[0])
-    return np.array(q[1:])
+        if d[k - 1] == math.inf:
+            d[k:] = math.inf
+            break
+        d[k] = float(np.dot(tails[1:k], d[k - 1:0:-1])) / r0
+    with np.errstate(over="ignore"):
+        return np.cumsum(d[1:])
+
+
+def _assert_near_the_sequential_loop(moments, point):
+    """The blocked chain within (2k + 8) 2^-53 relative of the sequential
+    loop at each level k where both are finite; an overflow may come one
+    level apart, and is inf from there on in both."""
+    want = _sequential_chain(moments, point.size)
+    got_inf, want_inf = np.isinf(point), np.isinf(want)
+    for inf in (got_inf, want_inf):
+        if inf.any():
+            assert np.all(inf[int(np.argmax(inf)):])
+    assert abs(int(got_inf.sum()) - int(want_inf.sum())) <= 1
+    both = ~got_inf & ~want_inf
+    k = np.arange(1, point.size + 1)[both]
+    assert np.all(np.abs(point[both] - want[both]) <= (2 * k + 8) * 2.0**-53 * want[both])
 
 
 def test_recursion_is_linear_in_the_seed():
@@ -338,12 +406,13 @@ def test_recursion_is_linear_in_the_seed():
     busy = estimate_characteristic(CharacteristicSpec.busy_period(1.0, 2.0), moments, 5)
     served = estimate_characteristic(CharacteristicSpec.served_customers(1.0), moments, 5)
     lost = estimate_characteristic(CharacteristicSpec.lost_customers(1.0, 4.0), moments, 5)
-    # scaling by a power of two is exact in every float operation
-    assert np.array_equal(_seeded_chain(1.0, moments.values, 5), unit.point)
-    assert np.array_equal(_seeded_chain(1.0, moments.values, 5), served.natural_values[1:])
-    assert np.array_equal(_seeded_chain(2.0, moments.values, 5), busy.natural_values[1:])
+    # five levels are one sequential block, and scaling by a power of two
+    # is exact in every float operation
+    assert np.array_equal(_sequential_chain(moments, 5), unit.point)
+    assert np.array_equal(_sequential_chain(moments, 5), served.natural_values[1:])
+    assert np.array_equal(_sequential_chain(moments, 5, 2.0), busy.natural_values[1:])
     assert lost.natural_values[1:] - 1.0 == pytest.approx(
-        _seeded_chain(3.0, moments.values, 5), rel=1e-12
+        _sequential_chain(moments, 5, 3.0), rel=1e-12
     )
 
 
@@ -408,6 +477,16 @@ def test_overflowed_point_chain_stays_infinite():
     assert np.all(np.diff(values[:first]) >= 0.0)
 
 
+def test_a_subnormal_leading_coefficient_overflows_at_the_first_level():
+    # 1 / r_0 is past the largest double, so every level is inf, not the
+    # NaN that inf times the zero tail sum R_1 would give
+    moments = MomentVector(rate=1.0, values=np.array([5e-324, 0.0, 0.0]), tail=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        point = solve_recursion(moments, 3).point
+    assert point.tolist() == [math.inf] * 3
+
+
 def test_zero_seed_stays_zero_past_an_overflowed_unit_chain():
     # lost count at lambda * m = 1: the seed is exactly 0, so the recursion
     # value is 0 (natural value 1) at every level, never 0 * inf
@@ -463,58 +542,53 @@ def test_healthy_estimates_carry_no_anomalies():
 
 
 def _reference_chains(moments, order, eps, gamma):
-    """solve_recursion as one loop of three full dot products per level, with
-    no cache, no pinned lower chain and no support limit."""
+    """solve_recursion's bound chains for positive widths, as one loop of
+    two full dot products per level, with no pinned lower chain and no
+    support limit."""
     r = moments.values
     r0 = float(r[0])
     lead = 1.0 - float(r[1]) if order >= 2 else 0.0
-    bounded = eps > 0.0 or gamma > 0.0
-    upper_infinite = bounded and r0 <= eps
-    point = np.ones(order + 1)
+    upper_infinite = r0 <= eps
     clamped = np.zeros(order + 1, dtype=bool)
-    low = upp = point
-    point[1] = 1.0 / r0
-    if bounded:
-        low, upp = np.ones(order + 1), np.ones(order + 1)
-        r_up, r_down = r + gamma, r - gamma
-        div_low, div_upp = r0 + eps, r0 - eps
-        lead_low, lead_upp = lead - gamma, lead + gamma
-        lead_clamped = lead_low < 0.0
-        lead_low = max(lead_low, 0.0)
-        low[1] = 1.0 / div_low
-        if upper_infinite:
-            upp[1:] = math.inf
-        else:
-            upp[1] = 1.0 / div_upp
+    low, upp = np.ones(order + 1), np.ones(order + 1)
+    r_up, r_down = r + gamma, r - gamma
+    div_low, div_upp = r0 + eps, r0 - eps
+    lead_low, lead_upp = lead - gamma, lead + gamma
+    lead_clamped = lead_low < 0.0
+    lead_low = max(lead_low, 0.0)
+    low[1] = 1.0 / div_low
+    if upper_infinite:
+        upp[1:] = math.inf
+    else:
+        upp[1] = 1.0 / div_upp
     for k in range(2, order + 1):
-        prev = point.item(k - 1)
-        point[k] = prev if prev == math.inf else (
-            (lead * prev - float(np.dot(r[2:k], point[k - 2:0:-1]))) / r0
-        )
-        if not bounded:
-            continue
         acc = lead_low * low.item(k - 1) - float(np.dot(r_up[2:k], upp[k - 2:0:-1]))
         clamped[k] = lead_clamped or acc < 0.0
         low[k] = max(acc, 0.0) / div_low
         if not upper_infinite:
             upp[k] = (lead_upp * upp.item(k - 1)
                       - float(np.dot(r_down[2:k], low[k - 2:0:-1]))) / div_upp
-    return point[1:], low[1:], upp[1:], upper_infinite, clamped[1:]
+    return low[1:], upp[1:], upper_infinite, clamped[1:]
 
 
 def _assert_matches_reference(moments, order, eps, gamma):
-    """Point, lower and clamped bit-identical to the plain loop, every upper
+    """The point chain within (2k + 8) 2^-53 of the sequential positive
+    loop; lower and clamped bit-identical to the plain loop, every upper
     bound infinite where the loop's width swallows r_0, upper within 1e-14
-    relative.  Where the loop's bounds are NaN (a
-    0 * inf or inf - inf past the largest double) the kernel's lower bound is
-    0 and clamped and its upper bound inf."""
+    relative.  Where the loop's bounds are NaN (a 0 * inf or inf - inf past
+    the largest double) the kernel's lower bound is 0 and clamped and its
+    upper bound inf.  With zero widths the bounds are the point chain."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = solve_recursion(moments, order, eps, gamma)
+    _assert_near_the_sequential_loop(moments, got.point)
+    if eps == 0.0 and gamma == 0.0:
+        assert np.array_equal(got.lower, got.point) and np.array_equal(got.upper, got.point)
+        assert not got.clamped.any()
+        return got
     with np.errstate(invalid="ignore", over="ignore"):
-        point, lower, upper, upper_infinite, clamped = _reference_chains(
+        lower, upper, upper_infinite, clamped = _reference_chains(
             moments, order, eps, gamma)
-    assert np.array_equal(got.point, point)
     if upper_infinite:
         assert np.all(got.upper == math.inf)
     assert not np.isnan(got.lower).any() and not np.isnan(got.upper).any()
@@ -616,7 +690,7 @@ def test_a_zero_lower_bound_with_a_zero_tail_is_not_clamped():
 
 
 def _fresh_copy(moments):
-    return MomentVector(rate=moments.rate, values=moments.values.copy())
+    return MomentVector(rate=moments.rate, values=moments.values.copy(), tail=moments.tail)
 
 
 def test_a_second_call_reuses_the_cached_point_chain():
@@ -640,22 +714,27 @@ def test_a_shorter_order_is_a_prefix_of_the_cached_chain():
     assert np.array_equal(short.point, solve_recursion(_fresh_copy(moments), 30).point)
 
 
-def test_a_longer_order_extends_the_cached_chain():
+def test_the_first_call_caches_the_chain_to_full_reach():
+    # a vector of order m reaches level m + 1: the first call, at any order,
+    # leaves one entry Q_0..Q_{m+1}, and every later order is a slice of it
     x = np.random.default_rng(9).gamma(2.0, 0.5, 500)
     moments = moments_empirical(build_ecdf(Sample(x)), 0.8, 400)
     short = solve_recursion(moments, 30)
-    long = solve_recursion(moments, 400, 0.02, 0.04)
-    assert recursion._POINT_CHAINS[moments].size == 401
-    assert long.point.size == 400
-    assert np.array_equal(long.point[:30], short.point)
-    assert np.array_equal(long.point, solve_recursion(_fresh_copy(moments), 400).point)
-    _assert_matches_reference(moments, 400, 0.02, 0.04)
+    entry = recursion._POINT_CHAINS[moments]
+    assert entry.size == moments.order + 2 and entry[0] == 1.0
+    assert np.array_equal(short.point, entry[1:31])
+    full = solve_recursion(moments, 401, 0.02, 0.04)
+    assert recursion._POINT_CHAINS[moments] is entry
+    assert np.shares_memory(full.point, entry) and np.array_equal(full.point, entry[1:])
+    assert np.array_equal(full.point, solve_recursion(_fresh_copy(moments), 401).point)
+    _assert_matches_reference(moments, 401, 0.02, 0.04)
 
 
 def test_cached_chains_are_read_only():
     moments = moments_exponential(0.8, 1.0, 20)
     chains = solve_recursion(moments, 20)
     entry = recursion._POINT_CHAINS[moments]
+    assert entry.size == 22
     for arr in (entry, chains.point):
         with pytest.raises(ValueError):
             arr[1] = 9.9

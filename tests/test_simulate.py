@@ -62,6 +62,16 @@ def test_distribution_validation():
     Uniform(0.0, 2.0)  # zero lower edge is allowed
 
 
+def test_erlang_shape_past_the_float_range_is_a_value_error():
+    # math.isfinite raises OverflowError on such an int; the check turns it
+    # into the ValueError that the parser and the CLI report
+    with pytest.raises(ValueError, match="float range"):
+        ErlangK(10**400, 1.0)
+    with pytest.raises(ValueError, match="float range"):
+        parse_distribution("erlang:" + "9" * 400 + ":1")
+    assert ErlangK(2**1000, 1.0).shape == 2**1000
+
+
 def test_distribution_means():
     assert Exponential(2.0).mean() == 0.5
     assert ErlangK(3, 1.5).mean() == 2.0
