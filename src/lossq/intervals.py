@@ -118,7 +118,7 @@ def interval_table(
     the characteristic's own scale, swapping the bounds where the map
     reverses their order (a negative seed, or the loss probability).  The
     loss probability caps its upper bound at 1 (flagged); rows whose
-    recursion-scale values cannot be inverted are flagged degenerate and
+    lower bound is pinned at 0 (no reciprocal) are flagged degenerate and
     carry the trivial bracket (0, 1].  Lower bounds are floored at zero
     (flagged) for the nonnegative characteristics, and a row whose values
     violate lower <= point <= upper after the conventions is flagged
@@ -152,9 +152,8 @@ def _interval_table(
     clamped = np.concatenate(([False], chains.clamped & (spec.seed != 0.0)))
     if loss_probability:
         # the seed is 1, so the unit chains are on the recursion scale, where
-        # a tiny positive value (whose reciprocal overflows) is still valid
-        invalid = np.concatenate(([False], (chains.lower <= 0.0) | (chains.upper <= 0.0)
-                                  | (chains.point <= 0.0)))
+        # only a lower bound pinned at 0 has no reciprocal
+        invalid = np.concatenate(([False], chains.lower <= 0.0))
         capped = ~invalid & (upper > 1.0)
         lower, upper = np.where(invalid, 0.0, lower), np.where(invalid | capped, 1.0, upper)
         clamped |= capped

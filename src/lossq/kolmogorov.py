@@ -24,7 +24,6 @@ __all__ = [
     "law_cdf",
     "quantile",
     "width_for",
-    "crossing_point",
 ]
 
 _SERIES_TOL = 1e-17
@@ -261,21 +260,3 @@ def width_for(law: LimitLaw, confidence: float, n_obs: int) -> ConfidenceSpec:
     return ConfidenceSpec(
         confidence=confidence, n_obs=n_obs, law=law, width=z / math.sqrt(n_obs)
     )
-
-
-def crossing_point() -> tuple[float, float]:
-    """Where ``1 - exp(-x^2/2)`` crosses the sum law, and the common value.
-
-    The difference of the two CDFs changes sign exactly once on [0.5, 3];
-    bisection refines the root to a 1e-12 bracket.  Below the returned
-    level, a target one-sided confidence makes the sum law the wider
-    requirement; above it the two-sided law is wider.
-    """
-
-    def diff(x: float) -> float:
-        return -math.expm1(-0.5 * x * x) - conv_cdf(x)
-
-    positive_at_lo = diff(0.5) > 0.0
-    x0 = _bisect(lambda x: (diff(x) > 0.0) == positive_at_lo, 0.5, 3.0)
-    level = 0.5 * ((-math.expm1(-0.5 * x0 * x0)) + conv_cdf(x0))
-    return x0, level

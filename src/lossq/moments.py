@@ -76,7 +76,8 @@ class MomentVector:
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("values must be a non-empty 1-D collection")
-        if np.any(arr < -_SUM_TOL) or np.any(arr > 1.0 + _SUM_TOL):
+        # written so that a NaN coefficient fails too
+        if not np.all((arr >= -_SUM_TOL) & (arr <= 1.0 + _SUM_TOL)):
             raise ValueError("each coefficient must lie in [0, 1]")
         if self.tail is None:
             total = math.fsum(arr.tolist())

@@ -13,13 +13,14 @@ D_k = (Q_k - Q_{k-1}) / Q_0 reads
 
     r_0 D_k = [k = 1] + sum_{i=1}^{k-1} R_i D_{k-i},    Q_k = Q_0 (D_1 + ... + D_k)
 
-and every term of it is nonnegative.  :func:`solve_recursion` runs the
-point chain in this positive form from the unit seed Q_0 = 1, and the
-confidence-bound chains in the paper's form alongside it when widths are
-given; it keeps the point chain of each moment vector for the next call on
-it.  The recursion is linear in the seed, so every characteristic is one
-seed map of that unit chain: ``spec.natural_scale(unit)``.  By Wald's
-identity busy = m * served and lost = (lambda m - 1) * served + 1.
+and every term of it is nonnegative, so Q_k >= Q_1 = 1 / r_0 >= 1.
+:func:`solve_recursion` runs the point chain in this positive form from the
+unit seed Q_0 = 1, and the confidence-bound chains in the paper's form
+alongside it when widths are given, with a positive width on the tail
+coefficients; it keeps the point chain of each moment vector for the next
+call on it.  The recursion is linear in the seed, so every characteristic
+is one seed map of that unit chain: ``spec.natural_scale(unit)``.  By
+Wald's identity busy = m * served and lost = (lambda m - 1) * served + 1.
 Estimates are returned raw — a negative value on a nonnegative
 characteristic is reported via sign-anomaly flags, never silently clamped.
 """
@@ -278,36 +279,29 @@ def solve_recursion(
     weak-keyed cache: an entry goes with its vector, and every order is a
     slice of it.
 
-    When a width is positive, the lower and upper bound chains run in the
-    paper's form, each consuming the other at earlier levels: the lower
-    chain divides by ``r_0 + eps`` and subtracts the tail raised by
-    ``gamma`` times earlier upper values, the upper chain divides by
-    ``r_0 - eps`` and subtracts the tail lowered by ``gamma`` times earlier
-    lower values.  A width swallowing ``r_0`` makes every upper bound
-    infinite; a negative leading coefficient ``1 - r_1 - gamma`` or
-    lower-bound total is clamped to zero and flagged.  With zero widths the
-    bounds are the point chain itself.
+    With widths ``eps`` on r_0 and ``gamma`` > 0 on every tail coefficient,
+    the lower and upper bound chains run in the paper's form, each
+    consuming the other at earlier levels: the lower chain divides by
+    ``r_0 + eps`` and subtracts the tail raised by ``gamma`` times earlier
+    upper values, the upper chain divides by ``r_0 - eps`` and subtracts
+    the tail lowered by ``gamma`` times earlier lower values.  A width
+    swallowing ``r_0`` makes every upper bound infinite; a negative leading
+    coefficient ``1 - r_1 - gamma`` or lower-bound total is clamped to zero
+    and flagged.  With zero widths the bounds are the point chain itself; a
+    positive ``eps`` with a zero ``gamma`` raises :class:`ValueError`.
 
-    Three rules skip bound-chain work that cannot change a result:
-
-    * A lower bound pinned at zero stays zero.  With ``low[k-1] = 0`` the
-      lower total is minus the tail sum of ``(r_i + gamma) upp[k-i]``.
-      While ``(r_2 + gamma)`` times every upper bound so far is positive,
-      every term is non-negative and the one at i = 2 is positive, so the
-      total is negative: level k is 0 and clamped, with no dot product.
-      The upper chain's tail then reads only the lower bounds up to the
-      last nonzero one, a fixed window, so one convolution gives it for
-      every pinned level.
-    * An upper bound that has overflowed stays ``inf`` with no dot
-      product.
-    * A lower tail term whose upper bound has overflowed is ``+inf`` for a
-      positive coefficient and 0 for a coefficient that is exactly 0 (not
-      ``0 * inf = NaN``).  Once a positive coefficient meets an overflowed
-      upper bound the total is ``-inf``, and the level is 0 and clamped with
-      no dot product; before that the dot product leaves out the zero
-      coefficients that meet one.  So the lower total is never
-      ``inf - inf``, even after the lower chain itself has overflowed, and
-      no bound turns NaN.
+    The chains rest on one lemma.  By induction on the level, 0 <= low_k
+    <= Q_k <= upp_k, and Q_k >= 1 / r_0 >= 1.  So once low_{k-1} = 0 the
+    lower total at level k is at most ``-gamma upp_{k-2}`` < 0: the lower
+    chain is 0 and clamped from there on.  The coupled steps therefore end
+    at the first level whose lower bound is 0, or whose lower tail reads an
+    infinite upper bound: that tail is inf, so the total is -inf (or NaN,
+    had the lower chain overflowed too).  From that level on the lower
+    chain is 0 and clamped, and the upper chain's tail reads only the lower
+    bounds before it, a fixed window, so one convolution gives it for every
+    later level; once the upper chain overflows it stays ``inf``.  No bound
+    turns NaN, even after the lower chain overflows, as long as its first
+    level ``1 / (r_0 + eps)`` is finite.
 
     Needs a vector of order at least ``order - 1``; r_0 = 0 raises
     :class:`DegeneracyError` (every level divides by it).
@@ -320,79 +314,52 @@ def solve_recursion(
             f"got {moments.order}"
         )
     # written so that a NaN width fails too
-    if not (eps >= 0.0 and gamma >= 0.0):
-        raise ValueError("widths must be nonnegative")
+    if not (0.0 <= eps < math.inf and 0.0 <= gamma < math.inf):
+        raise ValueError("widths must be finite and nonnegative")
+    if eps > 0.0 and gamma == 0.0:
+        raise ValueError("a positive eps needs a positive gamma")
     r = moments.values[:order]
     r0 = float(r[0])
     if r0 == 0.0:
         raise DegeneracyError("leading moment coefficient is zero; cannot divide")
     point = _point_chain(moments)[1:order + 1]
     clamped = np.zeros(order + 1, dtype=bool)
-    if eps == 0.0 and gamma == 0.0:
+    if gamma == 0.0:
         return BoundSequences(point=point, lower=point, upper=point, clamped=clamped[1:])
     lead = 1.0 - float(r[1]) if order >= 2 else 0.0
-    upper_infinite = r0 <= eps
     r_up, r_down = r + gamma, r - gamma
-    # the first tail coefficient r_i + gamma (i >= 2) that is positive
-    positives = np.flatnonzero(r_up[2:])
-    first_positive = int(positives[0]) + 2 if positives.size else order + 1
     div_low, div_upp = r0 + eps, r0 - eps
     lead_low, lead_upp = lead - gamma, lead + gamma
     lead_clamped = lead_low < 0.0
     lead_low = max(lead_low, 0.0)
-    low, upp = np.ones(order + 1), np.ones(order + 1)
-    low[1] = 1.0 / div_low
-    if upper_infinite:
-        upp[1:] = math.inf
-    else:
+    # level 0 is the unit seed; an upper bound never set is inf
+    low, upp = np.zeros(order + 1), np.full(order + 1, math.inf)
+    low[:2] = 1.0, 1.0 / div_low
+    upp[0] = 1.0
+    if r0 > eps:
         upp[1] = 1.0 / div_upp
-    r2 = r_up.item(2) if order > 2 else 0.0
-    top = 1  # the last level whose lower bound is nonzero
-    inf_from = 1 if upper_infinite else order + 1  # upper bounds are inf from here
-    # r_2 + gamma times every upper bound so far is positive, so every tail
-    # term (r_i + gamma) upp[k-i] is non-negative and the one at i = 2 is not 0
-    positive = r2 * upp.item(1) > 0.0
-    k = 2
-    while k <= order:
-        if positive and k > 2 and low.item(k - 1) == 0.0:
-            # pinned: every level from k on is 0 and clamped while positive
-            # holds, and the upper tail is a fixed window on low[1..top]
-            if upp.item(k - 1) == math.inf:
-                low[k:], clamped[k:], upp[k:] = 0.0, True, math.inf
-                break
-            tails = np.convolve(r_down[k - top:order], low[1:top + 1], "valid")
-            u, pinned = upp.item(k - 1), []
-            for tail in tails.tolist():
-                u = (lead_upp * u - tail) / div_upp
-                pinned.append(u)
-                if u == math.inf:
-                    break
-                if not r2 * u > 0.0:
-                    positive = False
-                    break
-            stop = k + len(pinned)
-            upp[k:stop], low[k:stop], clamped[k:stop] = pinned, 0.0, True
-            k = stop
-            continue
-        # tail terms i <= k - inf_from meet an infinite upper bound: +inf for
-        # a positive coefficient, 0 (not NaN) for a coefficient that is 0
-        start = max(2, k - inf_from + 1)
-        if start > first_positive:
-            acc = -math.inf
-        else:
-            acc = lead_low * low.item(k - 1) - float(np.dot(r_up[start:k], upp[k - start:0:-1]))
+    for k in range(2, order + 1):
+        if low.item(k - 1) == 0.0 or upp.item(k - 2) == math.inf:
+            break
+        acc = lead_low * low.item(k - 1) - float(np.dot(r_up[2:k], upp[k - 2:0:-1]))
         clamped[k] = lead_clamped or acc < 0.0
         low[k] = max(acc, 0.0) / div_low
-        if low.item(k) != 0.0:
-            top = k
         u = upp.item(k - 1)
         if u != math.inf:
-            u = (lead_upp * u - float(np.dot(r_down[2:k], low[k - 2:0:-1]))) / div_upp
+            upp[k] = (lead_upp * u - float(np.dot(r_down[2:k], low[k - 2:0:-1]))) / div_upp
+    else:
+        return BoundSequences(point=point, lower=low[1:], upper=upp[1:], clamped=clamped[1:])
+    # pinned from level k: the lower chain is 0 and clamped, and while the
+    # upper chain is finite low[k - 1] is 0, so its tail reads low[1..k-2]
+    clamped[k:] = True
+    u = upp.item(k - 1)
+    if u != math.inf:
+        tails = np.convolve(r_down[2:order], low[1:k - 1], "valid")
+        for level, tail in enumerate(tails.tolist(), k):
+            u = (lead_upp * u - tail) / div_upp
+            upp[level] = u
             if u == math.inf:
-                inf_from = k
-        upp[k] = u
-        positive = positive and r2 * u > 0.0
-        k += 1
+                break
     return BoundSequences(point=point, lower=low[1:], upper=upp[1:], clamped=clamped[1:])
 
 
@@ -401,17 +368,10 @@ def estimate_characteristic(
 ) -> RecursionResult:
     """Point estimates of a characteristic for buffer levels 0..order.
 
-    For the loss probability any non-positive recursion value makes the
-    reciprocal meaningless and raises :class:`DegeneracyError`.
+    The unit point chain is at least 1 at every level, so the loss
+    probability's reciprocal always exists (0 where the chain overflows).
     """
-    chain = spec.chains(moments, order).point
-    # the loss probability's seed is 1, so the unit chain is its recursion scale
-    if spec.kind is Characteristic.LOSS_PROBABILITY and np.any(chain <= 0.0):
-        raise DegeneracyError(
-            "loss-probability recursion produced a non-positive value; "
-            "the reciprocal estimate is undefined"
-        )
-    natural = spec.natural_scale(chain)
+    natural = spec.natural_scale(spec.chains(moments, order).point)
     return RecursionResult(
         natural_values=natural,
         sign_anomalies=tuple(np.flatnonzero(natural < 0.0).tolist()),

@@ -14,6 +14,8 @@ from lossq import (
     moments_empirical,
     moments_exponential,
 )
+from lossq.errors import check_positive
+from lossq.kolmogorov import _bisect, conv_cdf
 from lossq.simulate import ErlangK, Exponential, Uniform
 
 # Coefficient fixture rounded to four decimals, with the confidence widths
@@ -120,3 +122,45 @@ def random_cdf_pairs(count: int, seed: int, order: int = 4) -> Iterator[CdfPair]
             sup_forward=stats.one_sided_plus,
             sup_backward=stats.one_sided_minus,
         )
+
+
+def crossing_point() -> tuple[float, float]:
+    """Where ``1 - exp(-x^2/2)`` crosses the sum law, and the common value.
+
+    The difference of the two CDFs changes sign exactly once on [0.5, 3];
+    bisection refines the root to a 1e-12 bracket.  Below the returned
+    level, a target one-sided confidence makes the sum law the wider
+    requirement; above it the two-sided law is wider.
+    """
+
+    def diff(x: float) -> float:
+        return -math.expm1(-0.5 * x * x) - conv_cdf(x)
+
+    positive_at_lo = diff(0.5) > 0.0
+    x0 = _bisect(lambda x: (diff(x) > 0.0) == positive_at_lo, 0.5, 3.0)
+    level = 0.5 * ((-math.expm1(-0.5 * x0 * x0)) + conv_cdf(x0))
+    return x0, level
+
+
+def loss_probability_oracle(interarrival, service_rate: float, buffer_total: int) -> float:
+    """Blocking probability of the finite birth-death chain, in closed form.
+
+    Valid when interarrivals are exponential (rate a): states 0..c with
+    c = buffer_total carry stationary weights proportional to powers of the
+    traffic intensity a / service_rate, so blocking is ``1/(c+1)`` at
+    intensity 1 and ``rho^c (1-rho) / (1-rho^(c+1))`` otherwise.
+    """
+    if not isinstance(interarrival, Exponential):
+        raise ValueError("the closed form requires exponential interarrivals")
+    check_positive("service_rate", service_rate)
+    if buffer_total < 1:
+        raise ValueError("buffer_total must be at least 1")
+    rho = interarrival.rate / service_rate
+    c = buffer_total
+    if rho == 1.0:
+        return 1.0 / (c + 1)
+    if rho > 1.0:
+        # normalize from the top so large powers cannot overflow
+        weights = rho ** (np.arange(c + 1, dtype=float) - c)
+        return float(1.0 / weights.sum())
+    return float(rho**c * (1.0 - rho) / (1.0 - rho ** (c + 1)))

@@ -23,7 +23,6 @@ from lossq.intervals import Method, interval_table
 from lossq.kolmogorov import (
     LimitLaw,
     conv_cdf,
-    crossing_point,
     kolmogorov_cdf,
     one_sided_cdf,
     quantile,
@@ -35,7 +34,6 @@ from lossq.simulate import (
     Exponential,
     draw_samples,
     ks_law_experiment,
-    loss_probability_oracle,
     simulate_busy_period,
 )
 
@@ -48,6 +46,8 @@ from support import (
     REPORTED_ONE_SIDED,
     REPORTED_POINTS,
     REPORTED_TWO_SIDED,
+    crossing_point,
+    loss_probability_oracle,
     random_cdf_pairs,
 )
 

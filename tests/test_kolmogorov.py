@@ -12,7 +12,6 @@ from lossq.kolmogorov import (
     ConfidenceSpec,
     LimitLaw,
     conv_cdf,
-    crossing_point,
     kolmogorov_cdf,
     law_cdf,
     normal_cdf,
@@ -20,6 +19,8 @@ from lossq.kolmogorov import (
     quantile,
     width_for,
 )
+
+from support import crossing_point
 
 # Quantiles frozen from the bisection itself after verifying the CDF values
 # round-trip (the published 4-5 digit values 1.3581 / 1.224 / 2.08 agree).

@@ -67,6 +67,17 @@ def test_vector_rejects_a_tail_outside_the_unit_interval(tail):
         MomentVector(rate=1.0, values=np.array([0.5]), tail=tail)
 
 
+@pytest.mark.parametrize("tail", [None, 0.0])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_vector_rejects_a_nan_coefficient(at, tail):
+    # a NaN r_1 would reach only R_0, which the point chain never reads, so
+    # a broken input would give a plausible chain
+    values = np.array([0.5, 0.3, 0.1])
+    values[at] = math.nan
+    with pytest.raises(ValueError, match="coefficient"):
+        MomentVector(rate=1.0, values=values, tail=tail)
+
+
 def test_vector_rejects_values_and_tail_past_one():
     with pytest.raises(ValueError, match="sum to at most 1"):
         MomentVector(rate=1.0, values=np.array([0.6, 0.3]), tail=0.2)
@@ -360,6 +371,15 @@ def test_law_moments_match_the_60_digit_closed_form(dist, rate, order):
     assert np.max(np.abs(got.values - want)[big] / want[big]) <= 1e-11
 
 
+def test_erlang_coefficients_keep_their_relative_accuracy_at_a_large_shape():
+    # a difference of log-gammas near 5,900 loses 3.1e-12 here; Loader's
+    # binomial form keeps 3.5e-13
+    got = ErlangK(1000, 2.5).moments(0.5, 1000).values
+    want = _law_reference(ErlangK(1000, 2.5), 0.5, 1000)
+    big = want >= 1e-300
+    assert np.max(np.abs(got - want)[big] / want[big]) <= 5e-13
+
+
 def _law_tail_reference(dist, rate: float, order: int) -> float:
     """P(N > order) for N ~ Poisson(rate S), S from the law, at 60 digits
     or more."""
@@ -416,8 +436,11 @@ def test_law_tails_match_mpmath(dist, rate, order):
     got = dist.moments(rate, order).tail
     want = _law_tail_reference(dist, rate, order)
     assert abs(got - want) <= 1e-13
+    # the large-shape Erlang tail is summed from coefficients in Loader's
+    # binomial form, each within a few ulps
+    rel = 1e-14 if isinstance(dist, ErlangK) and dist.shape == 1000 else 1e-11
     if want >= 1e-300:
-        assert abs(got - want) <= 1e-11 * want
+        assert abs(got - want) <= rel * want
 
 
 def test_exponential_law_delegates_to_the_closed_form():

@@ -174,6 +174,25 @@ def test_nan_widths_are_rejected(eps, gamma):
         solve_recursion(moments, 10, eps, gamma)
 
 
+@pytest.mark.parametrize("eps, gamma", [(math.inf, 0.02), (0.01, math.inf)])
+def test_infinite_widths_are_rejected(eps, gamma):
+    moments = moments_exponential(0.8, 1.0, 10)
+    with pytest.raises(ValueError, match="finite"):
+        solve_recursion(moments, 10, eps, gamma)
+
+
+@pytest.mark.parametrize("eps", [1e-300, 0.01, 2.0])
+def test_a_positive_eps_with_a_zero_gamma_is_rejected(eps):
+    # the bound chains' lemma needs every tail coefficient raised by a
+    # positive gamma; only the zero pair asks for the point chain alone
+    moments = moments_exponential(0.8, 1.0, 10)
+    with pytest.raises(ValueError, match="positive gamma"):
+        solve_recursion(moments, 10, eps, 0.0)
+    chains = solve_recursion(moments, 10, 0.0, 0.0)
+    assert np.array_equal(chains.lower, chains.point)
+    assert np.array_equal(chains.upper, chains.point)
+
+
 def test_zero_leading_coefficient_raises_degeneracy():
     moments = MomentVector(rate=1.0, values=np.array([0.0, 0.5, 0.25]))
     with pytest.raises(DegeneracyError):
@@ -542,9 +561,8 @@ def test_healthy_estimates_carry_no_anomalies():
 
 
 def _reference_chains(moments, order, eps, gamma):
-    """solve_recursion's bound chains for positive widths, as one loop of
-    two full dot products per level, with no pinned lower chain and no
-    support limit."""
+    """solve_recursion's bound chains for a positive gamma, as one loop of
+    two full dot products per level, with no pinned lower chain."""
     r = moments.values
     r0 = float(r[0])
     lead = 1.0 - float(r[1]) if order >= 2 else 0.0
@@ -577,15 +595,11 @@ def _assert_matches_reference(moments, order, eps, gamma):
     bound infinite where the loop's width swallows r_0, upper within 1e-14
     relative.  Where the loop's bounds are NaN (a 0 * inf or inf - inf past
     the largest double) the kernel's lower bound is 0 and clamped and its
-    upper bound inf.  With zero widths the bounds are the point chain."""
+    upper bound inf."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = solve_recursion(moments, order, eps, gamma)
     _assert_near_the_sequential_loop(moments, got.point)
-    if eps == 0.0 and gamma == 0.0:
-        assert np.array_equal(got.lower, got.point) and np.array_equal(got.upper, got.point)
-        assert not got.clamped.any()
-        return got
     with np.errstate(invalid="ignore", over="ignore"):
         lower, upper, upper_infinite, clamped = _reference_chains(
             moments, order, eps, gamma)
@@ -612,6 +626,12 @@ _SAMPLE_LAWS = (
 )
 
 
+def _widths(r0, scale):
+    """A width of each kind, from 0 to past r_0."""
+    return {"zero": 0.0, "tiny": 10.0 ** (-13.0 + 7.0 * scale),
+            "width": 10.0 ** (-4.0 + 3.5 * scale), "r0": r0, "past r0": r0 * (1.0 + scale)}
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 20_000),
@@ -619,69 +639,61 @@ _SAMPLE_LAWS = (
     rate=st.floats(0.05, 5.0),
     order=st.integers(1, 1_200),
     eps_kind=st.sampled_from(["zero", "tiny", "width", "r0", "past r0"]),
-    gamma_kind=st.sampled_from(["zero", "tiny", "width"]),
+    gamma_kind=st.sampled_from(["tiny", "width"]),
     scale=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_kernel_matches_the_plain_loop(n, law, rate, order, eps_kind, gamma_kind, scale, seed):
     rng = np.random.default_rng(seed)
     moments = moments_empirical(build_ecdf(Sample(_SAMPLE_LAWS[law](rng, n))), rate, order)
-    r0 = float(moments.values[0])
-    width = {"zero": 0.0, "tiny": 10.0 ** (-13.0 + 7.0 * scale),
-             "width": 10.0 ** (-4.0 + 3.5 * scale), "r0": r0,
-             "past r0": r0 * (1.0 + scale)}
-    eps = width[eps_kind]
-    gamma = width[gamma_kind] * 2.0
-    _assert_matches_reference(moments, order, eps, gamma)
+    width = _widths(float(moments.values[0]), scale)
+    _assert_matches_reference(moments, order, width[eps_kind], 2.0 * width[gamma_kind])
 
 
-@pytest.mark.parametrize("eps, gamma", [(0.05, 0.0), (0.05, 0.1), (0.0, 0.02)])
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 20_000),
+    law=st.integers(0, len(_SAMPLE_LAWS) - 1),
+    rate=st.floats(0.05, 5.0),
+    order=st.integers(1, 1_200),
+    eps_kind=st.sampled_from(["zero", "tiny", "width", "r0", "past r0"]),
+    gamma_kind=st.sampled_from(["tiny", "width"]),
+    scale=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_bound_chains_keep_their_positivity_lemma(
+        n, law, rate, order, eps_kind, gamma_kind, scale, seed):
+    # 0 <= low_k <= Q_k <= upp_k and Q_k >= 1 / r_0 >= 1, so with gamma > 0
+    # a lower bound at 0 makes every later lower total negative: the kernel
+    # pins the lower chain there instead of running it
+    rng = np.random.default_rng(seed)
+    moments = moments_empirical(build_ecdf(Sample(_SAMPLE_LAWS[law](rng, n))), rate, order)
+    width = _widths(float(moments.values[0]), scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chains = solve_recursion(moments, order, width[eps_kind], 2.0 * width[gamma_kind])
+    assert np.all(chains.point >= 1.0)
+    assert np.all(chains.upper > 0.0)
+    assert np.all(chains.lower >= 0.0)
+    zero = chains.lower == 0.0
+    if zero.any():
+        first = int(np.argmax(zero))
+        assert np.all(zero[first:]) and np.all(chains.clamped[first + 1:])
+
+
+@pytest.mark.parametrize("eps, gamma", [(0.05, 0.1), (0.0, 0.02)])
 def test_kernel_matches_the_plain_loop_on_an_overflowing_chain(eps, gamma):
     _assert_matches_reference(_overflowing_moments(3.0), 1000, eps, gamma)
-
-
-def test_zero_coefficients_never_meet_an_infinite_upper_bound():
-    # gamma = 0 keeps the coefficients past r's last nonzero order (326) at
-    # exactly 0; the upper chain overflows at level 357, and the plain loop's
-    # lower bounds turn NaN from level 684 (0 * inf), its upper ones after
-    x = np.random.default_rng(0).gamma(2.0, 0.5, 2000)
-    moments = moments_empirical(build_ecdf(Sample(x)), 3.0, 1000)
-    got = _assert_matches_reference(moments, 1000, 0.05, 0.0)
-    first = int(np.argmax(np.isinf(got.upper)))
-    assert first == 356 and np.all(got.upper[first:] == math.inf)
-    assert np.all(got.lower[first:] == 0.0) and np.all(got.clamped[first:])
-
-
-def test_interior_zero_coefficients_never_meet_an_infinite_upper_bound():
-    # r_2 .. r_49 are 0 and r_2 = 0 keeps the lower chain from being pinned,
-    # so the lower tail runs past the upper chain's overflow at level 162;
-    # the plain loop meets 0 * inf there and turns NaN from level 164
-    values = np.zeros(300)
-    values[[0, 1, 50]] = 0.3, 0.2, 0.5
-    moments = MomentVector(rate=1.0, values=values)
-    got = _assert_matches_reference(moments, 300, 0.29, 0.0)
-    assert got.upper[160] < math.inf and np.all(got.upper[161:] == math.inf)
-    assert np.all(got.lower[53:] == 0.0) and np.all(got.clamped[53:])
 
 
 def test_an_overflowed_lower_chain_clamps_instead_of_turning_nan():
     # tiny widths keep the lower chain on the point chain until all three
     # overflow at level 323; the plain loop's lower total at level 325 is
-    # inf - inf, where the kernel sees r_2 meet an infinite upper bound
+    # inf - inf, where the kernel's lower tail reads an infinite upper bound
     moments = moments_exponential(9.0, 1.0, 800)
-    got = _assert_matches_reference(moments, 800, 1e-12, 0.0)
+    got = _assert_matches_reference(moments, 800, 1e-12, 2e-12)
     assert got.lower[322] == math.inf and np.all(got.upper[322:] == math.inf)
     assert np.all(got.lower[324:] == 0.0) and np.all(got.clamped[324:])
-
-
-def test_a_zero_lower_bound_with_a_zero_tail_is_not_clamped():
-    # r_1 = 1 makes the leading coefficient 0, so the lower chain reaches 0 at
-    # level 2 with a total of exactly 0, and r_2 = r_3 = ... = 0 keep every
-    # later total at 0 as well: 0 is the value itself, not a clamp
-    moments = MomentVector(rate=1.0, values=np.array([1e-10, 1.0, 0.0, 0.0, 0.0, 0.0]))
-    got = _assert_matches_reference(moments, 6, 1e-11, 0.0)
-    assert np.array_equal(got.lower[1:], np.zeros(5))
-    assert not got.clamped.any()
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,11 @@ from lossq.simulate import (
     _run_cycles,
     draw_samples,
     ks_law_experiment,
-    loss_probability_oracle,
     parse_distribution,
     simulate_busy_period,
 )
+
+from support import loss_probability_oracle
 
 UNIT_MEAN_DISTS = [
     Exponential(1.0),

@@ -76,6 +76,17 @@ def _estimate_calls():
             yield ["estimate", "--system", "mg1n", "--characteristic", "lost",
                    "--mean-service", repr(service), *common]
         yield ["estimate", "--system", "gim1n", "--characteristic", "loss-prob", *common]
+    # deep levels, where the bound chains' upper bounds overflow partway
+    for sample, rate, method, characteristic in itertools.product(
+            _SAMPLES, ("0.8", "2.0", "3"), ("two-sided", "one-sided"),
+            ("busy", "lost", "loss-prob")):
+        if characteristic == "loss-prob":
+            system = ["--system", "gim1n"]
+        else:
+            system = ["--system", "mg1n", "--mean-service", "1"]
+        yield ["estimate", *system, "--characteristic", characteristic, "--rate", rate,
+               "--n", "1000", "--input", sample, "--format", "json", "--confidence", "0.95",
+               "--method", method]
     base = ["estimate", "--system", "mg1n", "--characteristic", "busy", "--rate", "0.8",
             "--mean-service", "1.25", "--n", "30", "--input", "exp.txt"]
     for extra in (["--order", "28"], ["--order", "29"], ["--order", "30"],
