@@ -300,8 +300,8 @@ def solve_recursion(
     chain is 0 and clamped, and the upper chain's tail reads only the lower
     bounds before it, a fixed window, so one convolution gives it for every
     later level; once the upper chain overflows it stays ``inf``.  No bound
-    turns NaN, even after the lower chain overflows, as long as its first
-    level ``1 / (r_0 + eps)`` is finite.
+    turns NaN, even after the lower chain overflows, and even when its first
+    level ``1 / (r_0 + eps)`` does.
 
     Needs a vector of order at least ``order - 1``; r_0 = 0 raises
     :class:`DegeneracyError` (every level divides by it).
@@ -341,7 +341,9 @@ def solve_recursion(
     for k in range(2, order + 1):
         if low.item(k - 1) == 0.0 or upp.item(k - 2) == math.inf:
             break
-        acc = lead_low * low.item(k - 1) - float(np.dot(r_up[2:k], upp[k - 2:0:-1]))
+        tail = float(np.dot(r_up[2:k], upp[k - 2:0:-1]))
+        # a zero lead skips its product, which is NaN once low[k - 1] overflows
+        acc = (lead_low * low.item(k - 1) if lead_low else 0.0) - tail
         clamped[k] = lead_clamped or acc < 0.0
         low[k] = max(acc, 0.0) / div_low
         u = upp.item(k - 1)

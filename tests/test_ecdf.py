@@ -6,6 +6,7 @@ import os
 import threading
 import tracemalloc
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from lossq import (
     moments_empirical,
     read_sample_file,
 )
+from lossq.ecdf import _read_decimals
 from lossq.errors import ParseError
 from lossq.kolmogorov import kolmogorov_cdf
 from lossq.simulate import Exponential
@@ -282,6 +284,40 @@ def _line_scan(path) -> np.ndarray:
 
 _POSITIVE = st.floats(min_value=5e-324, max_value=1e308)
 _PADDING = st.sampled_from(["", " ", "\t", "  \t ", "\u00a0", "\u2003", "\x1f", "\x0b"])
+
+
+def _with_dot(digits: str, at: int) -> str:
+    return f"{digits[:at]}.{digits[at:]}"
+
+
+def _midpoint_string(v: float, digits: int, shift: int) -> str:
+    """The exact midpoint between ``v`` and the next double up, in positional
+    notation, cut to ``digits`` significant digits and moved by ``shift``
+    in the last digit."""
+    midpoint = Decimal(v) + Decimal(float(np.spacing(v))) / 2
+    whole, _, fraction = format(midpoint, "f").partition(".")
+    lead = len(whole + fraction) - len((whole + fraction).lstrip("0"))
+    fraction = fraction[:max(lead + digits - len(whole), 0)]
+    mantissa = str(int(whole + fraction) + shift).rjust(len(whole + fraction), "0")
+    return _with_dot(mantissa, len(mantissa) - len(fraction)) if fraction else mantissa
+
+
+# decimals that reach the kernel's exact-rounding branches
+_DECIMALS = st.one_of(
+    # 16-20 significant digits, the dot anywhere: the double-double quotient
+    # and the rows too long for it
+    st.builds(_with_dot, st.builds(str.__add__, st.sampled_from("123456789"),
+                                   st.text("0123456789", min_size=15, max_size=19)),
+              st.integers(0, 20)),
+    # near and exact rounding midpoints
+    st.builds(_midpoint_string, st.floats(1e-6, 2.0**64), st.integers(17, 20),
+              st.integers(-1, 1)),
+    # 19-22 fraction digits
+    st.builds(lambda width, digits: "0." + str(digits).rjust(width, "0"),
+              st.integers(19, 22), st.integers(1, 10**15)),
+    st.builds("{}e{}".format, st.integers(1, 10**18), st.integers(-30, 30)),
+)
+_ASCII_PADDING = st.sampled_from(["", " ", "\t", "  \t "])
 _VALID = st.one_of(
     _POSITIVE.map(repr),
     _POSITIVE.map(lambda v: f"{v:.6g}"),
@@ -291,6 +327,7 @@ _VALID = st.one_of(
         "1_000", "2_5.0_1", "+2.5", ".5", "5.", "1e-320", "4.9e-324",
         "\u0661\u0662", "\uff11.5",
     ]),
+    _DECIMALS,
 )
 _INVALID = st.one_of(
     st.sampled_from([
@@ -301,8 +338,8 @@ _INVALID = st.one_of(
     ]),
     st.text(alphabet="0123456789.eE+-_ xn\t#", max_size=8),
 )
-# characters that str.splitlines breaks a line at but NumPy's reader reads
-# as whitespace inside one line
+# characters that str.splitlines breaks a line at, inside what a reader
+# splitting at newlines alone would take for one line
 _INLINE_BREAK = st.sampled_from(
     ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 )
@@ -329,7 +366,10 @@ def _two_numbers(numbers):
 @given(
     lines=st.one_of(
         st.lists(_padded(_VALID), max_size=30),
-        # one bad line among good ones: the fast path alone must reject it
+        # rows with ASCII blanks only, which the kernel reads without declining
+        st.lists(st.tuples(_ASCII_PADDING, st.one_of(_POSITIVE.map(repr), _DECIMALS),
+                           _ASCII_PADDING).map("".join), max_size=30),
+        # one bad line among good ones: the kernel alone must decline it
         st.tuples(
             st.lists(_padded(_VALID), max_size=15), _padded(_INVALID),
             st.lists(_padded(_VALID), max_size=15),
@@ -342,7 +382,7 @@ def _two_numbers(numbers):
         st.lists(_padded(_two_numbers(_VALID)), min_size=1, max_size=20),
         st.lists(_padded(_two_numbers(st.one_of(_VALID, _INVALID))),
                  min_size=1, max_size=20),
-        # a line break for splitlines inside what NumPy reads as one line
+        # a line break for splitlines inside what a newline split takes for one line
         st.lists(
             _padded(st.one_of(
                 _VALID,
@@ -375,6 +415,30 @@ def test_read_sample_file_matches_the_line_scan(tmp_path, lines, newline, traili
         assert str(got.value) == str(exc)
     else:
         assert read_sample_file(p).values.tobytes() == expected.tobytes()
+
+
+def _kernel_matches_the_line_scan(path):
+    with open(path, "rb") as fh:
+        values = _read_decimals(fh)
+    assert values is not None, "the kernel declined the file"
+    assert values.tobytes() == _line_scan(path).tobytes()
+
+
+def test_the_kernel_reads_reprs_over_many_scales_as_the_line_scan(tmp_path):
+    values = np.exp(np.random.default_rng(18).uniform(-40.0, 40.0, 200_000))
+    p = tmp_path / "obs.txt"
+    p.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+    _kernel_matches_the_line_scan(p)
+
+
+def test_the_kernel_reads_midpoint_decimals_as_the_line_scan(tmp_path):
+    rng = np.random.default_rng(19)
+    values = np.exp(rng.uniform(-14.0, 44.0, 10_000)).tolist()
+    digits, shifts = rng.integers(17, 21, 10_000), rng.integers(-1, 2, 10_000)
+    p = tmp_path / "obs.txt"
+    p.write_text("".join(f"{_midpoint_string(v, int(d), int(s))}\n"
+                         for v, d, s in zip(values, digits, shifts)))
+    _kernel_matches_the_line_scan(p)
 
 
 def test_read_sample_file_never_decompresses(tmp_path):
@@ -473,7 +537,7 @@ def test_read_sample_file_names_the_bad_line_of_a_fifo(tmp_path, data, message):
     ids=["digit-separator", "digit-separator-last", "arabic-digit-first", "form-feed"],
 )
 def test_read_sample_file_reads_a_fifo_in_full(tmp_path, data, expected):
-    # the C reader rejects each of these after reading ahead; a FIFO cannot
+    # the kernel declines each of these after reading ahead; a FIFO cannot
     # be rewound, so it must go to the line scan from the start
     assert _read_through_fifo(tmp_path, data).values.tolist() == expected
 

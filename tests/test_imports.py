@@ -260,3 +260,21 @@ def test_reading_sample_files_loads_no_decompressor(tmp_path):
     before, after = _run(code)
     assert "gzip" not in after
     assert after == before
+
+
+def test_estimate_on_a_plain_file_loads_nothing_beyond_its_layers(tmp_path):
+    # reading a sample needs only numpy, io and os, so an estimate's startup
+    # cannot grow; argparse's messages load locale through gettext
+    sample = tmp_path / "sample.txt"
+    sample.write_text("".join(f"{0.1 * (i % 17) + 0.05}\n" for i in range(400)))
+    argv = ["estimate", "--system", "mg1n", "--characteristic", "busy", "--rate", "0.8",
+            "--mean-service", "0.9", "--n", "6", "--input", str(sample)]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import lossq.cli, lossq.ecdf, lossq.intervals, lossq.moments, lossq.recursion\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert lossq.cli.main({argv!r}) == 0\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    assert set(_run(code)) <= {"_locale", "locale"}

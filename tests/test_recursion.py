@@ -696,6 +696,16 @@ def test_an_overflowed_lower_chain_clamps_instead_of_turning_nan():
     assert np.all(got.lower[324:] == 0.0) and np.all(got.clamped[324:])
 
 
+def test_an_overflowed_first_lower_level_clamps_instead_of_turning_nan():
+    # 1 / (r_0 + eps) overflows and the lead 1 - r_1 - gamma is clamped to 0:
+    # level 2 would be 0 * inf = NaN
+    moments = MomentVector(rate=1.0, values=np.array([5e-324, 0.665, 0.147]))
+    got = solve_recursion(moments, 3, 5e-324, 0.5)
+    assert got.lower.tolist() == [math.inf, 0.0, 0.0]
+    assert got.clamped.tolist() == [False, True, True]
+    assert np.all(got.upper == math.inf)
+
+
 # ---------------------------------------------------------------------------
 # The point-chain cache
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ import json
 import os
 import sys
 import tempfile
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +52,61 @@ def _sample_files() -> dict[str, str]:
         "empty.txt": "",
         "bad.txt": "1.0\nabc\n2.0\n",
         "negative.txt": "1.0\n-2.0\n",
+        **_parse_edge_files(),
     }
+
+
+# sample files that take the reader's less common branches: line endings,
+# padding, signs and exponents, decimals too long or too close to a rounding
+# midpoint to convert directly, forms only the line scan reads, and a large
+# file spanning many blocks
+_PARSE_EDGES = ("crlf.txt", "no-final-newline.txt", "trailing-blank.txt", "padded.txt",
+                "signed.txt", "long.txt", "midpoints.txt", "forms.txt", "large.txt")
+
+
+def _parse_edge_files() -> dict[str, str]:
+    rng = np.random.default_rng(20092)
+    values = rng.exponential(1.0, 400).tolist()
+    reprs = [repr(v) for v in values]
+    pads = (" ", "\t", "  \t", "")
+    signed = [
+        (f"+{v!r}", f"{v:e}", f"{v * 1e3:.10g}E-3", f"+{v:.4e}")[i % 4]
+        for i, v in enumerate(values)
+    ]
+    long = [_truncated(Decimal(v), 19 + i % 2) for i, v in enumerate(values)]
+    return dict(zip(_PARSE_EDGES, (
+        "\r\n".join(reprs) + "\r\n",
+        "\n".join(reprs),
+        "\n".join(reprs) + "\n\n",
+        "".join(f"{pads[i % 4]}{s}{pads[(i + 1) % 4]}\n" for i, s in enumerate(reprs)),
+        "\n".join(signed) + "\n",
+        "\n".join(long) + "\n",
+        "".join(f"{s}\n" for s in _midpoints(values)),
+        "1.\n.5\n1_000\n" + "\n".join(reprs[:50]) + "\n",
+        "".join(f"{v!r}\n" for v in rng.exponential(1.0, 200_000).tolist()),
+    ), strict=True))
+
+
+def _truncated(exact: Decimal, digits: int) -> str:
+    """``exact`` in positional notation, cut to ``digits`` significant digits."""
+    text = format(exact, "f")
+    whole, _, fraction = text.partition(".")
+    lead = len(whole + fraction) - len((whole + fraction).lstrip("0"))
+    keep = max(lead + digits - len(whole), 0)
+    return f"{whole}.{fraction[:keep]}" if keep else whole
+
+
+def _midpoints(values: list[float]) -> list[str]:
+    """The exact midpoint above each value, cut to 17-20 significant digits,
+    then moved by -1, 0 or +1 in its last digit."""
+    out = []
+    for i, v in enumerate(values):
+        text = _truncated(Decimal(v) + Decimal(float(np.spacing(v))) / 2, 17 + i % 4)
+        whole, _, fraction = text.partition(".")
+        mantissa = str(int(whole + fraction) + (i % 3) - 1).rjust(len(whole + fraction), "0")
+        cut = len(mantissa) - len(fraction)
+        out.append(f"{mantissa[:cut]}.{mantissa[cut:]}" if fraction else mantissa)
+    return out
 
 
 _SAMPLES = ("exp.txt", "small.txt", "heavy.txt", "det.txt")
@@ -152,6 +207,11 @@ def _calls():
     yield {SEED_ENV_VAR: "x"}, ["reproduce"]
     for argv in ([], ["frobnicate"], ["--help"], ["quantile", "--help"]):
         yield {}, argv
+    for sample in _PARSE_EDGES:
+        yield {}, ["moments", "--input", sample, "--rate", "1", "--order", "10"]
+        yield {}, ["estimate", "--system", "mg1n", "--characteristic", "busy", "--rate",
+                   "0.8", "--mean-service", "1.25", "--n", "50", "--input", sample,
+                   "--confidence", "0.95", "--format", "json"]
 
 
 def _run(env: dict, argv: list[str]) -> tuple[str, int]:
