@@ -11,6 +11,7 @@ the moment coefficients.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 
@@ -33,6 +34,8 @@ _SERIES_Z = 0.5
 _BISECT_LO, _BISECT_HI = 0.0, 10.0
 _BISECT_TOL = 1e-12
 _BISECT_REL = 1e-10
+# quantile remembers this many (law, level) pairs
+_QUANTILE_CACHE = 256
 
 
 class LimitLaw(enum.Enum):
@@ -236,11 +239,14 @@ def _bisect(below, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+@functools.lru_cache(maxsize=_QUANTILE_CACHE)
 def quantile(law: LimitLaw, p: float) -> float:
     """Solve law(z*) = p by bisection on [0, 10], to a 1e-12 bracket and a
     relative 1e-10 one.  Above p = 0.5 the bisection compares the survival
     function with 1 - p, which is exact there, so that levels close to 1
-    keep their relative accuracy."""
+    keep their relative accuracy.  Results are memoised, so that each
+    interval table reuses its levels' quantiles; an invalid level raises on
+    every call."""
     if not 0.0 < p < 1.0:
         raise ValueError("quantile level must lie strictly between 0 and 1")
     if p <= 0.5:

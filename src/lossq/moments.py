@@ -31,6 +31,14 @@ _SUM_TOL = 1e-9
 # relative size, against the weight at the window's largest observation,
 # below which moments_empirical drops a weight: one unit in the last place
 _WINDOW_CUT = 2.0**-53
+# moments_empirical runs orders 1-32, 33-64, ... as blocks on unnormalised
+# weights, keeping a block's rows in one buffer of this many doubles when
+# they fit and updating the window in place otherwise
+_BLOCK = 32
+_BLOCK_BUFFER = 2**15
+# a window of at most this many observations fills its block's rows with one
+# accumulate along the orders, which is faster there than a call per row
+_ACCUMULATE_WINDOW = 128
 _TINY = np.finfo(float).tiny
 _LOG_TINY = math.log(_TINY)
 _HALF_ULP = 2.0**-53
@@ -102,24 +110,43 @@ class MomentVector:
 def moments_empirical(ecdf: EmpiricalCdf, rate: float, order: int) -> MomentVector:
     """Exact atomic sums over an empirical CDF.
 
-    Each observation x contributes weight ``exp(-rate x) (rate x)^i / i!``
-    divided by the number of observations N; successive orders update the
-    weights in place by the recurrence w_{i+1} = w_i * (rate x) / (i + 1).
+    Each observation x contributes weight
+    ``w_i(x) = exp(-rate x) (rate x)^i / i!`` divided by the number of
+    observations N.  r_0 is the mean of all N weights.
 
-    r_0 is the mean of all N weights.  Higher orders sum an active window
-    of the sorted observations.  An observation whose ``exp(-rate x)`` is
-    below the smallest normal double (``rate x`` above about 708) joins the
-    window at the first order whose log weight
-    ``i log(rate x) - rate x - lgamma(i + 1)`` is normal, as in Fox & Glynn
-    (1988), so that no weight is built from a subnormal or zero start.
-    After each order the window drops its leading run of weights below
-    ``2^-53 w(x_max) / N``, where x_max is the largest observation in the
-    window; observations at ``rate x = 0`` go at order 1.  For x < x_max
-    the ratio w_i(x) / w_i(x_max) falls as i grows, so a dropped weight
-    stays below that cut at every later order, and the mass dropped from
-    any r_j is at most ``2^-53 r_j``.  Once every weight in the window is 0
-    and no observation is left to join, all higher coefficients are exactly
-    0 and the loop stops, and the tail beyond the order is 0 as well.
+    Higher orders sum an active window of the sorted observations in fixed
+    blocks of 32 orders: 1-32, 33-64, and so on.  Within a block from order
+    i0 the weights are kept unnormalised, with one product
+    ``u <- u (rate x)`` per order, so that at order i each u is
+    ``w_i(x) P_i`` with ``P_i = i0 (i0 + 1) ... i``; r_i is the row sum
+    divided by P_i and then by N.  At the block's end the weights are
+    divided by its last P once.  u never exceeds P_i, and a product of at
+    most 32 orders below about 2^31 is below 2^992, so neither overflows:
+    ``out``'s allocation already keeps the order below 2^31, and the join
+    rule below keeps each window observation's ``rate x`` below 2^32.  A
+    block whose window has at most ``2^15 / 32`` observations writes its
+    rows into one reused buffer and sums them in one reduction; a wider
+    window is updated in place and summed once per order.  Both take the
+    same products and the same pairwise sums, so they give the same bits.
+
+    An observation whose ``exp(-rate x)`` is below the smallest normal
+    double (``rate x`` above about 708) joins the window at the first order
+    whose log weight ``i log(rate x) - rate x - lgamma(i + 1)`` is normal,
+    as in Fox & Glynn (1988), so that no weight is built from a subnormal or
+    zero start.  A block ends before the order at which the next unjoined
+    observation joins, and that order is one step on normalised weights,
+    ``w <- w (rate x) / i``, so an observation that never joins costs no
+    such steps.
+
+    After each block and each one-order step the window drops its leading
+    run of weights below ``2^-53 w(x_max) / N``, where x_max is the largest
+    observation in the window; observations at ``rate x = 0`` go after the
+    first block.  The ratio u(x) / u(x_max) is w_i(x) / w_i(x_max), which
+    for x < x_max falls as i grows, so a dropped weight stays below that cut
+    at every later order, and the mass dropped from any r_j is at most
+    ``2^-53 r_j``.  Once every weight in the window is 0 and no observation
+    is left to join, all higher coefficients are exactly 0 and the loop
+    stops, and the tail beyond the order is 0 as well.
 
     When the loop runs to the order, the tail is the mean of the upper
     Poisson tails P(N_x > order) over the last window, with 1 for each
@@ -140,19 +167,39 @@ def moments_empirical(ecdf: EmpiricalCdf, rate: float, order: int) -> MomentVect
     # w is nonincreasing along the sorted observations, so the weights below
     # the smallest normal double are a trailing run, which joins in order
     lo, hi = 0, n - int(np.searchsorted(w[::-1], _TINY))
-    for i in range(1, order + 1):
-        window = w[lo:hi]
-        np.multiply(window, ax[lo:hi], out=window)
-        np.divide(window, i, out=window)
+    buf = None
+    i = 1
+    while i <= order:
+        # the fixed block holding order i, cut short before the order at
+        # which the next unjoined observation joins
+        end = min(order, (i - 1) // _BLOCK * _BLOCK + _BLOCK)
         if hi < n:
+            end = _before_join(ax[hi], i, end)
+        window = w[lo:hi]
+        if end < i:
+            # an observation joins at order i: one order, weights normalised
+            np.multiply(window, ax[lo:hi], out=window)
+            np.divide(window, i, out=window)
             joined, log_fact = hi, math.lgamma(i + 1)
-            while hi < n and i * math.log(ax[hi]) - ax[hi] - log_fact >= _LOG_TINY:
+            while hi < n and _joins(ax[hi], i, log_fact):
                 hi += 1
             new = ax[joined:hi]
             w[joined:hi] = np.exp(i * np.log(new) - new - log_fact)
             window = w[lo:hi]
-        total = np.add.reduce(window)
-        out[i] = total / n
+            total = np.add.reduce(window)
+            out[i] = total / n
+            end = i
+        else:
+            # orders i..end on unnormalised weights, each row sum divided by
+            # i (i + 1) ... (its order) and then by N
+            facts = np.multiply.accumulate(np.arange(i, end + 1, dtype=float))
+            narrow = (hi - lo) * _BLOCK <= _BLOCK_BUFFER
+            if narrow and buf is None:
+                buf = np.empty(_BLOCK_BUFFER)
+            sums = _block_sums(window, ax[lo:hi], facts, buf if narrow else None)
+            np.divide(sums, n, out=out[i:end + 1])
+            total = sums[-1]
+        i = end + 1
         # a sum of non-negative weights is 0 only if every weight is 0
         if total == 0.0:
             if hi == n:
@@ -166,14 +213,68 @@ def moments_empirical(ecdf: EmpiricalCdf, rate: float, order: int) -> MomentVect
     else:
         # the loop ran to the order: the mass beyond it is the window's upper
         # Poisson tails, and 1 for each observation that never joined.  The
-        # weights are released first so that the tails' temporaries can reuse
-        # their memory; kept alive, they raised a 1e6-line estimate's peak
-        # RSS by about 3 MB
-        w = window = None
+        # weights and every view of them are released first so that the
+        # tails' temporaries can reuse their memory; kept alive, they raised
+        # a 1e6-line estimate's peak RSS by about 3 MB
+        w = window = buf = None
         tails = _poisson_tails(order + 1, ax[lo:hi])[1]
         return MomentVector(rate=rate, values=out,
                             tail=(math.fsum(tails.tolist()) + (n - hi)) / n)
     return MomentVector(rate=rate, values=out, tail=0.0)
+
+
+def _block_sums(window: np.ndarray, axw: np.ndarray, facts: np.ndarray,
+                buf: np.ndarray | None) -> np.ndarray:
+    """Row sums of one block's orders over the window, each divided by its
+    running product in ``facts``, for weights u <- u (rate x) once per
+    order; the window is left at the block's last order, divided by the
+    last product.  The rows go into ``buf`` when one is given, and
+    otherwise the window is updated in place, one sum per order."""
+    count = facts.size
+    if buf is not None:
+        rows = buf[:count * window.size].reshape(count, window.size)
+        np.multiply(window, axw, out=rows[0])
+        if window.size <= _ACCUMULATE_WINDOW:
+            # the same products, row after row, in three calls
+            rows[1:] = axw
+            np.multiply.accumulate(rows, axis=0, out=rows)
+        else:
+            for k in range(1, count):
+                np.multiply(rows[k - 1], axw, out=rows[k])
+        sums = np.add.reduce(rows, axis=1)
+        last = rows[-1]
+    else:
+        sums = np.zeros(count)
+        for k in range(count):
+            np.multiply(window, axw, out=window)
+            sums[k] = np.add.reduce(window)
+            # every row after an all-zero row is 0 too
+            if sums[k] == 0.0:
+                break
+        last = window
+    np.divide(last, facts[-1], out=window)
+    return np.divide(sums, facts, out=sums)
+
+
+def _joins(a: float, i: int, log_fact: float) -> bool:
+    """Whether the weight at ``rate x = a`` is normal at order i, given
+    lgamma(i + 1); false for an infinite ``a``."""
+    return i * math.log(a) - a - log_fact >= _LOG_TINY
+
+
+def _before_join(a: float, i: int, end: int) -> int:
+    """The last order in i..end before the one at which the unjoined
+    observation at ``rate x = a`` joins, or ``end`` if it joins later.
+
+    Its log weight rises while the order is below ``a``, and reaches the
+    normal range before it peaks near ``a``, so it cannot join in i..end if
+    it is still below that range at an ``end`` at most ``a``."""
+    if end <= a and not _joins(a, end, math.lgamma(end + 1)):
+        return end
+    for j in range(i, end + 1):
+        if _joins(a, j, math.lgamma(j + 1)):
+            return j - 1
+    return end
 
 
 def moments_exponential(rate: float, service_rate: float, order: int) -> MomentVector:

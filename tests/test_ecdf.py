@@ -573,10 +573,11 @@ def large_sample_file(tmp_path):
 
 def test_ingest_holds_few_copies_of_the_sample(large_sample_file):
     # in units of one float64 copy of the sample (8N bytes).  Reading holds
-    # the C reader's table, which the Sample takes over uncopied; sorting the
-    # Sample and its sorted copy, which the ECDF takes over (each plus a
-    # boolean check temporary of N bytes); the moments the ECDF, rate*x and
-    # the weights once the Sample is dropped, with no fourth copy for -rate*x
+    # the block reader's preallocated result, which the Sample takes over
+    # uncopied, plus about 0.2 x 8N of block scratch; sorting the Sample
+    # and its sorted copy, which the ECDF takes over (each plus a boolean
+    # check temporary of N bytes); the moments the ECDF, rate*x and the
+    # weights once the Sample is dropped, with no fourth copy for -rate*x
     path, n = large_sample_file
     copy = 8 * n
     gc.collect()

@@ -235,6 +235,20 @@ def test_width_scales_with_root_sample_size(law, n):
     assert law_cdf(law, spec.width * math.sqrt(n)) == pytest.approx(0.95, abs=1e-9)
 
 
+def test_quantiles_are_memoised_and_an_invalid_level_raises_every_time():
+    quantile.cache_clear()
+    first = width_for(LimitLaw.ONE_SIDED_SUM, 0.9, 400)
+    again = width_for(LimitLaw.ONE_SIDED_SUM, 0.9, 400)
+    assert first == again
+    assert quantile.cache_info().hits == 1
+    # the remembered quantile is the one a fresh bisection gives
+    assert quantile(LimitLaw.ONE_SIDED_SUM, 0.9) == quantile.__wrapped__(
+        LimitLaw.ONE_SIDED_SUM, 0.9)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="quantile level"):
+            width_for(LimitLaw.TWO_SIDED, 1.5, 100)
+
+
 def test_width_rejects_a_sample_size_past_the_largest_float():
     with pytest.raises(ValueError, match="too large"):
         width_for(LimitLaw.TWO_SIDED, 0.95, 10**400)

@@ -112,30 +112,36 @@ def test_large_exponential_sample_tracks_closed_form():
     assert np.max(np.abs(m.values - EXACT_EXPONENTIAL)) < 0.015
 
 
-def _full_array_moments(xs: np.ndarray, rate: float, order: int) -> np.ndarray:
-    """The plain recurrence summed over every observation at every order."""
+def _block_rows(xs: np.ndarray, rate: float, order: int):
+    """The kernel's arithmetic over every observation: in each block of
+    orders 1-32, 33-64, ... the weights are multiplied by rate x once per
+    order, and divided by the running product of the block's orders at its
+    end.  Yields each order's row of unnormalised weights and that product."""
     ax = rate * xs
-    w = np.exp(-ax)
-    out = np.empty(order + 1)
-    out[0] = w.mean()
+    u = np.exp(-ax)
+    yield u, 1.0
+    facts = 1.0
     for i in range(1, order + 1):
-        w = w * ax / i
-        out[i] = w.mean()
-    return out
+        u = u * ax
+        facts *= i
+        yield u, facts
+        if i % 32 == 0:
+            u, facts = u / facts, 1.0
+
+
+def _full_array_moments(xs: np.ndarray, rate: float, order: int) -> np.ndarray:
+    """The kernel's recurrence summed over every observation at every order."""
+    return np.array([u.sum() / facts / xs.size for u, facts in _block_rows(xs, rate, order)])
 
 
 def _exact_sums(xs: np.ndarray, rate: float, order: int) -> np.ndarray:
-    """The weights of :func:`_full_array_moments`, each order summed exactly
-    by ``math.fsum`` and then divided by N."""
-    ax = rate * xs
-    w = np.exp(-ax)
+    """The rows of :func:`_full_array_moments`, each summed exactly by
+    ``math.fsum`` and then divided by the running product and by N."""
     out = np.zeros(order + 1)
-    out[0] = math.fsum(w.tolist()) / xs.size
-    for i in range(1, order + 1):
-        w = w * ax / i
-        if not w.any():
+    for i, (u, facts) in enumerate(_block_rows(xs, rate, order)):
+        if not u.any():
             break
-        out[i] = math.fsum(w.tolist()) / xs.size
+        out[i] = math.fsum(u.tolist()) / facts / xs.size
     return out
 
 
@@ -170,16 +176,16 @@ _MAX_AX = 700.0
     seed=st.integers(0, 2**32 - 1),
 )
 # the windowed sum of 240 weights lands 11 ulp from the exact sum here, the
-# full-array loop 3 ulp: both within the pairwise-summation bound
+# full-array loop 4 ulp: both within the pairwise-summation bound
 @example(n=307, low=0.0, decades=3.625, ties=True, rate=40.0, order=478, seed=26491)
-# one observation at rate x = 400: the coefficients sum to 1 + 9 ulp
+# one observation at rate x = 400: the coefficients sum to 1 + 4 ulp
 @example(n=1, low=1.0, decades=0.0, ties=False, rate=40.0, order=571, seed=0)
 def test_windowed_sums_match_the_full_array_loop(n, low, decades, ties, rate, order, seed):
-    # Both loops sum bit-identical weights, in different orders and the
-    # kernel over a window; each lies within NumPy's pairwise-summation
-    # error of the exact sum (plus the division by N and a margin for
-    # second-order terms), the kernel also within the 2^-53 r_j its window
-    # cut may drop.
+    # Both loops sum bit-identical rows of unnormalised weights, in
+    # different orders and the kernel over a window; each lies within
+    # NumPy's pairwise-summation error of the exact sum (plus the divisions
+    # by the running product and by N, and a margin for second-order
+    # terms), the kernel also within the 2^-53 r_j its window cut may drop.
     rng = np.random.default_rng(seed)
     xs = 10.0 ** rng.uniform(low, low + decades, n)
     if ties:
@@ -195,7 +201,8 @@ def test_windowed_sums_match_the_full_array_loop(n, low, decades, ties, rate, or
     assert np.all(np.abs(got - exact)[~normal] <= 1e-300)
     assert abs(_last_nonzero(got) - _last_nonzero(want)) <= 1
     # the true coefficients sum to at most 1; a weight of order j carries
-    # the rounding of its exp and of two operations per order, the kernel's
+    # the rounding of its exp, of one product per order and of the running
+    # product it is divided by, the kernel's
     # sum and this one add their pairwise-summation error, plus the margin
     slack = 2 * order + 5 + _pairwise_depth(n) + _pairwise_depth(order + 1)
     assert float(got.sum()) <= 1.0 + slack * 2.0**-53
@@ -226,6 +233,72 @@ def test_late_observations_join_at_their_first_normal_weight(xs):
     # a weight that joins from its log carries that log's rounding, about
     # 708 * 2^-53 relative, and passes it on to all its later orders
     assert float(got.sum()) <= 1.0 + 2e-13
+
+
+def _plain_loop(xs: np.ndarray, rate: float, order: int) -> np.ndarray:
+    """Every observation's weight updated by w * (rate x) / i at each order."""
+    ax = rate * xs
+    w = np.exp(-ax)
+    out = np.empty(order + 1)
+    out[0] = w.mean()
+    for i in range(1, order + 1):
+        w = w * ax / i
+        out[i] = w.mean()
+    return out
+
+
+_RNG = np.random.default_rng(19)
+
+
+# (sample, rate, order) around the kernel's block edges
+@pytest.mark.parametrize("xs, rate, order", [
+    # orders that end a block early, on its last order, or one past it
+    *((_RNG.gamma(2.0, 0.5, 40), 3.0, order) for order in (31, 32, 33, 63, 64, 65)),
+    # a window whose block fits the row buffer, and one a row too wide for it
+    (_RNG.uniform(0.2, 1.8, 1024), 1.0, 33),
+    (_RNG.uniform(0.2, 1.8, 1025), 1.0, 33),
+    # late joiners among small rate x, and one that joins past the order
+    ([0.25, 0.5, 1.0, 2.0, 720.0, 800.0], 1.0, 900),
+    ([0.25, 1.0, 3.0, 720.0, 800.0, 1e4], 1.0, 1000),
+    # rate x below 1 everywhere: the run stops on an all-zero row
+    (_RNG.uniform(0.0, 0.9, 30), 1.0, 400),
+    (_RNG.exponential(1.0, 30), 1.0, 400),
+], ids=lambda v: f"{len(v)}" if np.ndim(v) else None)
+def test_block_edges_match_the_60_digit_mixture(xs, rate, order):
+    xs = np.sort(np.asarray(xs, dtype=float))
+    got = moments_empirical(build_ecdf(Sample(xs)), rate, order).values
+    want = _poisson_mixture(xs, rate, order)
+    # each order adds a rounding to the weights and to the running product.
+    # A weight that joins late is the exp of its log, about -708, and keeps
+    # that log's rounding, under 2 (rate x) ulps where rate x is below 1000
+    ax = rate * xs
+    joined = 2.0 * ax[(ax > 708.0) & (ax < 1e3)].max(initial=0.0)
+    ulps = 2 * np.arange(order + 1) + 5 + joined
+    normal = want >= 1e-290
+    assert np.all(np.abs(got - want)[normal] <= ulps[normal] * 2.0**-53 * want[normal])
+    assert np.all(np.abs(got - want)[~normal] <= 1e-300)
+    # observations past rate x ~ 708 carry no weight in the plain loop
+    reference = _plain_loop(xs, rate, order) if rate * xs[-1] < 700.0 else want
+    assert abs(_last_nonzero(got) - _last_nonzero(reference)) <= 1
+
+
+@pytest.mark.parametrize("xs, order", [
+    *((_RNG.gamma(2.0, 0.5, n), 70) for n in (5, 100, 500)),
+    (_RNG.gamma(2.0, 0.5, 1024), 40),
+    # every weight equal, so no cut narrows the window before the all-zero row
+    (np.full(1000, 0.5), 400),
+], ids=lambda v: f"{len(v)}" if np.ndim(v) else None)
+def test_buffered_and_in_place_blocks_agree_bit_for_bit(monkeypatch, xs, order):
+    # the same products and the same pairwise row sums, however a block
+    # holds its rows: accumulated or row by row in the buffer, or in place
+    ecdf = build_ecdf(Sample(xs))
+    runs = []
+    for buffer, accumulate in ((2**15, 128), (2**15, 0), (0, 0)):
+        monkeypatch.setattr("lossq.moments._BLOCK_BUFFER", buffer)
+        monkeypatch.setattr("lossq.moments._ACCUMULATE_WINDOW", accumulate)
+        got = moments_empirical(ecdf, 1.0, order)
+        runs.append((got.values.tobytes(), got.tail))
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_leading_coefficient_is_the_plain_mean():

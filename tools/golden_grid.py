@@ -176,6 +176,9 @@ def _calls():
     yield {}, ["quantile", "--law", "two-sided", "--p", "0.95", "--n", "0"]
     for sample, rate, order in itertools.product(_SAMPLES, ("0.5", "1", "3"), ("0", "4", "40")):
         yield {}, ["moments", "--input", sample, "--rate", rate, "--order", order]
+    # deep orders: blocks of many rows, the stop on an all-zero row, the tail
+    for sample, rate, order in itertools.product(_SAMPLES, ("0.5", "3"), ("300", "1000")):
+        yield {}, ["moments", "--input", sample, "--rate", rate, "--order", order]
     for sample in ("empty.txt", "bad.txt", "missing.txt"):
         yield {}, ["moments", "--input", sample, "--rate", "1", "--order", "4"]
     for argv in _estimate_calls():
