@@ -29,7 +29,7 @@ import sys
 
 from .choices import Characteristic, Method
 from .errors import DegeneracyError
-from .kolmogorov import ConfidenceSpec, LimitLaw, quantile, width_for
+from .kolmogorov import LimitLaw, quantile, width_for
 
 __all__ = ["main"]
 
@@ -141,7 +141,7 @@ def _render_levels(columns: dict[str, list], fmt: str = "table",
 def _run_quantile(args: argparse.Namespace) -> int:
     law = LimitLaw(args.law)
     z = quantile(law, args.p)
-    width = None if args.n is None else width_for(law, args.p, args.n).width
+    width = None if args.n is None else width_for(law, args.p, args.n)
     print(f"z* = {z:.6f}")
     if width is not None:
         print(f"width = {width:.6f}")
@@ -179,8 +179,8 @@ def _run_estimate(args: argparse.Namespace) -> int:
         spec, moments, args.confidence, ecdf.n_obs, Method(args.method), args.n,
     )
     header.update(method=table.method.value, n_obs=ecdf.n_obs, confidence=[
-        {"law": c.law.value, "confidence": c.confidence, "n_obs": c.n_obs, "width": c.width}
-        for c in table.confidence
+        {"law": law.value, "confidence": args.confidence, "n_obs": ecdf.n_obs, "width": width}
+        for law, width in zip(table.method.laws, table.widths)
     ])
     columns = {name: getattr(table, name).tolist() for name in ("lower", "point", "upper")}
     print(_render_levels({**columns, "flags": table.flags()}, args.format, header))
@@ -262,11 +262,10 @@ def _run_reproduce(args: argparse.Namespace) -> int:
         if args.fixture is None:
             table = interval_table(busy, empirical, 0.95, args.n_obs, method, order)
         else:
-            widths = tuple(ConfidenceSpec(0.95, 10_000, law, FIXTURE_WIDTHS[law])
-                           for law in method.laws)
+            widths = tuple(FIXTURE_WIDTHS[law] for law in method.laws)
             table = _interval_table(busy, empirical, method, widths, order)
-        detail = ", ".join(f"{name} = {c.width:g}"
-                           for name, c in zip(("eps", "gamma"), table.confidence))
+        detail = ", ".join(f"{name} = {width:g}"
+                           for name, width in zip(("eps", "gamma"), table.widths))
         columns = {name: getattr(table, name).tolist() for name in ("point", "lower", "upper")}
         print()
         print(f"busy-period bounds, {method.name.lower().replace('_', '-')} method "

@@ -359,8 +359,7 @@ def _decimal_block(buf: bytearray, cut: int) -> np.ndarray | None:
         start = nl[i - 1] + 1 if i else _HEAD
         text = buf[start:nl[i]].strip()
         if not text:
-            if blank is None:
-                blank = np.zeros(nl.size, bool)
+            # only the second branch redoes a row without a dot
             blank[i] = True
             continue
         try:

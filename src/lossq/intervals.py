@@ -6,7 +6,8 @@ choose its widths: the two-sided-statistic method perturbs ``r_0`` by the
 width of the two-sided statistic and the tail by twice that width; the
 one-sided-statistics method uses the width of the one-sided statistic for
 ``r_0`` and the width of the *sum* of the two one-sided statistics for the
-tail.
+tail.  Each width is a float from :func:`lossq.kolmogorov.width_for`, and a
+table keeps one per limit law of its method.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .choices import Characteristic, Method
-from .kolmogorov import ConfidenceSpec, width_for
+from .kolmogorov import width_for
 from .moments import MomentVector
 from .recursion import CharacteristicSpec
 
@@ -61,14 +62,15 @@ class IntervalTable:
 
     ``lower``, ``point`` and ``upper`` are float arrays on the natural scale;
     ``upper_infinite``, ``clamped`` and ``degenerate`` are the per-level
-    flags.  ``rows`` is the same table as :class:`IntervalRow` objects,
-    built on first access.  The columns are copies: an array passed in is
-    left as it was.
+    flags.  ``widths`` are the additive widths z*/sqrt(N) of
+    ``method.laws``, in that order.  ``rows`` is the same table as
+    :class:`IntervalRow` objects, built on first access.  The columns are
+    copies: an array passed in is left as it was.
     """
 
     characteristic: Characteristic
     method: Method
-    confidence: tuple[ConfidenceSpec, ...]
+    widths: tuple[float, ...]
     lower: np.ndarray
     point: np.ndarray
     upper: np.ndarray
@@ -132,15 +134,15 @@ def _interval_table(
     spec: CharacteristicSpec,
     moments: MomentVector,
     method: Method,
-    widths: tuple[ConfidenceSpec, ...],
+    widths: tuple[float, ...],
     order: int,
 ) -> IntervalTable:
     """:func:`interval_table` for widths already resolved, one per law of
     ``method.laws``."""
     if method is Method.TWO_SIDED_STATISTIC:
-        eps, gamma = widths[0].width, 2.0 * widths[0].width
+        eps, gamma = widths[0], 2.0 * widths[0]
     else:
-        eps, gamma = (w.width for w in widths)
+        eps, gamma = widths
     chains = spec.chains(moments, order, eps, gamma)
     loss_probability = spec.kind is Characteristic.LOSS_PROBABILITY
     lower, point, upper = (spec.natural_scale(c)
@@ -164,7 +166,7 @@ def _interval_table(
         clamped |= floored
     degenerate = invalid | ~((lower <= point) & (point <= upper))
     return IntervalTable(
-        characteristic=spec.kind, method=method, confidence=widths,
+        characteristic=spec.kind, method=method, widths=widths,
         lower=lower, point=point, upper=upper, upper_infinite=np.isinf(upper),
         clamped=clamped, degenerate=degenerate,
     )

@@ -3,9 +3,12 @@
 Three laws are covered: the classical Kolmogorov alternating-series law of
 the two-sided statistic, the one-sided law ``1 - exp(-2 z^2)``, and the law
 of the *sum* of the two one-sided statistics (the convolution of the
-one-sided law with itself, in closed form).  Quantiles are found by
-bisection and turned into additive confidence widths ``z* / sqrt(N)`` for
-the moment coefficients.
+one-sided law with itself, in closed form).  Each law is a CDF and a
+survival function, and its quantiles are found by bisection on the first
+up to level 0.5 and on the second above.  :func:`width_for` turns a
+quantile into the additive width ``z* / sqrt(N)`` on the moment
+coefficients, a plain float; the level and the sample size stay with the
+caller.
 """
 
 from __future__ import annotations
@@ -17,11 +20,9 @@ import sys
 
 __all__ = [
     "LimitLaw",
-    "ConfidenceSpec",
     "kolmogorov_cdf",
     "one_sided_cdf",
     "conv_cdf",
-    "normal_cdf",
     "law_cdf",
     "quantile",
     "width_for",
@@ -44,53 +45,6 @@ class LimitLaw(enum.Enum):
     TWO_SIDED = "two-sided"
     ONE_SIDED = "one-sided"
     ONE_SIDED_SUM = "one-sided-sum"
-
-
-class ConfidenceSpec:
-    """A confidence level resolved to an additive width for a sample size.
-
-    Frozen, compared and hashed by its four fields.  It is a plain class,
-    not a dataclass, so that ``lossq quantile`` does not import
-    ``dataclasses`` (and with it ``inspect``, ``ast``, ``dis`` and
-    ``tokenize``)."""
-
-    _FIELDS = ("confidence", "n_obs", "law", "width")
-
-    confidence: float
-    n_obs: int
-    law: LimitLaw
-    width: float
-
-    def __init__(self, confidence: float, n_obs: int, law: LimitLaw, width: float) -> None:
-        if not 0.0 < confidence < 1.0:
-            raise ValueError("confidence must lie strictly between 0 and 1")
-        if n_obs < 1:
-            raise ValueError("n_obs must be at least 1")
-        if width <= 0.0:
-            raise ValueError("width must be positive")
-        for name, value in zip(self._FIELDS, (confidence, n_obs, law, width)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._FIELDS)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
-        return f"{type(self).__qualname__}({fields})"
 
 
 def _alternating_tail(z: float) -> float:
@@ -158,18 +112,14 @@ def _one_sided_sf(z: float) -> float:
     return 1.0 if z <= 0.0 else math.exp(-2.0 * z * z)
 
 
-def normal_cdf(z: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
 def conv_cdf(z: float) -> float:
     """Law of the sum of the two independent one-sided statistics.
 
-    Closed form: 1 - exp(-2 z^2) - sqrt(pi) z exp(-z^2) (2 Phi(sqrt(2) z) - 1).
-    Below z = 0.5 the closed form cancels (the law is about (2/3) z^4 near
-    0), so the same function is summed as the all-positive series
-    exp(-w) sum_{m>=2} w^m (1/m! - 1/(2m-1)!!) in w = 2 z^2.
+    Closed form: 1 - exp(-2 z^2) - sqrt(pi) z exp(-z^2) erf(z), which is
+    ``1 - _conv_sf(z)``.  Below z = 0.5 the closed form cancels (the law is
+    about (2/3) z^4 near 0), so the same function is summed as the
+    all-positive series exp(-w) sum_{m>=2} w^m (1/m! - 1/(2m-1)!!) in
+    w = 2 z^2.
     """
     if z <= 0.0:
         return 0.0
@@ -187,42 +137,28 @@ def conv_cdf(z: float) -> float:
                 break
             total += term
         return math.exp(-w) * total
-    value = (
-        1.0
-        - math.exp(-2.0 * z * z)
-        - math.sqrt(math.pi)
-        * z
-        * math.exp(-z * z)
-        * (2.0 * normal_cdf(math.sqrt(2.0) * z) - 1.0)
-    )
-    return min(1.0, max(0.0, value))
+    return 1.0 - _conv_sf(z)
 
 
 def _conv_sf(z: float) -> float:
     """``1 - conv_cdf(z)``: exp(-2 z^2) + sqrt(pi) z exp(-z^2) erf(z), a sum
     of positive terms."""
-    if z < _SERIES_Z:
-        return 1.0 - conv_cdf(z)
     return min(1.0, math.exp(-2.0 * z * z)
                + math.sqrt(math.pi) * z * math.exp(-z * z) * math.erf(z))
 
 
-_LAW_CDFS = {
-    LimitLaw.TWO_SIDED: kolmogorov_cdf,
-    LimitLaw.ONE_SIDED: one_sided_cdf,
-    LimitLaw.ONE_SIDED_SUM: conv_cdf,
-}
-# each law's survival function 1 - F, accurate where F is close to 1
-_LAW_SFS = {
-    LimitLaw.TWO_SIDED: _kolmogorov_sf,
-    LimitLaw.ONE_SIDED: _one_sided_sf,
-    LimitLaw.ONE_SIDED_SUM: _conv_sf,
+# each law's CDF and its survival function 1 - F, which is accurate where F
+# is close to 1
+_LAWS = {
+    LimitLaw.TWO_SIDED: (kolmogorov_cdf, _kolmogorov_sf),
+    LimitLaw.ONE_SIDED: (one_sided_cdf, _one_sided_sf),
+    LimitLaw.ONE_SIDED_SUM: (conv_cdf, _conv_sf),
 }
 
 
 def law_cdf(law: LimitLaw, z: float) -> float:
     """Evaluate the chosen limit law at z."""
-    return _LAW_CDFS[law](z)
+    return _LAWS[law][0](z)
 
 
 def _bisect(below, lo: float, hi: float) -> float:
@@ -249,20 +185,17 @@ def quantile(law: LimitLaw, p: float) -> float:
     every call."""
     if not 0.0 < p < 1.0:
         raise ValueError("quantile level must lie strictly between 0 and 1")
+    cdf, sf = _LAWS[law]
     if p <= 0.5:
-        cdf = _LAW_CDFS[law]
         return _bisect(lambda z: cdf(z) < p, _BISECT_LO, _BISECT_HI)
-    sf, q = _LAW_SFS[law], 1.0 - p
+    q = 1.0 - p
     return _bisect(lambda z: sf(z) > q, _BISECT_LO, _BISECT_HI)
 
 
-def width_for(law: LimitLaw, confidence: float, n_obs: int) -> ConfidenceSpec:
-    """Resolve a confidence level to the additive width z*/sqrt(n_obs)."""
+def width_for(law: LimitLaw, confidence: float, n_obs: int) -> float:
+    """The additive width z*/sqrt(n_obs) of ``law`` at a confidence level."""
     if n_obs < 1:
         raise ValueError("n_obs must be at least 1")
     if n_obs > sys.float_info.max:
         raise ValueError("n_obs is too large to convert to a float")
-    z = quantile(law, confidence)
-    return ConfidenceSpec(
-        confidence=confidence, n_obs=n_obs, law=law, width=z / math.sqrt(n_obs)
-    )
+    return quantile(law, confidence) / math.sqrt(n_obs)

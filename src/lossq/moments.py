@@ -258,8 +258,9 @@ def _block_sums(window: np.ndarray, axw: np.ndarray, facts: np.ndarray,
 
 def _joins(a: float, i: int, log_fact: float) -> bool:
     """Whether the weight at ``rate x = a`` is normal at order i, given
-    lgamma(i + 1); false for an infinite ``a``."""
-    return i * math.log(a) - a - log_fact >= _LOG_TINY
+    lgamma(i + 1); false for an infinite ``a``, which is tested first so
+    that no ``inf - inf`` is formed."""
+    return a < math.inf and i * math.log(a) - a - log_fact >= _LOG_TINY
 
 
 def _before_join(a: float, i: int, end: int) -> int:

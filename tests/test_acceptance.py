@@ -83,7 +83,7 @@ def test_criterion_02_widths_at_ten_thousand():
         (LimitLaw.ONE_SIDED, 0.01224),
         (LimitLaw.ONE_SIDED_SUM, 0.0208),
     ):
-        w = width_for(law, 0.95, 10_000).width
+        w = width_for(law, 0.95, 10_000)
         if abs(w - target) > 1e-4:
             violations.append(f"{law.value}: {w:.6f} vs {target} ± 1e-4")
     _report(2, "widths-at-10k", violations)

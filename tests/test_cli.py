@@ -21,6 +21,7 @@ import lossq.moments
 from lossq.cli import SEED_ENV_VAR, _fmt, _render_text_table, build_parser, main
 from lossq.ecdf import build_ecdf
 from lossq.intervals import Method, interval_table
+from lossq.kolmogorov import LimitLaw, width_for
 from lossq.moments import MomentVector, moments_empirical, moments_exponential
 from lossq.recursion import Characteristic, CharacteristicSpec, estimate_characteristic
 from lossq.simulate import Exponential, draw_samples
@@ -241,8 +242,10 @@ def test_estimate_intervals_json_matches_the_library(capsys, unit_exp_sample):
     assert payload["system"] == "mg1n"
     assert payload["method"] == "one-sided"
     assert payload["n_obs"] == 10_000
-    assert [c["law"] for c in payload["confidence"]] == [
-        "one-sided", "one-sided-sum"
+    assert payload["confidence"] == [
+        {"law": law.value, "confidence": 0.95, "n_obs": 10_000,
+         "width": width_for(law, 0.95, 10_000)}
+        for law in (LimitLaw.ONE_SIDED, LimitLaw.ONE_SIDED_SUM)
     ]
     for row, expected in zip(payload["rows"], table.rows):
         assert row["level"] == expected.level
@@ -429,12 +432,12 @@ def _reference_render_intervals(args, table, n_obs):
         "n_obs": n_obs,
         "confidence": [
             {
-                "law": c.law.value,
-                "confidence": c.confidence,
-                "n_obs": c.n_obs,
-                "width": c.width,
+                "law": law.value,
+                "confidence": args.confidence,
+                "n_obs": n_obs,
+                "width": width,
             }
-            for c in table.confidence
+            for law, width in zip(table.method.laws, table.widths)
         ],
         "rows": [
             {
@@ -493,7 +496,7 @@ def test_interval_renderer_matches_the_row_based_renderer(monkeypatch, capsys, f
     for system, spec, moments, n_obs, order in _render_cases():
         for method in Method:
             table = interval_table(spec, moments, 0.95, n_obs, method, order)
-            args = argparse.Namespace(format=fmt, system=system)
+            args = argparse.Namespace(format=fmt, system=system, confidence=0.95)
             want = _reference_render_intervals(args, table, n_obs)
             assert _estimate_output(monkeypatch, capsys, fmt, system, spec, moments, n_obs,
                                     order, "--confidence", "0.95",

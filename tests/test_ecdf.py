@@ -464,6 +464,33 @@ def test_read_sample_file_rejects_comment_lines(tmp_path):
     assert str(got.value) == "line 2: not a number: '# 2.5'"
 
 
+def _kernel_declines(path) -> None:
+    with open(path, "rb") as fh:
+        assert _read_decimals(fh) is None, "the kernel read the file"
+
+
+@pytest.mark.parametrize("data, expected", [
+    # a lone \r ends a line for the line scan, so the kernel leaves it there
+    (b"1.5\r2.5\n3.5\n", [1.5, 2.5, 3.5]),
+    # a row longer than the kernel's 32 KB block
+    (b"0" * 40_000 + b"1.5\n", [1.5]),
+])
+def test_the_line_scan_reads_what_the_kernel_declines(tmp_path, data, expected):
+    p = tmp_path / "obs.txt"
+    p.write_bytes(data)
+    _kernel_declines(p)
+    assert read_sample_file(p).values.tolist() == expected
+
+
+def test_two_dots_on_one_row_are_declined_and_named_by_line(tmp_path):
+    p = tmp_path / "obs.txt"
+    p.write_bytes(b"1.5\n1.2.5\n3.5\n")
+    _kernel_declines(p)
+    with pytest.raises(ParseError) as got:
+        read_sample_file(p)
+    assert str(got.value) == "line 2: not a number: '1.2.5'"
+
+
 @pytest.mark.parametrize("text", ["", "\n", "\n\n", "  \n\t\n", "\r\n \r\n"])
 def test_read_sample_file_empty_or_blank_raises_without_a_warning(tmp_path, text):
     p = tmp_path / "obs.txt"

@@ -83,7 +83,7 @@ def test_two_sided_is_one_sided_with_doubled_tail_width():
     spec = CharacteristicSpec.busy_period(1.0, 1.3)
     table = interval_table(spec, FIXTURE_MOMENTS, 0.95, 10_000,
                            Method.TWO_SIDED_STATISTIC, 4)
-    eps = width_for(LimitLaw.TWO_SIDED, 0.95, 10_000).width
+    eps = width_for(LimitLaw.TWO_SIDED, 0.95, 10_000)
     b = solve_recursion(FIXTURE_MOMENTS, 4, eps, 2.0 * eps)
     assert [row.lower for row in table.rows[1:]] == (1.3 * b.lower).tolist()
     assert [row.upper for row in table.rows[1:]] == (1.3 * b.upper).tolist()
@@ -120,7 +120,7 @@ def test_zero_seed_gives_zero_bounds():
     moments = moments_exponential(0.5, 1.0, 12)
     assert spec.seed == 0.0
     table = interval_table(spec, moments, 0.95, 40, Method.TWO_SIDED_STATISTIC, 12)
-    eps = width_for(LimitLaw.TWO_SIDED, 0.95, 40).width
+    eps = width_for(LimitLaw.TWO_SIDED, 0.95, 40)
     assert solve_recursion(moments, 12, eps, 2.0 * eps).clamped.any()
     for column in (table.lower, table.point, table.upper):
         assert np.array_equal(column, np.ones(13))
@@ -135,7 +135,7 @@ def test_negative_seed_swaps_the_unit_chains():
     assert spec.seed == -0.125
     table = interval_table(spec, FIXTURE_MOMENTS, 0.95, 10_000,
                            Method.TWO_SIDED_STATISTIC, 4)
-    eps = width_for(LimitLaw.TWO_SIDED, 0.95, 10_000).width
+    eps = width_for(LimitLaw.TWO_SIDED, 0.95, 10_000)
     unit = solve_recursion(FIXTURE_MOMENTS, 4, eps, 2.0 * eps)
     assert np.array_equal(table.lower[1:], -0.125 * unit.upper + 1.0)
     assert np.array_equal(table.upper[1:], -0.125 * unit.lower + 1.0)
@@ -206,7 +206,7 @@ def test_table_rows_restate_the_engine_on_the_natural_scale():
     # scale, so rows must equal the engine outputs exactly.
     table = interval_table(BUSY_UNIT, FIXTURE_MOMENTS, 0.95, 10_000,
                            Method.TWO_SIDED_STATISTIC, 4)
-    eps = width_for(LimitLaw.TWO_SIDED, 0.95, 10_000).width
+    eps = width_for(LimitLaw.TWO_SIDED, 0.95, 10_000)
     engine = solve_recursion(FIXTURE_MOMENTS, 4, eps, 2.0 * eps)
     points = solve_recursion(FIXTURE_MOMENTS, 4).point
     assert table.order == 4
@@ -237,8 +237,8 @@ def test_table_is_the_seed_map_of_the_engine(spec):
     table = interval_table(spec, moments, 0.95, 500, Method.ONE_SIDED_STATISTICS, 6)
     points = estimate_characteristic(spec, moments, 6).natural_values
     assert [row.point for row in table.rows] == points.tolist()
-    eps = width_for(LimitLaw.ONE_SIDED, 0.95, 500).width
-    gamma = width_for(LimitLaw.ONE_SIDED_SUM, 0.95, 500).width
+    eps = width_for(LimitLaw.ONE_SIDED, 0.95, 500)
+    gamma = width_for(LimitLaw.ONE_SIDED_SUM, 0.95, 500)
     engine = solve_recursion(moments, 6, eps, gamma)
     shift = 1.0 if spec.kind is Characteristic.LOST_CUSTOMERS else 0.0
     lower, upper = (spec.seed * c + shift for c in (engine.lower, engine.upper))
@@ -259,21 +259,20 @@ def test_table_level_zero_is_the_seed_on_the_natural_scale():
 
 
 def test_table_confidence_records_the_resolved_widths():
+    # one float per limit law of the method, in the order of method.laws
     two = interval_table(BUSY_UNIT, FIXTURE_MOMENTS, 0.95, 10_000,
                          Method.TWO_SIDED_STATISTIC, 4)
-    assert len(two.confidence) == 1
-    assert two.confidence[0].law is LimitLaw.TWO_SIDED
-    assert two.confidence[0].width == pytest.approx(0.013581, abs=1e-5)
-    assert two.confidence[0].confidence == 0.95
-    assert two.confidence[0].n_obs == 10_000
+    assert two.method.laws == (LimitLaw.TWO_SIDED,)
+    assert two.widths == (width_for(LimitLaw.TWO_SIDED, 0.95, 10_000),)
+    assert two.widths[0] == pytest.approx(0.013581, abs=1e-5)
 
     one = interval_table(BUSY_UNIT, FIXTURE_MOMENTS, 0.95, 10_000,
                          Method.ONE_SIDED_STATISTICS, 4)
-    assert len(one.confidence) == 2
-    assert one.confidence[0].law is LimitLaw.ONE_SIDED
-    assert one.confidence[1].law is LimitLaw.ONE_SIDED_SUM
-    assert one.confidence[0].width == pytest.approx(0.012239, abs=1e-5)
-    assert one.confidence[1].width == pytest.approx(0.020730, abs=1e-5)
+    assert one.method.laws == (LimitLaw.ONE_SIDED, LimitLaw.ONE_SIDED_SUM)
+    assert one.widths == (width_for(LimitLaw.ONE_SIDED, 0.95, 10_000),
+                          width_for(LimitLaw.ONE_SIDED_SUM, 0.95, 10_000))
+    assert one.widths[0] == pytest.approx(0.012239, abs=1e-5)
+    assert one.widths[1] == pytest.approx(0.020730, abs=1e-5)
 
 
 def test_table_with_exact_sample_size_tracks_the_frozen_chains():
@@ -302,7 +301,7 @@ def test_loss_probability_rows_invert_and_swap_the_bounds():
     moments = moments_exponential(1.0, 1.0, 4)
     table = interval_table(CharacteristicSpec.loss_probability(1.0), moments,
                            0.95, 10_000, Method.TWO_SIDED_STATISTIC, 4)
-    eps = width_for(LimitLaw.TWO_SIDED, 0.95, 10_000).width
+    eps = width_for(LimitLaw.TWO_SIDED, 0.95, 10_000)
     engine = solve_recursion(moments, 4, eps, 2.0 * eps)
     for k in range(1, 5):
         row = table.rows[k]
@@ -436,7 +435,7 @@ def test_a_callers_columns_are_copied_and_left_writeable():
     table = interval_table(BUSY_UNIT, FIXTURE_MOMENTS, 0.95, 10_000,
                            Method.TWO_SIDED_STATISTIC, 4)
     fields = dict(characteristic=table.characteristic, method=table.method,
-                  confidence=table.confidence)
+                  widths=table.widths)
     mine = {name: getattr(table, name).copy() for name in _COLUMNS}
     copy = intervals.IntervalTable(**fields, **mine)
     for name in _COLUMNS:

@@ -1,7 +1,6 @@
 """Limit laws of the scaled sup statistics: CDFs, quantiles, widths."""
 
 import math
-import pickle
 
 import mpmath
 import numpy as np
@@ -9,12 +8,10 @@ import pytest
 import scipy.integrate
 
 from lossq.kolmogorov import (
-    ConfidenceSpec,
     LimitLaw,
     conv_cdf,
     kolmogorov_cdf,
     law_cdf,
-    normal_cdf,
     one_sided_cdf,
     quantile,
     width_for,
@@ -53,13 +50,6 @@ def test_one_sided_law_anchors():
 def test_sum_law_anchors():
     assert conv_cdf(2.08) == pytest.approx(0.95, abs=2e-3)
     assert conv_cdf(0.0) == 0.0
-
-
-def test_normal_cdf_anchors():
-    assert normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
-    assert normal_cdf(1.959964) == pytest.approx(0.975, abs=1e-6)
-    for z in (0.3, 1.1, 2.7):
-        assert normal_cdf(-z) == pytest.approx(1.0 - normal_cdf(z), abs=1e-15)
 
 
 def _conv_by_quadrature(z: float) -> float:
@@ -222,17 +212,17 @@ def test_small_arguments_keep_relative_accuracy(law, z):
 
 def test_widths_at_ten_thousand_observations():
     n = 10_000
-    assert width_for(LimitLaw.TWO_SIDED, 0.95, n).width == pytest.approx(0.013581, abs=1e-4)
-    assert width_for(LimitLaw.ONE_SIDED, 0.95, n).width == pytest.approx(0.012239, abs=1e-4)
-    assert width_for(LimitLaw.ONE_SIDED_SUM, 0.95, n).width == pytest.approx(0.020730, abs=1e-4)
+    assert width_for(LimitLaw.TWO_SIDED, 0.95, n) == pytest.approx(0.013581, abs=1e-4)
+    assert width_for(LimitLaw.ONE_SIDED, 0.95, n) == pytest.approx(0.012239, abs=1e-4)
+    assert width_for(LimitLaw.ONE_SIDED_SUM, 0.95, n) == pytest.approx(0.020730, abs=1e-4)
 
 
 @pytest.mark.parametrize("law", list(LimitLaw))
 @pytest.mark.parametrize("n", [100, 2_000, 10_000])
 def test_width_scales_with_root_sample_size(law, n):
-    spec = width_for(law, 0.95, n)
-    assert spec.width == pytest.approx(quantile(law, 0.95) / math.sqrt(n), abs=1e-15)
-    assert law_cdf(law, spec.width * math.sqrt(n)) == pytest.approx(0.95, abs=1e-9)
+    width = width_for(law, 0.95, n)
+    assert width == pytest.approx(quantile(law, 0.95) / math.sqrt(n), abs=1e-15)
+    assert law_cdf(law, width * math.sqrt(n)) == pytest.approx(0.95, abs=1e-9)
 
 
 def test_quantiles_are_memoised_and_an_invalid_level_raises_every_time():
@@ -252,33 +242,14 @@ def test_quantiles_are_memoised_and_an_invalid_level_raises_every_time():
 def test_width_rejects_a_sample_size_past_the_largest_float():
     with pytest.raises(ValueError, match="too large"):
         width_for(LimitLaw.TWO_SIDED, 0.95, 10**400)
-    assert width_for(LimitLaw.TWO_SIDED, 0.95, 10**300).width == pytest.approx(
+    assert width_for(LimitLaw.TWO_SIDED, 0.95, 10**300) == pytest.approx(
         Z_TWO_SIDED * 1e-150, rel=1e-12)
 
 
-def test_confidence_spec_validation():
-    with pytest.raises(ValueError):
-        ConfidenceSpec(confidence=1.0, n_obs=10, law=LimitLaw.TWO_SIDED, width=0.1)
-    with pytest.raises(ValueError):
-        ConfidenceSpec(confidence=0.95, n_obs=0, law=LimitLaw.TWO_SIDED, width=0.1)
-    with pytest.raises(ValueError):
-        ConfidenceSpec(confidence=0.95, n_obs=10, law=LimitLaw.TWO_SIDED, width=0.0)
-
-
-def test_confidence_spec_is_frozen_compared_and_hashed_by_its_fields():
-    spec = ConfidenceSpec(0.95, 10, LimitLaw.TWO_SIDED, 0.1)
-    same = ConfidenceSpec(confidence=0.95, n_obs=10, law=LimitLaw.TWO_SIDED, width=0.1)
-    other = ConfidenceSpec(0.95, 10, LimitLaw.ONE_SIDED, 0.1)
-    assert spec == same and hash(spec) == hash(same) and len({spec, same, other}) == 2
-    assert spec != other and spec != (0.95, 10, LimitLaw.TWO_SIDED, 0.1)
-    assert repr(spec) == ("ConfidenceSpec(confidence=0.95, n_obs=10, "
-                          "law=<LimitLaw.TWO_SIDED: 'two-sided'>, width=0.1)")
-    with pytest.raises(AttributeError):
-        spec.width = 0.2
-    with pytest.raises(AttributeError):
-        del spec.width
-    assert spec.width == 0.1
-    assert pickle.loads(pickle.dumps(spec)) == spec
+def test_width_rejects_a_sample_size_below_one():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            width_for(LimitLaw.ONE_SIDED, 0.95, n)
 
 
 # -------------------------------------------------------- crossing point

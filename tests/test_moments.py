@@ -347,6 +347,14 @@ def test_window_tail_is_zero_when_the_loop_stops_early():
     assert short.tail > 0.0
 
 
+def test_a_first_late_observation_whose_rate_x_overflows_never_joins_silently():
+    # every rate x is inf, so the first observation left to join is at inf:
+    # deciding that it never joins forms no inf - inf, whose RuntimeWarning
+    # would reach stderr (and is an error under this suite's settings)
+    got = moments_empirical(build_ecdf(Sample([2.0, 3.0])), 1e308, 3)
+    assert got.values.tolist() == [0.0] * 4 and got.tail == 1.0
+
+
 def test_empirical_route_validates_inputs():
     e = build_ecdf(Sample([1.0]))
     with pytest.raises(ValueError):
@@ -451,6 +459,19 @@ def test_erlang_coefficients_keep_their_relative_accuracy_at_a_large_shape():
     want = _law_reference(ErlangK(1000, 2.5), 0.5, 1000)
     big = want >= 1e-300
     assert np.max(np.abs(got - want)[big] / want[big]) <= 5e-13
+
+
+def test_narrow_uniform_coefficients_keep_their_relative_accuracy_far_from_zero():
+    # the quadrature's pmf as exp(i log y - y - lgamma(i + 1)) loses 1.2e-12
+    # here; Loader's form keeps 6.0e-14.  Between two finite points mpmath's
+    # gammainc keeps 80 digits of the difference (against 460 digits, to 1e-81)
+    orders = range(0, 1001, 5)
+    got = Uniform(800.0, 801.0).moments(1.0, 1000).values[list(orders)]
+    with mpmath.workdps(80):
+        want = np.array([float(mpmath.gammainc(i + 1, 800, 801, regularized=True))
+                         for i in orders])
+    big = want >= 1e-300
+    assert np.max(np.abs(got - want)[big] / want[big]) <= 2e-13
 
 
 def _law_tail_reference(dist, rate: float, order: int) -> float:
@@ -581,7 +602,7 @@ def test_empirical_converges_to_exact_route(dist):
     me = moments_empirical(ecdf, 1.0, 4)
     diff = np.max(np.abs(me.values - dist.moments(1.0, 4).values))
     # deterministic envelope: three 95% widths at this sample size
-    assert diff < 3.0 * width_for(LimitLaw.TWO_SIDED, 0.95, n).width
+    assert diff < 3.0 * width_for(LimitLaw.TWO_SIDED, 0.95, n)
     # sharp bound: twice the measured sup distance (plus rounding)
     d = ks_statistics(ecdf, dist.cdf).two_sided
     assert diff <= 2.0 * d + PAIR_SLACK

@@ -142,6 +142,13 @@ def _estimate_calls():
         yield ["estimate", *system, "--characteristic", characteristic, "--rate", rate,
                "--n", "1000", "--input", sample, "--format", "json", "--confidence", "0.95",
                "--method", method]
+    # levels below 0.5, where each law's quantile bisects on its CDF, whose
+    # widths the JSON header prints at full precision; at 0.05 the sum law's
+    # bisection evaluates both its series below z = 0.5 and its closed form
+    for confidence, method in itertools.product(("0.05", "0.3"), ("two-sided", "one-sided")):
+        yield ["estimate", "--system", "mg1n", "--characteristic", "busy", "--rate", "0.8",
+               "--mean-service", "1.25", "--n", "4", "--input", "exp.txt", "--format", "json",
+               "--confidence", confidence, "--method", method]
     base = ["estimate", "--system", "mg1n", "--characteristic", "busy", "--rate", "0.8",
             "--mean-service", "1.25", "--n", "30", "--input", "exp.txt"]
     for extra in (["--order", "28"], ["--order", "29"], ["--order", "30"],
