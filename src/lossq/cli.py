@@ -172,8 +172,12 @@ def _run_estimate(args: argparse.Namespace) -> int:
     header = {"characteristic": spec.kind.value, "system": args.system}
 
     if args.confidence is None:
-        points = estimate_characteristic(spec, moments, args.n).natural_values
-        print(_render_levels({"estimate": points.tolist()}, args.format, header))
+        result = estimate_characteristic(spec, moments, args.n)
+        flags = [()] * (args.n + 1)
+        for level in result.sign_anomalies:
+            flags[level] = ("sign",)
+        columns = {"estimate": result.natural_values.tolist(), "flags": flags}
+        print(_render_levels(columns, args.format, header))
         return 0
     table = interval_table(
         spec, moments, args.confidence, ecdf.n_obs, Method(args.method), args.n,

@@ -40,7 +40,6 @@ _BLOCK_BUFFER = 2**15
 # accumulate along the orders, which is faster there than a call per row
 _ACCUMULATE_WINDOW = 128
 _TINY = np.finfo(float).tiny
-_LOG_TINY = math.log(_TINY)
 _HALF_ULP = 2.0**-53
 # stirlerr(n) = log(n!) - log(sqrt(2 pi n) (n/e)^n) at n = 0..15, where its
 # asymptotic series is not yet accurate (Loader 2000, to 25 digits)
@@ -122,37 +121,30 @@ def moments_empirical(ecdf: EmpiricalCdf, rate: float, order: int) -> MomentVect
     divided by P_i and then by N.  At the block's end the weights are
     divided by its last P once.  u never exceeds P_i, and a product of at
     most 32 orders below about 2^31 is below 2^992, so neither overflows:
-    ``out``'s allocation already keeps the order below 2^31, and the join
-    rule below keeps each window observation's ``rate x`` below 2^32.  A
-    block whose window has at most ``2^15 / 32`` observations writes its
-    rows into one reused buffer and sums them in one reduction; a wider
-    window is updated in place and summed once per order.  Both take the
-    same products and the same pairwise sums, so they give the same bits.
+    ``out``'s allocation already keeps the order below 2^31, and no window
+    observation's ``rate x`` is above about 708.  A block whose window has
+    at most ``2^15 / 32`` observations writes its rows into one reused
+    buffer and sums them in one reduction; a wider window is updated in
+    place and summed once per order.  Both take the same products and the
+    same pairwise sums, so they give the same bits.
 
-    An observation whose ``exp(-rate x)`` is below the smallest normal
-    double (``rate x`` above about 708) joins the window at the first order
-    whose log weight ``i log(rate x) - rate x - lgamma(i + 1)`` is normal,
-    as in Fox & Glynn (1988), so that no weight is built from a subnormal or
-    zero start.  A block ends before the order at which the next unjoined
-    observation joins, and that order is one step on normalised weights,
-    ``w <- w (rate x) / i``, so an observation that never joins costs no
-    such steps.
+    After each block the window drops its leading run of weights below
+    ``2^-53 w(x_max) / N``, where x_max is the largest observation in the
+    window; observations at ``rate x = 0`` go after the first block.  The
+    ratio u(x) / u(x_max) is w_i(x) / w_i(x_max), which for x < x_max falls
+    as i grows, so a dropped weight stays below that cut at every later
+    order, and the mass dropped from any r_j is at most ``2^-53 r_j``.
+    Once every weight in the window is 0, all its higher sums are exactly 0
+    and the loop stops; the window's tail beyond the order is then 0 too.
 
-    After each block and each one-order step the window drops its leading
-    run of weights below ``2^-53 w(x_max) / N``, where x_max is the largest
-    observation in the window; observations at ``rate x = 0`` go after the
-    first block.  The ratio u(x) / u(x_max) is w_i(x) / w_i(x_max), which
-    for x < x_max falls as i grows, so a dropped weight stays below that cut
-    at every later order, and the mass dropped from any r_j is at most
-    ``2^-53 r_j``.  Once every weight in the window is 0 and no observation
-    is left to join, all higher coefficients are exactly 0 and the loop
-    stops, and the tail beyond the order is 0 as well.
-
-    When the loop runs to the order, the tail is the mean of the upper
-    Poisson tails P(N_x > order) over the last window, with 1 for each
-    observation that never joined (its Poisson mean is far past the
-    order).  The observations the window dropped sit below its cut at
-    every order, so the tail they leave out is bounded as each r_j's is.
+    A late observation, whose ``exp(-rate x)`` is below the smallest normal
+    double (``rate x`` above about 708), never enters the window: after the
+    loop its weights at orders 1..order are added in one step from Loader's
+    pmf at the order nearest its mean (``_late_sums``).  The tail is the
+    mean of the upper Poisson tails P(N_x > order) over the last window and
+    the late observations.  The observations the window dropped sit below
+    its cut at every order, so the tail they leave out is bounded as each
+    r_j's is.
     """
     _check_rate_order(rate, order)
     # a product past the largest double is inf, whose weight is 0 at every
@@ -164,63 +156,39 @@ def moments_empirical(ecdf: EmpiricalCdf, rate: float, order: int) -> MomentVect
     np.exp(w, out=w)
     out = np.zeros(order + 1)
     out[0] = w.mean()
-    # w is nonincreasing along the sorted observations, so the weights below
-    # the smallest normal double are a trailing run, which joins in order
+    # w is nonincreasing along the sorted observations, so the late weights,
+    # those below the smallest normal double, are a trailing run
     lo, hi = 0, n - int(np.searchsorted(w[::-1], _TINY))
     buf = None
-    i = 1
-    while i <= order:
-        # the fixed block holding order i, cut short before the order at
-        # which the next unjoined observation joins
-        end = min(order, (i - 1) // _BLOCK * _BLOCK + _BLOCK)
-        if hi < n:
-            end = _before_join(ax[hi], i, end)
+    for i in range(1, order + 1, _BLOCK):
+        # orders i..end on unnormalised weights, each row sum divided by
+        # i (i + 1) ... (its order) and then by N
+        end = min(order, i + _BLOCK - 1)
         window = w[lo:hi]
-        if end < i:
-            # an observation joins at order i: one order, weights normalised
-            np.multiply(window, ax[lo:hi], out=window)
-            np.divide(window, i, out=window)
-            joined, log_fact = hi, math.lgamma(i + 1)
-            while hi < n and _joins(ax[hi], i, log_fact):
-                hi += 1
-            new = ax[joined:hi]
-            w[joined:hi] = np.exp(i * np.log(new) - new - log_fact)
-            window = w[lo:hi]
-            total = np.add.reduce(window)
-            out[i] = total / n
-            end = i
-        else:
-            # orders i..end on unnormalised weights, each row sum divided by
-            # i (i + 1) ... (its order) and then by N
-            facts = np.multiply.accumulate(np.arange(i, end + 1, dtype=float))
-            narrow = (hi - lo) * _BLOCK <= _BLOCK_BUFFER
-            if narrow and buf is None:
-                buf = np.empty(_BLOCK_BUFFER)
-            sums = _block_sums(window, ax[lo:hi], facts, buf if narrow else None)
-            np.divide(sums, n, out=out[i:end + 1])
-            total = sums[-1]
-        i = end + 1
+        facts = np.multiply.accumulate(np.arange(i, end + 1, dtype=float))
+        narrow = (hi - lo) * _BLOCK <= _BLOCK_BUFFER
+        if narrow and buf is None:
+            buf = np.empty(_BLOCK_BUFFER)
+        sums = _block_sums(window, ax[lo:hi], facts, buf if narrow else None)
+        np.divide(sums, n, out=out[i:end + 1])
         # a sum of non-negative weights is 0 only if every weight is 0
-        if total == 0.0:
-            if hi == n:
-                break
+        if sums[-1] == 0.0:
             lo = hi
-            continue
+            break
         cut = _WINDOW_CUT * window[-1] / n
         if window[0] < cut:
             # the last weight is never below the cut, so argmax finds one
             lo += int(np.argmax(window >= cut))
-    else:
-        # the loop ran to the order: the mass beyond it is the window's upper
-        # Poisson tails, and 1 for each observation that never joined.  The
-        # weights and every view of them are released first so that the
-        # tails' temporaries can reuse their memory; kept alive, they raised
-        # a 1e6-line estimate's peak RSS by about 3 MB
-        w = window = buf = None
-        tails = _poisson_tails(order + 1, ax[lo:hi])[1]
-        return MomentVector(rate=rate, values=out,
-                            tail=(math.fsum(tails.tolist()) + (n - hi)) / n)
-    return MomentVector(rate=rate, values=out, tail=0.0)
+    # the weights and every view of them are released first, so that the
+    # late sums' and the tails' temporaries can reuse their memory; kept
+    # alive, they raised a 1e6-line estimate's peak RSS by about 3 MB
+    w = window = buf = None
+    if hi < n:
+        out += _late_sums(ax[hi:], order) / n
+    tail = 0.0
+    if lo < n:
+        tail = math.fsum(_poisson_tails(order + 1, ax[lo:])[1].tolist()) / n
+    return MomentVector(rate=rate, values=out, tail=tail)
 
 
 def _block_sums(window: np.ndarray, axw: np.ndarray, facts: np.ndarray,
@@ -256,26 +224,53 @@ def _block_sums(window: np.ndarray, axw: np.ndarray, facts: np.ndarray,
     return np.divide(sums, facts, out=sums)
 
 
-def _joins(a: float, i: int, log_fact: float) -> bool:
-    """Whether the weight at ``rate x = a`` is normal at order i, given
-    lgamma(i + 1); false for an infinite ``a``, which is tested first so
-    that no ``inf - inf`` is formed."""
-    return a < math.inf and i * math.log(a) - a - log_fact >= _LOG_TINY
+def _late_sums(a: np.ndarray, order: int) -> np.ndarray:
+    """Sums of the weights ``exp(-a) a^i / i!`` over ascending ``a = rate x``
+    at orders 0..order, with 0 at order 0, whose weights the caller has.
 
-
-def _before_join(a: float, i: int, end: int) -> int:
-    """The last order in i..end before the one at which the unjoined
-    observation at ``rate x = a`` joins, or ``end`` if it joins later.
-
-    Its log weight rises while the order is below ``a``, and reaches the
-    normal range before it peaks near ``a``, so it cannot join in i..end if
-    it is still below that range at an ``end`` at most ``a``."""
-    if end <= a and not _joins(a, end, math.lgamma(end + 1)):
-        return end
-    for j in range(i, end + 1):
-        if _joins(a, j, math.lgamma(j + 1)):
-            return j - 1
-    return end
+    Each weight starts from ``_poisson_pmf`` at m, the order nearest a, and
+    steps ``w <- (w a) / (i + 1)`` upward and ``w <- (w i) / a`` downward.
+    The pmf is largest at m, so every weight shrinks away from it: none
+    overflows and none starts subnormal.  Each step adds two roundings, so
+    a weight is within ``2 |i - m|`` ulps plus the pmf's few; both fall on
+    w's own bits, so they add up as a random walk, not one way.  (A factor
+    ``i / a`` rounded first would repeat its rounding pattern along i and
+    can drift by half an ulp a step; a pmf taken far below m keeps its
+    exponent's rounding, hundreds of ulps.)  The weights rise up to m, so
+    an observation whose pmf at the order is 0, or whose a is infinite,
+    adds nothing up to the order and takes no steps.
+    """
+    a = a[a < math.inf]
+    a = a[_poisson_pmf(np.minimum(np.rint(a), order), a) > 0.0]
+    if not (a.size and order):
+        return np.zeros(order + 1)
+    m = np.rint(a)
+    pmf = _poisson_pmf(m, a)
+    # the steps down start at the largest m, past the order if it is larger
+    sums = np.zeros(max(order, int(m[-1])) + 1)
+    # m is nondecreasing, so the weights at orders at or below their m are a
+    # suffix of a and those above it a prefix, both split at first[i]
+    first = np.searchsorted(m, np.arange(sums.size))
+    w = np.empty(a.size)
+    top = a.size
+    for i in range(sums.size - 1, 0, -1):
+        start = first[i]
+        w[top:] *= i + 1
+        w[top:] /= a[top:]
+        w[start:top] = pmf[start:top]
+        top = start
+        sums[i] = np.add.reduce(w[start:])
+    w = pmf
+    for i in range(int(m[0]) + 1, order + 1):
+        below = first[i]
+        w[:below] *= a[:below]
+        w[:below] /= i
+        sums[i] += np.add.reduce(w[:below])
+        # past the largest m every weight steps upward, and a row of zeros
+        # stays zero
+        if below == a.size and sums[i] == 0.0:
+            break
+    return sums[:order + 1]
 
 
 def moments_exponential(rate: float, service_rate: float, order: int) -> MomentVector:

@@ -119,8 +119,8 @@ def test_moments_reports_the_offending_line(capsys, tmp_path):
 
 
 def test_moments_past_the_exp_underflow_exit_zero(capsys, tmp_path):
-    # exp(-744) is subnormal: the observation joins at its first normal
-    # weight, and r_744 is the Poisson(744) pmf at its mode
+    # exp(-744) is subnormal: the observation is late, and r_744 is the
+    # Poisson(744) pmf at its mode
     path = tmp_path / "late.txt"
     path.write_text("744\n")
     assert main(["moments", "--input", str(path), "--rate", "1",
@@ -208,12 +208,13 @@ def test_estimate_points_csv_round_trips(capsys, unit_exp_sample):
                  "--rate", "1.0", "--mean-service", "1.0", "--n", "4",
                  "--input", str(path), "--format", "csv"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "n,estimate"
+    assert lines[0] == "n,estimate,flags"
     got = [float(line.split(",")[1]) for line in lines[1:]]
     moments = moments_empirical(build_ecdf(sample), 1.0, 4)
     spec = CharacteristicSpec.busy_period(1.0, 1.0)
     expected = estimate_characteristic(spec, moments, 4).natural_values
     assert got == [float(v) for v in expected]  # repr round-trip is exact
+    assert all(line.endswith(",") for line in lines[1:])  # no flag
 
 
 def test_estimate_points_table_format(capsys, unit_exp_sample):
@@ -222,9 +223,33 @@ def test_estimate_points_table_format(capsys, unit_exp_sample):
                  "--rate", "1.0", "--mean-service", "1.0", "--n", "3",
                  "--input", str(path)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["n", "estimate"]
+    assert lines[0].split() == ["n", "estimate", "flags"]
     assert len(lines) == 5  # header + levels 0..3
     assert lines[1].split() == ["0", "1.000000"]
+
+
+def test_estimate_flags_each_negative_point_sign(capsys, tmp_path):
+    # the lost count at the sample's own mean service is 1 minus a number
+    # that tends to 1, so deep levels round below 0: each such level is
+    # flagged, in every format, and no other level is
+    values = np.random.default_rng(3).exponential(1.0, 10_000)
+    path = tmp_path / "exp.txt"
+    path.write_text("".join(f"{float(v)!r}\n" for v in values))
+    argv = ["estimate", "--system", "mg1n", "--characteristic", "lost", "--rate", "0.5",
+            "--mean-service", repr(float(values.mean())), "--n", "60", "--input", str(path)]
+    assert main([*argv, "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    negative = [row["level"] for row in rows if row["point"] < 0.0]
+    assert negative and negative[-1] == 60
+    assert [row["level"] for row in rows if row["flags"] == ["sign"]] == negative
+    assert all(row["flags"] in ([], ["sign"]) for row in rows)
+    assert main([*argv, "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "n,estimate,flags"
+    assert [int(line.split(",")[0]) for line in lines[1:] if line.endswith(",sign")] == negative
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [int(line.split()[0]) for line in lines[1:] if line.split()[-1] == "sign"] == negative
 
 
 def test_estimate_intervals_json_matches_the_library(capsys, unit_exp_sample):
@@ -389,19 +414,25 @@ def test_estimate_zero_seed_stays_at_one_past_an_overflowed_chain(
 
 
 def _reference_render_points(args, natural_values):
-    """The point renderer as it was written before the level-table renderer."""
+    """The point renderer as it was written before the level-table renderer,
+    with the flags column it has since gained: ``sign`` at a negative
+    point."""
+    flags = [["sign"] if v < 0.0 else [] for v in natural_values]
     if args.format == "table":
-        rows = [[str(k), _fmt(float(v))] for k, v in enumerate(natural_values)]
-        return _render_text_table(["n", "estimate"], rows)
+        rows = [[str(k), _fmt(float(v)), ",".join(f)]
+                for k, (v, f) in enumerate(zip(natural_values, flags))]
+        return _render_text_table(["n", "estimate", "flags"], rows)
     if args.format == "csv":
-        lines = ["n,estimate"]
-        lines += [f"{k},{float(v)!r}" for k, v in enumerate(natural_values)]
+        lines = ["n,estimate,flags"]
+        lines += [f"{k},{float(v)!r},{';'.join(f)}"
+                  for k, (v, f) in enumerate(zip(natural_values, flags))]
         return "\n".join(lines)
     payload = {
         "characteristic": args.characteristic,
         "system": args.system,
         "rows": [
-            {"level": k, "point": float(v)} for k, v in enumerate(natural_values)
+            {"level": k, "point": float(v), "flags": f}
+            for k, (v, f) in enumerate(zip(natural_values, flags))
         ],
     }
     return json.dumps(payload, indent=2)
@@ -507,13 +538,16 @@ def test_interval_renderer_matches_the_row_based_renderer(monkeypatch, capsys, f
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 def test_point_renderer_matches_the_reference_renderer(monkeypatch, capsys, fmt):
+    signs = 0
     for system, spec, moments, n_obs, order in _render_cases():
-        points = estimate_characteristic(spec, moments, order).natural_values
+        result = estimate_characteristic(spec, moments, order)
         args = argparse.Namespace(format=fmt, system=system,
                                   characteristic=spec.kind.value)
-        want = _reference_render_points(args, points)
+        want = _reference_render_points(args, result.natural_values)
         assert _estimate_output(monkeypatch, capsys, fmt, system, spec, moments, n_obs,
                                 order) == want
+        signs += len(result.sign_anomalies)
+    assert signs > 0
 
 
 # ---------------------------------------------------------------------------

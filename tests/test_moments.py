@@ -222,7 +222,7 @@ def _poisson_mixture(xs, rate: float, order: int) -> np.ndarray:
 @pytest.mark.parametrize("xs", [
     [744.0], [740.0], [800.0], [708.5], [0.25, 3.0, 744.0, 800.0], [650.0, 720.0, 900.0],
 ], ids=str)
-def test_late_observations_join_at_their_first_normal_weight(xs):
+def test_late_observations_carry_their_full_weight(xs):
     # exp(-rate x) is subnormal above rate x ~ 708 and 0 above ~ 745; such
     # observations must still carry their full weight at orders near rate x
     got = moments_empirical(build_ecdf(Sample(xs)), 1.0, 1_000).values
@@ -230,9 +230,27 @@ def test_late_observations_join_at_their_first_normal_weight(xs):
     assert np.max(np.abs(got - want)) <= 1e-13
     big = want >= 1e-300
     assert np.max(np.abs(got - want)[big] / want[big]) <= 1e-11
-    # a weight that joins from its log carries that log's rounding, about
-    # 708 * 2^-53 relative, and passes it on to all its later orders
     assert float(got.sum()) <= 1.0 + 2e-13
+
+
+@pytest.mark.parametrize("ax", [708.5, 720.0, 744.0, 800.0, 1000.0, 1333.3])
+def test_a_late_weight_drifts_no_further_than_a_random_walk(ax):
+    # each step from m, the order nearest rate x, adds two roundings: up to
+    # 2 |j - m| ulps, but unbiased they add up to about sqrt(|j - m|) ulps
+    got = moments_empirical(build_ecdf(Sample([ax])), 1.0, 1_000).values
+    want = _poisson_mixture([ax], 1.0, 1_000)
+    ulps = 3 * np.sqrt(np.abs(np.arange(1_001) - round(ax))) + 8
+    normal = want >= 1e-290
+    assert np.all(np.abs(got - want)[normal] <= ulps[normal] * 2.0**-53 * want[normal])
+
+
+@pytest.mark.parametrize("ax, order", [(720.0, 11), (800.0, 32)])
+def test_a_late_weight_far_below_its_mean_keeps_its_digits(ax, order):
+    # a weight built as the exp of its log, about -708 here, kept that log's
+    # absolute rounding: 339 and 443 ulps off at these points
+    got = moments_empirical(build_ecdf(Sample([ax])), 1.0, order).values[order]
+    want = _poisson_mixture([ax], 1.0, order)[order]
+    assert abs(got - want) <= 30 * 2.0**-53 * want
 
 
 def _plain_loop(xs: np.ndarray, rate: float, order: int) -> np.ndarray:
@@ -257,7 +275,8 @@ _RNG = np.random.default_rng(19)
     # a window whose block fits the row buffer, and one a row too wide for it
     (_RNG.uniform(0.2, 1.8, 1024), 1.0, 33),
     (_RNG.uniform(0.2, 1.8, 1025), 1.0, 33),
-    # late joiners among small rate x, and one that joins past the order
+    # late observations among small rate x, and one whose mean is past the
+    # order
     ([0.25, 0.5, 1.0, 2.0, 720.0, 800.0], 1.0, 900),
     ([0.25, 1.0, 3.0, 720.0, 800.0, 1e4], 1.0, 1000),
     # rate x below 1 everywhere: the run stops on an all-zero row
@@ -269,11 +288,13 @@ def test_block_edges_match_the_60_digit_mixture(xs, rate, order):
     got = moments_empirical(build_ecdf(Sample(xs)), rate, order).values
     want = _poisson_mixture(xs, rate, order)
     # each order adds a rounding to the weights and to the running product.
-    # A weight that joins late is the exp of its log, about -708, and keeps
-    # that log's rounding, under 2 (rate x) ulps where rate x is below 1000
+    # A late weight steps from the pmf at m, the order nearest rate x, with
+    # two roundings a step: 2 |j - m| ulps and a few
     ax = rate * xs
-    joined = 2.0 * ax[(ax > 708.0) & (ax < 1e3)].max(initial=0.0)
-    ulps = 2 * np.arange(order + 1) + 5 + joined
+    levels = np.arange(order + 1)
+    ulps = 2 * levels + 5
+    for m in np.rint(ax[(ax > 708.0) & (ax < 1e3)]):
+        ulps[1:] = np.maximum(ulps[1:], 2 * np.abs(levels[1:] - m) + 8)
     normal = want >= 1e-290
     assert np.all(np.abs(got - want)[normal] <= ulps[normal] * 2.0**-53 * want[normal])
     assert np.all(np.abs(got - want)[~normal] <= 1e-300)
@@ -322,10 +343,10 @@ def test_high_order_stops_with_exact_zeros():
 @pytest.mark.parametrize("rate, order", [(1.0, 0), (1.0, 5), (0.7, 60), (3.0, 200),
                                          (0.05, 400)])
 def test_window_tail_is_the_whole_sample_mean_of_the_upper_tails(rate, order):
-    # the loop runs to the order; the tail over its last window, plus 1 for
-    # each observation that never joined, is the mean of P(N_x > order)
-    # over every observation.  The sample holds ties, an observation past
-    # rate x = 708 that joins late, and one whose rate x overflows
+    # the loop runs to the order; the tail over its last window and the
+    # late observations is the mean of P(N_x > order) over every
+    # observation.  The sample holds ties, a late observation past
+    # rate x = 708, and one whose rate x overflows
     rng = np.random.default_rng(11)
     xs = np.concatenate([rng.gamma(2.0, 0.5, 3000), np.full(40, 0.75), [1200.0, 1e308]])
     ecdf = build_ecdf(Sample(xs))
@@ -348,9 +369,9 @@ def test_window_tail_is_zero_when_the_loop_stops_early():
 
 
 def test_a_first_late_observation_whose_rate_x_overflows_never_joins_silently():
-    # every rate x is inf, so the first observation left to join is at inf:
-    # deciding that it never joins forms no inf - inf, whose RuntimeWarning
-    # would reach stderr (and is an error under this suite's settings)
+    # every rate x is inf, so every observation is late with weight 0: no
+    # inf - inf or inf / inf is formed, whose RuntimeWarning would reach
+    # stderr (and is an error under this suite's settings)
     got = moments_empirical(build_ecdf(Sample([2.0, 3.0])), 1e308, 3)
     assert got.values.tolist() == [0.0] * 4 and got.tail == 1.0
 

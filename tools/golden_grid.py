@@ -6,11 +6,12 @@ its stdout, stderr and exit code, followed by the sha256 of all those lines.
 A refactor that must not change behaviour gives the same output before and
 after; ``diff`` of two runs names the calls that differ.
 
-The package is imported from the ``src`` directory next to this file, so a
-second checkout is compared by running its own copy:
+The package is imported from the ``src`` directory next to this file, or
+from the one named by the only argument.  So two checkouts are compared on
+this file's calls, which the other checkout's copy may not all hold:
 
     python tools/golden_grid.py > after.txt
-    python ../parent/tools/golden_grid.py > before.txt
+    python tools/golden_grid.py ../parent/src > before.txt
     diff before.txt after.txt
 """
 
@@ -29,7 +30,11 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+if __name__ == "__main__" and len(sys.argv) > 1:
+    _SRC = Path(sys.argv[1]).resolve()
+else:
+    _SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(_SRC))
 
 from lossq.cli import SEED_ENV_VAR, main  # noqa: E402
 
@@ -222,6 +227,16 @@ def _calls():
         yield {}, ["estimate", "--system", "mg1n", "--characteristic", "busy", "--rate",
                    "0.8", "--mean-service", "1.25", "--n", "50", "--input", sample,
                    "--confidence", "0.95", "--format", "json"]
+    # late observations, whose exp(-rate x) is subnormal: about 2.7% of
+    # heavy.txt at rate 40, and all of far.txt at rate 0.72 (rate x 720)
+    for order in ("50", "300", "1000"):
+        yield {}, ["moments", "--input", "heavy.txt", "--rate", "40", "--order", order]
+    for system in (["--system", "mg1n", "--characteristic", "busy", "--mean-service", "1"],
+                   ["--system", "gim1n", "--characteristic", "loss-prob"]):
+        yield {}, ["estimate", *system, "--rate", "40", "--n", "50", "--input", "heavy.txt",
+                   "--confidence", "0.95", "--format", "json"]
+    for order in ("4", "720", "1000"):
+        yield {}, ["moments", "--input", "far.txt", "--rate", "0.72", "--order", order]
 
 
 def _run(env: dict, argv: list[str]) -> tuple[str, int]:
