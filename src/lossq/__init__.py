@@ -17,37 +17,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "ParseError",
-    "DegeneracyError",
-    # empirical CDFs and sup statistics
-    "Sample",
-    "EmpiricalCdf",
-    "KsStatistics",
-    "build_ecdf",
-    "ks_statistics",
-    "read_sample_file",
-    # moment coefficients
-    "MomentVector",
-    "moments_empirical",
-    "moments_exponential",
-    # point and interval estimates
-    "CharacteristicSpec",
-    "estimate_characteristic",
-    "Method",
-    "interval_table",
-    # sampling and simulation
-    "Exponential",
-    "ErlangK",
-    "Deterministic",
-    "Uniform",
-    "draw_samples",
-    "simulate_busy_period",
-    "ks_law_experiment",
-]
-
 # each re-exported name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in {
     "errors": ("ParseError", "DegeneracyError"),
@@ -61,6 +30,7 @@ _EXPORTS = {name: module for module, names in {
                  "simulate_busy_period", "ks_law_experiment"),
 }.items() for name in names}
 _SUBMODULES = frozenset(_EXPORTS.values()) | {"cli", "kolmogorov"}
+__all__ = ["__version__", *_EXPORTS]
 
 
 def __getattr__(name: str):

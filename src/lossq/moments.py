@@ -393,7 +393,7 @@ def _ratio_series(num, num_step: float, den, den_step: float) -> np.ndarray:
 
 
 def _poisson_pmf(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """P(N = x) for N ~ Poisson(y), at integers x >= 0 and finite y > 0.
+    """P(N = x) for N ~ Poisson(y), at integers x >= 0 and finite y >= 0.
 
     For x >= 1 this is Loader's (2000) ``exp(-stirlerr(x) - bd0(x, y)) /
     sqrt(2 pi x)``: both terms of the exponent are small where the pmf is
@@ -403,8 +403,9 @@ def _poisson_pmf(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     out = np.exp(-y)
     pos = x > 0.0
     xs = x[pos]
-    # y far below x (x / y past the largest double) makes bd0 inf: pmf 0
-    with np.errstate(over="ignore"):
+    # y far below x (x / y past the largest double, or y = 0) makes bd0
+    # inf: pmf 0
+    with np.errstate(over="ignore", divide="ignore"):
         out[pos] = np.exp(-_stirlerr(xs) - _bd0(xs, y[pos])) / np.sqrt(2.0 * math.pi * xs)
     return out
 

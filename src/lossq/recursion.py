@@ -53,8 +53,10 @@ class CharacteristicSpec:
 
     The arrival-side characteristics (busy period, served, lost) need the
     arrival rate; busy period and lost additionally need the mean service
-    time.  The loss probability is driven from the service side and needs
-    the service rate only.
+    time.  The lost count's seed lambda m - 1 must be finite, since an
+    infinite one meets a lower chain's zeros as ``inf * 0``.  The loss
+    probability is driven from the service side and needs the service rate
+    only.
     """
 
     kind: Characteristic
@@ -74,6 +76,9 @@ class CharacteristicSpec:
             if value is None:
                 raise ValueError(f"{self.kind.value} requires {name}")
             check_positive(name, value)
+        if (self.kind is Characteristic.LOST_CUSTOMERS
+                and not math.isfinite(self.arrival_rate * self.mean_service)):
+            raise ValueError(f"{self.kind.value} requires a finite arrival_rate * mean_service")
 
     @classmethod
     def busy_period(cls, arrival_rate: float, mean_service: float) -> "CharacteristicSpec":
@@ -149,7 +154,8 @@ class CharacteristicSpec:
 @dataclass(frozen=True, eq=False)
 class BoundSequences:
     """Unit-seed point, lower and upper chains for levels 1..order;
-    ``clamped`` marks levels where a lower-bound clamping convention fired.
+    ``clamped`` marks levels whose lower bound is 0, which by the chains'
+    lemma (see :func:`solve_recursion`) are the levels where a clamp fired.
     """
 
     point: np.ndarray
@@ -286,9 +292,12 @@ def solve_recursion(
     upper values, the upper chain divides by ``r_0 - eps`` and subtracts
     the tail lowered by ``gamma`` times earlier lower values.  A width
     swallowing ``r_0`` makes every upper bound infinite; a negative leading
-    coefficient ``1 - r_1 - gamma`` or lower-bound total is clamped to zero
-    and flagged.  With zero widths the bounds are the point chain itself; a
-    positive ``eps`` with a zero ``gamma`` raises :class:`ValueError`.
+    coefficient ``1 - r_1 - gamma`` or lower-bound total is clamped to zero.
+    ``clamped`` is ``lower == 0``: by the lemma below, a clamp pins every
+    later lower bound to 0, and level 1, ``1 / (r_0 + eps)``, is never 0.
+    With zero widths the bounds are the point chain itself and nothing is
+    clamped; a positive ``eps`` with a zero ``gamma`` raises
+    :class:`ValueError`.
 
     The chains rest on one lemma.  By induction on the level, 0 <= low_k
     <= Q_k <= upp_k, and Q_k >= 1 / r_0 >= 1.  So once low_{k-1} = 0 the
@@ -323,15 +332,13 @@ def solve_recursion(
     if r0 == 0.0:
         raise DegeneracyError("leading moment coefficient is zero; cannot divide")
     point = _point_chain(moments)[1:order + 1]
-    clamped = np.zeros(order + 1, dtype=bool)
     if gamma == 0.0:
-        return BoundSequences(point=point, lower=point, upper=point, clamped=clamped[1:])
+        return BoundSequences(point=point, lower=point, upper=point,
+                              clamped=np.zeros(order, dtype=bool))
     lead = 1.0 - float(r[1]) if order >= 2 else 0.0
     r_up, r_down = r + gamma, r - gamma
     div_low, div_upp = r0 + eps, r0 - eps
-    lead_low, lead_upp = lead - gamma, lead + gamma
-    lead_clamped = lead_low < 0.0
-    lead_low = max(lead_low, 0.0)
+    lead_low, lead_upp = max(lead - gamma, 0.0), lead + gamma
     # level 0 is the unit seed; an upper bound never set is inf
     low, upp = np.zeros(order + 1), np.full(order + 1, math.inf)
     low[:2] = 1.0, 1.0 / div_low
@@ -344,16 +351,14 @@ def solve_recursion(
         tail = float(np.dot(r_up[2:k], upp[k - 2:0:-1]))
         # a zero lead skips its product, which is NaN once low[k - 1] overflows
         acc = (lead_low * low.item(k - 1) if lead_low else 0.0) - tail
-        clamped[k] = lead_clamped or acc < 0.0
         low[k] = max(acc, 0.0) / div_low
         u = upp.item(k - 1)
         if u != math.inf:
             upp[k] = (lead_upp * u - float(np.dot(r_down[2:k], low[k - 2:0:-1]))) / div_upp
     else:
-        return BoundSequences(point=point, lower=low[1:], upper=upp[1:], clamped=clamped[1:])
-    # pinned from level k: the lower chain is 0 and clamped, and while the
-    # upper chain is finite low[k - 1] is 0, so its tail reads low[1..k-2]
-    clamped[k:] = True
+        return BoundSequences(point=point, lower=low[1:], upper=upp[1:], clamped=low[1:] == 0.0)
+    # pinned from level k: the lower chain is 0, and while the upper chain
+    # is finite low[k - 1] is 0, so its tail reads low[1..k-2]
     u = upp.item(k - 1)
     if u != math.inf:
         tails = np.convolve(r_down[2:order], low[1:k - 1], "valid")
@@ -362,7 +367,7 @@ def solve_recursion(
             upp[level] = u
             if u == math.inf:
                 break
-    return BoundSequences(point=point, lower=low[1:], upper=upp[1:], clamped=clamped[1:])
+    return BoundSequences(point=point, lower=low[1:], upper=upp[1:], clamped=low[1:] == 0.0)
 
 
 def estimate_characteristic(

@@ -26,11 +26,9 @@ from .ecdf import EmpiricalCdf, Sample, _check_positive_finite, _sup_deviations
 from .errors import check_positive
 from .moments import (
     MomentVector,
-    _bd0,
     _check_rate_order,
     _poisson_pmf,
     _poisson_tails,
-    _stirlerr,
     moments_empirical,
     moments_exponential,
 )
@@ -102,7 +100,9 @@ class Exponential:
 
     def cdf(self, x):
         xs = np.asarray(x, dtype=float)
-        return np.where(xs <= 0.0, 0.0, -np.expm1(-self.rate * np.maximum(xs, 0.0)))
+        # rate x past the largest double is -inf, and its CDF 1
+        with np.errstate(over="ignore"):
+            return np.where(xs <= 0.0, 0.0, -np.expm1(-self.rate * np.maximum(xs, 0.0)))
 
     def moments(self, rate: float, order: int) -> MomentVector:
         return moments_exponential(rate, self.rate, order)
@@ -142,10 +142,10 @@ class ErlangK:
         """Negative binomial: r_i = C(i+k-1, i) p^k q^i with p = m/(a+m) and
         q = a/(a+m), for shape k, law rate m and weighting rate a.  That is
         r_0 = p^k = exp(-k log1p(a/m)) and, for i >= 1, k/(i+k) times the
-        binomial pmf b(k; i+k, p) in Loader's (2000) saddle-point form: with
-        n = i + k, ``exp(stirlerr(n) - stirlerr(k) - stirlerr(i) - bd0(k, n p)
-        - bd0(i, n q)) sqrt(k / (2 pi n i))``.  Every term of that exponent is
-        small where the coefficient is not, so a coefficient keeps its
+        binomial pmf b(k; i+k, p), which with n = i + k is a ratio of Poisson
+        pmfs, ``P(k; n p) P(i; n q) / P(n; n)``, each in Loader's (2000)
+        saddle-point form (``_poisson_pmf``).  Every term of their exponents
+        is small where the coefficient is not, so a coefficient keeps its
         relative accuracy at large shapes, where a difference of log-gammas
         (near 5,900 at k = 1000) would lose about 1e-12.  The coefficients
         fall from the mean k a / m on, so past it the tail is their sum
@@ -160,11 +160,9 @@ class ErlangK:
             out = np.full(i.shape, r0)
             pos = i > 0.0
             j = i[pos]
-            n, kk = j + k, np.full(j.shape, float(k))
-            # n q far below i (past the largest double) makes bd0 inf: 0
-            with np.errstate(over="ignore", divide="ignore"):
-                out[pos] = np.exp(_stirlerr(n) - _stirlerr(kk) - _stirlerr(j) - _bd0(kk, n * p)
-                                  - _bd0(j, n * q)) * np.sqrt(k / (2.0 * math.pi * n * j))
+            n = j + k
+            out[pos] = (k / n * _poisson_pmf(np.full(j.shape, float(k)), n * p)
+                        * _poisson_pmf(j, n * q) / _poisson_pmf(n, n))
             return out
 
         # below the mean, MomentVector's default: 1 minus the coefficients
@@ -221,7 +219,9 @@ class Uniform:
 
     def cdf(self, x):
         xs = np.asarray(x, dtype=float)
-        return np.clip((xs - self.low) / (self.high - self.low), 0.0, 1.0)
+        # a quotient past the largest double is inf, and clips to 1
+        with np.errstate(over="ignore"):
+            return np.clip((xs - self.low) / (self.high - self.low), 0.0, 1.0)
 
     def moments(self, rate: float, order: int) -> MomentVector:
         """r_i = [P(N_l <= i) - P(N_h <= i)] / (a (h - l)) for N_l ~ Poisson(a l)

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lossq.ecdf
@@ -299,6 +299,20 @@ def test_estimate_requires_mean_service_for_arrival_side(capsys, unit_exp_sample
                  "--rate", "1.0", "--n", "4", "--input", str(path)]) == 1
     assert capsys.readouterr().err == (
         "lossq: error: missing --mean-service (required for mg1n)\n")
+
+
+def test_estimate_rejects_a_lost_seed_past_the_largest_double(capsys, tmp_path):
+    # 2 x 1e308 is inf: the seed lambda m - 1 once met the pinned lower
+    # chain's zeros and printed nan lower bounds from level 5 on
+    path = tmp_path / "e1.txt"
+    draws = np.random.default_rng(0).exponential(1.0, 1000)
+    path.write_text("".join(f"{float(v)!r}\n" for v in draws))
+    assert main(["estimate", "--system", "mg1n", "--characteristic", "lost",
+                 "--rate", "2", "--mean-service", "1e308", "--n", "40",
+                 "--input", str(path), "--confidence", "0.95", "--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "lossq: error: lost requires a finite arrival_rate * mean_service\n"
 
 
 def test_estimate_rejects_loss_probability_on_the_arrival_side(
@@ -746,7 +760,7 @@ _OPTIONS = {
         "--system": (["mg1n", "gim1n"], ["mm1", None]),
         "--characteristic": (["busy", "served", "lost", "loss-prob"], ["idle", None]),
         "--rate": (["0.8", "1", "3", "1e9"], _BAD_REALS + [None]),
-        "--mean-service": (["1", "0.7"], _BAD_REALS + [None]),
+        "--mean-service": (["1", "0.7", "1e308"], _BAD_REALS + [None]),
         "--n": (["1", "3", "40"], _BAD_LEVELS + [None]),
         "--input": (["good"], _BAD_INPUTS + [None]),
         "--confidence": ([None, "0.95", "0.5"], _BAD_PROBABILITIES),
@@ -774,9 +788,10 @@ _OPTIONS = {
 
 
 @st.composite
-def _fuzz_argv(draw, inputs):
+def _fuzz_argv(draw):
     """A subcommand line with valid options, up to two of them replaced by a
-    bad value or left out, and maybe a stray argument."""
+    bad value or left out, and maybe a stray argument.  ``--input`` and
+    ``--emit-samples`` name a path by its kind in ``fuzz_inputs``."""
     sub = draw(st.sampled_from([*_OPTIONS, "frobnicate", None]))
     if sub not in _OPTIONS:
         return [] if sub is None else [sub]
@@ -790,15 +805,19 @@ def _fuzz_argv(draw, inputs):
         if value is True:
             argv.append(name)
         elif value is not None:
-            argv += [name, inputs.get(value, value) if name in ("--input", "--emit-samples")
-                     else value]
+            argv += [name, value]
     return argv + draw(st.sampled_from([[], ["--bogus"], ["extra"]]))
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_fuzzed_arguments_exit_zero_one_or_two(fuzz_inputs, data):
-    argv = data.draw(_fuzz_argv(fuzz_inputs))
+@given(argv=_fuzz_argv())
+# a lost seed lambda m - 1 past the largest double once printed NaN bounds
+@example(argv=["estimate", "--system", "mg1n", "--characteristic", "lost", "--rate", "2",
+               "--mean-service", "1e308", "--n", "40", "--input", "good",
+               "--confidence", "0.95", "--format", "csv"])
+def test_fuzzed_arguments_exit_zero_one_or_two(fuzz_inputs, argv):
+    argv = [fuzz_inputs.get(arg, arg) if option in ("--input", "--emit-samples") else arg
+            for option, arg in zip(["", *argv], argv)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -806,6 +825,9 @@ def test_fuzzed_arguments_exit_zero_one_or_two(fuzz_inputs, data):
     if code != 0:
         # usage errors of a subcommand name it, as in "lossq estimate: error:"
         assert re.search(r"^lossq( [a-z]+)?: error: ", err.getvalue(), re.M), (argv, err.getvalue())
+    else:
+        assert err.getvalue() == "", (argv, err.getvalue())
+        assert not re.search(r"\bnan\b", out.getvalue(), re.I), (argv, out.getvalue())
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Slices of the golden CLI grid, run through ``tools/golden_grid.py``'s own
 sample files and runner, so that the grid keeps working as the CLI changes.
 
-The full grid (about 4,600 calls) is the gate for refactors and is compared
-between two checkouts by hand; these slices only check that every call in
-them still runs to a digest and an exit code.  They store no digests.
+The full grid (about 4,600 calls) is the gate for refactors and compares
+two trees with ``python tools/golden_grid.py --against REV``; these slices
+only check that every call in them still runs to a digest and an exit code.  They store no digests.
 """
 
 import importlib.util

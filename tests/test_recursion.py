@@ -73,6 +73,15 @@ def test_nonpositive_or_nonfinite_rates_are_rejected(bad):
         CharacteristicSpec.loss_probability(bad)
 
 
+def test_a_lost_count_seed_past_the_largest_double_is_rejected():
+    # lambda m - 1 = inf would meet a pinned lower chain's zeros as inf * 0
+    with pytest.raises(ValueError, match=r"finite arrival_rate \* mean_service"):
+        CharacteristicSpec.lost_customers(2.0, 1e308)
+    # the busy period's seed is m itself, and a finite lambda m passes
+    assert CharacteristicSpec.busy_period(2.0, 1e308).seed == 1e308
+    assert CharacteristicSpec.lost_customers(1.0, 1e308).seed == 1e308 - 1.0
+
+
 def test_weighting_rate_is_arrival_side_except_for_loss_probability():
     assert CharacteristicSpec.busy_period(2.0, 0.5).weighting_rate == 2.0
     assert CharacteristicSpec.served_customers(2.0).weighting_rate == 2.0

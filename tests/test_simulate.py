@@ -92,6 +92,17 @@ def test_distribution_cdfs_at_known_points():
     assert np.array_equal(out, [0.0, 0.25, 0.5, 1.0])
 
 
+def test_law_values_past_the_float_range_raise_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # rate x, and (x - low) / (high - low), overflow to inf
+        assert Exponential(700.0).cdf(1e308) == 1.0
+        assert Uniform(1e-6, 0.01).cdf(1e308) == 1.0
+        # rate high underflows to 0, so every quadrature node is at y = 0
+        got = Uniform(1e-308, 1e-200).moments(1e-200, 400)
+    assert got.values[0] == 1.0 and not got.values[1:].any() and got.tail == 0.0
+
+
 def _poisson_tail(k: int, y: float) -> float:
     """P(N >= k) for N ~ Poisson(y), summed in 60-digit decimal arithmetic."""
     with localcontext() as ctx:

@@ -4,37 +4,50 @@ Runs every subcommand in-process through ``lossq.cli.main`` on seeded sample
 files written to a temporary directory, and prints, per call, the sha256 of
 its stdout, stderr and exit code, followed by the sha256 of all those lines.
 A refactor that must not change behaviour gives the same output before and
-after; ``diff`` of two runs names the calls that differ.
+after.
 
 The package is imported from the ``src`` directory next to this file, or
-from the one named by the only argument.  So two checkouts are compared on
-this file's calls, which the other checkout's copy may not all hold:
+from the one named by the only argument.  ``--against REV`` exports REV's
+``src`` with ``git archive`` into a temporary directory, runs this file's
+calls on both trees, prints each call that differs and ends with
+``identical over N calls`` or ``K of N calls differ``; it exits 1 on any
+difference:
 
-    python tools/golden_grid.py > after.txt
-    python tools/golden_grid.py ../parent/src > before.txt
-    diff before.txt after.txt
+    python tools/golden_grid.py --against HEAD
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import itertools
 import json
 import os
+import subprocess
 import sys
 import tempfile
+import zipfile
 from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 
-if __name__ == "__main__" and len(sys.argv) > 1:
-    _SRC = Path(sys.argv[1]).resolve()
-else:
-    _SRC = Path(__file__).resolve().parents[1] / "src"
-sys.path.insert(0, str(_SRC))
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _arguments() -> argparse.Namespace:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", nargs="?", type=Path, default=_ROOT / "src",
+                        help="the src directory to import the package from")
+    parser.add_argument("--against", metavar="REV",
+                        help="compare every call with the package at git revision REV")
+    return parser.parse_args()
+
+
+_ARGS = _arguments() if __name__ == "__main__" else None
+sys.path.insert(0, str((_ARGS.src if _ARGS else _ROOT / "src").resolve()))
 
 from lossq.cli import SEED_ENV_VAR, main  # noqa: E402
 
@@ -177,6 +190,10 @@ def _estimate_calls():
            "--n", "4", "--input", "exp.txt"]
     yield ["estimate", "--system", "mg1n", "--characteristic", "lost", "--rate", "1",
            "--n", "4", "--input", "exp.txt"]
+    # a lost seed lambda m - 1 past the largest double
+    yield ["estimate", "--system", "mg1n", "--characteristic", "lost", "--rate", "2",
+           "--mean-service", "1e308", "--n", "40", "--input", "exp.txt", "--confidence",
+           "0.95", "--format", "csv"]
 
 
 def _calls():
@@ -275,7 +292,41 @@ def run_grid() -> list[str]:
     return lines
 
 
+def _against(rev: str) -> int:
+    """Run the grid here and on ``rev``'s ``src``, print each call whose
+    digest or exit code differs, and return 1 on any difference (2 if
+    ``rev`` cannot be exported or run)."""
+    archive = subprocess.run(["git", "-C", str(_ROOT), "archive", "--format=zip", rev, "src"],
+                             capture_output=True)
+    if archive.returncode:
+        sys.stderr.write(archive.stderr.decode())
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        zipfile.ZipFile(io.BytesIO(archive.stdout)).extractall(tmp)
+        # two packages named lossq cannot share a process; the other tree's
+        # runs alongside this one
+        other = subprocess.Popen([sys.executable, __file__, str(Path(tmp) / "src")],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        here = run_grid()
+        out, err = other.communicate()
+    if other.returncode:
+        sys.stderr.write(err)
+        return 2
+    there = out.splitlines()[:-1]  # without the total line
+    differ = 0
+    for before, after in zip(there, here, strict=True):
+        if before != after:
+            differ += 1
+            _, code_before, call = before.split(" ", 2)
+            print(f"exit {code_before} -> {after.split(' ', 2)[1]} {call}")
+    print(f"{differ} of {len(here)} calls differ" if differ
+          else f"identical over {len(here)} calls")
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
+    if _ARGS.against is not None:
+        sys.exit(_against(_ARGS.against))
     grid = run_grid()
     print("\n".join(grid))
     total = hashlib.sha256("\n".join(grid).encode()).hexdigest()
