@@ -6,12 +6,14 @@ Erlang CDF and the Erlang and uniform closed forms are built from Poisson
 tails and ``math.lgamma``, so the laws need NumPy alone.
 
 Sample drawing uses a PCG64 generator seeded explicitly.  The busy-cycle
-simulator advances whole batches of replications in vectorized rounds (one
-service completion per round) on counter-spaced Philox streams — one stream
-per batch of ``REPLICATION_CHUNK`` cycles — so a run is reproducible from its
-seed and replication count alone; the last few cycles of a batch finish on
-Python scalars with the same draws.  The generator identities are part of
-the reproducibility contract and are recorded in results.
+simulator runs batches of ``REPLICATION_CHUNK`` replications, each on its
+own counter-spaced Philox stream, in generation rounds: a round serves every
+running cycle's block, the customers present at the round's start (fewer
+when the round would serve more than ``REPLICATION_CHUNK``).  So a run is
+reproducible from its seed and replication count alone; the last few cycles
+of a batch finish on Python scalars with the same draws.  The generator
+identities are part of the reproducibility contract and are recorded in
+results.
 """
 
 from __future__ import annotations
@@ -57,20 +59,25 @@ __all__ = [
 REPLICATION_CHUNK = 16384
 
 SAMPLE_GENERATOR = "numpy-pcg64"
-SIMULATION_GENERATOR = f"numpy-philox-chunk{REPLICATION_CHUNK}"
+SIMULATION_GENERATOR = f"numpy-philox-chunk{REPLICATION_CHUNK}-generations"
 # a batch with at most this many cycles left finishes on Python scalars:
-# ``Generator.poisson`` on an array costs about 14 us however short the
-# array, a scalar draw about 1 us (NumPy 2.4, one core of a 2-vCPU VM)
+# ``Generator.poisson`` on an array costs about 10 us however short the
+# array, a scalar draw about 0.5 us (NumPy 2.4, one core of a 2-vCPU VM)
 _SCALAR_TAIL = 16
 # the most services a run may expect to draw (replications times the mean
-# served per busy cycle).  On the same core a run draws about 4.6e6 services
-# a second in full chunks and 2.4e5 in a single cycle: 20 s to 7 minutes
+# served per busy cycle).  On the same core a run draws 5.4e6 to 7.2e6
+# services a second in full chunks (the four laws at load 0.95, buffer 50)
+# and 5.9e5 to 1.1e6 in a single cycle (det:1 at load 3, buffer 5, and
+# exp:1 at load 1.2, buffer 30): 14 s to 3 minutes
 _SERVICE_BUDGET = 1e8
 # the levels of the served chain that the budget check computes at most
 _BUDGET_LEVELS = 1000
 # a waiting count never comes near 2^62, so a larger buffer acts as this one
-# and keeps ``buffer - waiting`` within int64
+# and keeps ``buffer + 1`` and ``peak - buffer`` within int64
 _BUFFER_CAP = 2**62
+# finished cycles are pooled in batches of at least this many (or at the end
+# of their chunk): pooling costs about 14 us a call, and a late round ends few
+_POOL_BATCH = 1024
 # KS-law experiment: the most observations held in one block of trials.  A
 # block and its CDF temporaries take about 1 MB; all 1000 x 1000 trials at
 # once would add about 30 MB to the peak RSS
@@ -83,6 +90,13 @@ _NARROW_NODES = 64
 # of the tail below which the rest is dropped
 _TAIL_CHUNK = 64
 _TAIL_REST = 2.0**-60
+
+
+def _number(x: float) -> str:
+    """A law parameter as a label prints it: short (``:g``) where that reads
+    back as the same float, and in full (``repr``) where it would not."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
 
 
 @dataclass(frozen=True)
@@ -108,7 +122,7 @@ class Exponential:
         return moments_exponential(rate, self.rate, order)
 
     def label(self) -> str:
-        return f"exp:{self.rate:g}"
+        return f"exp:{_number(self.rate)}"
 
 
 @dataclass(frozen=True)
@@ -171,7 +185,7 @@ class ErlangK:
                             tail=tail)
 
     def label(self) -> str:
-        return f"erlang:{self.shape}:{self.rate:g}"
+        return f"erlang:{self.shape}:{_number(self.rate)}"
 
 
 @dataclass(frozen=True)
@@ -196,7 +210,7 @@ class Deterministic:
         return moments_empirical(EmpiricalCdf(np.array([self.value])), rate, order)
 
     def label(self) -> str:
-        return f"det:{self.value:g}"
+        return f"det:{_number(self.value)}"
 
 
 @dataclass(frozen=True)
@@ -267,7 +281,7 @@ class Uniform:
         return MomentVector(rate=rate, values=coefficients(i), tail=tail)
 
     def label(self) -> str:
-        return f"uniform:{self.low:g}:{self.high:g}"
+        return f"uniform:{_number(self.low)}:{_number(self.high)}"
 
 
 ServiceDistribution = Exponential | ErlangK | Deterministic | Uniform
@@ -371,13 +385,21 @@ def simulate_busy_period(
     leaves the system empty.
 
     Replication ``j`` is served by the Philox stream numbered
-    ``j // REPLICATION_CHUNK``.  In each round, the cycles of a chunk that
-    are still running, in replication order, draw their service times with
-    one ``dist.draw`` call and then one Poisson arrival count each, in the
-    same order.  Once at most ``_SCALAR_TAIL`` cycles of a chunk are left,
-    the arrival counts are drawn one scalar call at a time: the generator
-    gives the same values, so the result does not depend on where the
-    switch happens.
+    ``j // REPLICATION_CHUNK``.  A chunk runs in generation rounds (a busy
+    period is a branching process, Kendall 1951).  Each round serves a
+    block of each running cycle, the customers present when the round
+    starts; the cycle cannot end before the block's last service.  If the
+    blocks would add up to more than ``REPLICATION_CHUNK`` services, each
+    is cut to ``REPLICATION_CHUNK`` over the number of running cycles,
+    rounded down (but at least one).  The round draws the blocks' service
+    times with one ``dist.draw`` call, block by block in replication order,
+    and then their Poisson arrival counts in the same order, so every
+    service drawn is served.  Once at most ``_SCALAR_TAIL`` cycles of a
+    chunk are left, the arrival counts are drawn one scalar call at a time:
+    the generator gives the same values, so the result does not depend on
+    where the switch happens.  Finished cycles are pooled a batch at a time
+    into the sums and centred sums of squares behind the means and standard
+    errors (``_Pooled``).
 
     A run is refused with :class:`ValueError` before any draw when
     ``replications`` times the expected number served per cycle exceeds
@@ -400,24 +422,15 @@ def simulate_busy_period(
     _check_budget(arrival_rate, dist, buffer, replications)
     buffer = min(buffer, _BUFFER_CAP)
     root = np.random.Philox(np.random.SeedSequence(seed))
-    sums = np.zeros(3)
-    sumsq = np.zeros(3)
-    done = 0
-    while done < replications:
+    pooled = _Pooled()
+    for done in range(0, replications, REPLICATION_CHUNK):
         count = min(REPLICATION_CHUNK, replications - done)
         rng = np.random.Generator(root.jumped(done // REPLICATION_CHUNK))
-        t, served, lost = _run_cycles(rng, arrival_rate, dist, buffer, count)
-        for j, arr in enumerate((t, served, lost)):
-            sums[j] += arr.sum()
-            sumsq[j] += float(arr @ arr)
-        done += count
+        chunk = _run_cycles(rng, arrival_rate, dist, buffer, count)
+        pooled.merge(chunk.count, chunk.total, chunk.m2)
 
-    means = sums / replications
-    if replications > 1:
-        var = np.maximum(sumsq - replications * means**2, 0.0) / (replications - 1)
-        ses = np.sqrt(var / replications)
-    else:
-        ses = np.zeros(3)
+    means = pooled.mean
+    ses = np.sqrt(pooled.m2 / max(replications - 1, 1) / replications)
     return SimulationResult(
         busy_period=EstimateStat(float(means[0]), float(ses[0])),
         served=EstimateStat(float(means[1]), float(ses[1])),
@@ -471,36 +484,118 @@ def _expected_served(arrival_rate: float, dist: ServiceDistribution, buffer: int
         return float(last * (last / chain[-2]) ** (buffer - levels))
 
 
+class _Pooled:
+    """The count, sums and centred sums of squares of (busy time, served,
+    lost) over finished cycles.  Each batch is taken in two passes, its sum
+    and then its squared deviations from its mean, and batches are combined
+    by the pairwise update of Chan, Golub & LeVeque (1983), so a variance is
+    never the difference of two large sums of squares.  A mean is its sum
+    over the count, so a mean count is exact to the last bit."""
+
+    __slots__ = ("count", "total", "m2")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.total = np.zeros(3)
+        self.m2 = np.zeros(3)
+
+    @property
+    def mean(self) -> np.ndarray:
+        return self.total / self.count
+
+    def add(self, values: np.ndarray) -> None:
+        """Fold a (3, k) batch: the rows are busy time, served and lost."""
+        total = values.sum(axis=1)
+        dev = values - (total / values.shape[1])[:, None]
+        self.merge(values.shape[1], total, np.einsum("ij,ij->i", dev, dev))
+
+    def merge(self, count: int, total: np.ndarray, m2: np.ndarray) -> None:
+        if self.count:
+            delta = total / count - self.mean
+            m2 = m2 + delta * delta * (self.count * count / (self.count + count))
+        self.count += count
+        self.total = self.total + total
+        self.m2 = self.m2 + m2
+
+
+def _block_cap(size: int, running: int) -> int:
+    """The most services one cycle takes in a round that would serve
+    ``size`` in ``running`` cycles: all it has, unless that is more than
+    ``REPLICATION_CHUNK``, and then ``REPLICATION_CHUNK // running``."""
+    return size if size <= REPLICATION_CHUNK else max(1, REPLICATION_CHUNK // running)
+
+
 def _run_cycles(
     rng: np.random.Generator,
     arrival_rate: float,
     dist: ServiceDistribution,
     buffer: int,
     count: int,
-):
-    waiting = np.zeros(count, dtype=np.int64)
-    t = np.zeros(count)
-    served = np.zeros(count, dtype=np.int64)
-    lost = np.zeros(count, dtype=np.int64)
-    active = np.arange(count)
-    while active.size > _SCALAR_TAIL:
-        s = dist.draw(rng, active.size)
-        arrivals = rng.poisson(arrival_rate * s)
-        t[active] += s
-        served[active] += 1
-        w = waiting[active]
-        joined = np.minimum(arrivals, buffer - w)
-        lost[active] += arrivals - joined
-        w = w + joined
-        keep = w > 0
-        waiting[active] = w - keep
-        active = active[keep]
-    if active.size:
-        cycles = [list(c) for c in zip(waiting[active].tolist(), t[active].tolist(),
-                                       served[active].tolist(), lost[active].tolist())]
-        _finish_cycles(rng, arrival_rate, dist, buffer, cycles)
-        _, t[active], served[active], lost[active] = zip(*cycles)
-    return t, served.astype(float), lost.astype(float)
+) -> _Pooled:
+    """Run ``count`` busy cycles in generation rounds and pool them.
+
+    A round serves a block of each running cycle: the customers present at
+    its start, at most ``_block_cap`` of them.  The cycle cannot end within
+    the block, so from the w waiting when the block's first service starts,
+    the waiting count before the buffer clips it is the walk
+    P_j = w + a_0 + ... + a_j - j over the block's arrival counts a_j.  A
+    walk clipped at a ceiling loses what its peak passes it by, so the
+    block loses max(0, max_j P_j - buffer); it leaves present its arrivals
+    less that loss, and the customers it did not serve.  A cycle ends on a
+    block that leaves none."""
+    pooled = _Pooled()
+    present = np.ones(count, dtype=np.int64)
+    # each running cycle's busy time, served and lost so far
+    totals = np.zeros((3, count))
+    # finished cycles not yet pooled, and how many
+    ended, unpooled = [], 0
+    while present.size > _SCALAR_TAIL:
+        block, size = present, int(present.sum())
+        cap = _block_cap(size, present.size)
+        if cap < size:
+            block = np.minimum(present, cap)
+            size = int(block.sum())
+        s = dist.draw(rng, size)
+        a = rng.poisson(arrival_rate * s)
+        if size == present.size:
+            # one service a block, as in a batch's first round
+            busy, arrived = s, a
+        else:
+            starts = np.cumsum(block) - block
+            busy = np.add.reduceat(s, starts)
+            arrived = np.add.reduceat(a, starts)
+        totals[0] += busy
+        totals[1] += block
+        # the walk's peak is at most its start plus every arrival, less one,
+        # and is that on a block of one service
+        peak = present + arrived
+        if peak.max() > buffer + 1:
+            if size == present.size:
+                peak -= 1
+            else:
+                walk = np.empty(size + 1, dtype=np.int64)
+                walk[0] = 0
+                np.cumsum(np.subtract(a, 1, out=a), out=walk[1:])
+                peak = present + np.maximum.reduceat(walk[1:], starts) - walk[starts]
+            loss = np.maximum(peak - buffer, 0)
+            totals[2] += loss
+            arrived = arrived - loss
+        present = arrived if block is present else present - block + arrived
+        keep = np.flatnonzero(present)
+        if keep.size < present.size:
+            # gathers by index: a boolean mask is several times slower here
+            ended.append(totals.take(np.flatnonzero(present == 0), axis=1))
+            unpooled += present.size - keep.size
+            present, totals = present.take(keep), totals.take(keep, axis=1)
+            if unpooled >= _POOL_BATCH:
+                pooled.add(np.concatenate(ended, axis=1))
+                ended, unpooled = [], 0
+    if present.size:
+        cycles = list(zip(present.tolist(), *totals.tolist()))
+        ended.append(np.array(_finish_cycles(rng, arrival_rate, dist, buffer, cycles)).T)
+    if ended:
+        pooled.add(np.concatenate(ended, axis=1))
+    return pooled
 
 
 def _finish_cycles(
@@ -508,26 +603,40 @@ def _finish_cycles(
     arrival_rate: float,
     dist: ServiceDistribution,
     buffer: int,
-    cycles: list[list],
-) -> None:
-    """The rounds of ``_run_cycles`` on a few ``[waiting, time, served,
-    lost]`` cycles, updated in place until each ends: each round draws its
-    service times with one ``dist.draw`` call and then each arrival count
-    with a scalar ``rng.poisson``, in the same order as the indexed rounds."""
+    cycles: list[tuple],
+) -> list[tuple]:
+    """The generation rounds of ``_run_cycles`` on a few ``(present, time,
+    served, lost)`` cycles: each round draws its service times with one
+    ``dist.draw`` call and then each arrival count with a scalar
+    ``rng.poisson``, in the same order as an array draw, and serves each
+    block one customer at a time.  Returns ``(time, served, lost)`` of each
+    cycle, in the order they end."""
     poisson = rng.poisson
-    running = cycles
-    while running:
-        kept = []
-        for cycle, s in zip(running, dist.draw(rng, len(running)).tolist()):
-            arrivals = poisson(arrival_rate * s)
-            joined = min(arrivals, buffer - cycle[0])
-            cycle[1] += s
-            cycle[2] += 1
-            cycle[3] += arrivals - joined
-            if cycle[0] + joined:
-                cycle[0] += joined - 1
-                kept.append(cycle)
-        running = kept
+    ended = []
+    while cycles:
+        size = sum(c[0] for c in cycles)
+        cap = _block_cap(size, len(cycles))
+        if cap < size:
+            size = sum(min(c[0], cap) for c in cycles)
+        draws = iter(dist.draw(rng, size).tolist())
+        running = []
+        for present, busy, served, lost in cycles:
+            block = min(present, cap)
+            waiting = present - 1
+            for _ in range(block):
+                s = next(draws)
+                busy += s
+                waiting += poisson(arrival_rate * s)
+                if waiting > buffer:
+                    lost += waiting - buffer
+                    waiting = buffer
+                waiting -= 1
+            if waiting < 0:
+                ended.append((busy, served + block, lost))
+            else:
+                running.append((waiting + 1, busy, served + block, lost))
+        cycles = running
+    return ended
 
 
 def ks_law_experiment(

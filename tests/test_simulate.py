@@ -1,5 +1,6 @@
 """Tests for the service distributions, busy-cycle simulator and oracles."""
 
+import contextlib
 import math
 import warnings
 from decimal import Decimal, localcontext
@@ -23,6 +24,7 @@ from lossq.simulate import (
     Exponential,
     Uniform,
     _expected_served,
+    _Pooled,
     _run_cycles,
     draw_samples,
     ks_law_experiment,
@@ -154,6 +156,30 @@ def test_labels_round_trip_through_the_parser():
     assert type(ErlangK(2.0, 1.5).shape) is int
 
 
+def test_labels_keep_every_digit_where_the_short_form_loses_some():
+    assert Uniform(1e6, 1e6 + 1e-3).label() == "uniform:1e+06:1000000.001"
+    assert Exponential(1.2345678).label() == "exp:1.2345678"
+    # the short form stays wherever it reads back as the same float
+    assert Exponential(1.0).label() == "exp:1"
+    assert Uniform(0.0, 2.0).label() == "uniform:0:2"
+    assert Deterministic(0.7).label() == "det:0.7"
+
+
+_PARAMETERS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@given(dist=st.one_of(
+    _PARAMETERS.map(Exponential),
+    st.builds(ErlangK, st.integers(1, 10**6), _PARAMETERS),
+    _PARAMETERS.map(Deterministic),
+    st.tuples(st.floats(min_value=0.0, allow_infinity=False), _PARAMETERS)
+    .map(sorted).filter(lambda edges: edges[0] < edges[1])
+    .map(lambda edges: Uniform(*edges)),
+))
+def test_every_label_reads_back_as_its_law(dist):
+    assert parse_distribution(dist.label()) == dist
+
+
 def test_parser_accepts_case_and_whitespace():
     assert parse_distribution(" EXP:1 ") == Exponential(1.0)
     assert parse_distribution("Erlang:2:1.5") == ErlangK(2, 1.5)
@@ -197,7 +223,7 @@ def test_draw_samples_large_sample_mean():
 
 def test_generator_identifiers():
     assert SAMPLE_GENERATOR == "numpy-pcg64"
-    assert SIMULATION_GENERATOR == f"numpy-philox-chunk{REPLICATION_CHUNK}"
+    assert SIMULATION_GENERATOR == f"numpy-philox-chunk{REPLICATION_CHUNK}-generations"
 
 
 # ---------------------------------------------------------------------------
@@ -266,45 +292,107 @@ def test_simulator_is_reproducible():
 
 def test_each_chunk_of_replications_runs_on_its_own_jump_of_the_seed_stream():
     # 2^15 replications: the first chunk is a one-chunk run of the same seed,
-    # the second runs on the seed's Philox stream jumped once.  All sums and
-    # divisors are powers of two, so the pooled means agree exactly.
+    # the second runs on the seed's Philox stream jumped once, and the run
+    # pools the two chunks in that order
     full = simulate_busy_period(1.0, Exponential(1.0), 2, 2 * REPLICATION_CHUNK,
                                 seed=21)
     head = simulate_busy_period(1.0, Exponential(1.0), 2, REPLICATION_CHUNK,
                                 seed=21)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(21)).jumped(1))
-    tail = _run_cycles(rng, 1.0, Exponential(1.0), 2, REPLICATION_CHUNK)
-    for field, values in zip(("busy_period", "served", "lost"), tail):
-        pooled = 0.5 * (getattr(head, field).mean + values.sum() / REPLICATION_CHUNK)
-        assert getattr(full, field).mean == pooled
+    root = np.random.Philox(np.random.SeedSequence(21))
+    pooled = _Pooled()
+    for jumps in (0, 1):
+        chunk = _run_cycles(np.random.Generator(root.jumped(jumps)), 1.0, Exponential(1.0), 2,
+                            REPLICATION_CHUNK)
+        assert chunk.count == REPLICATION_CHUNK
+        if jumps == 0:
+            assert [head.busy_period.mean, head.served.mean, head.lost.mean] == chunk.mean.tolist()
+        pooled.merge(chunk.count, chunk.total, chunk.m2)
+    assert [full.busy_period.mean, full.served.mean, full.lost.mean] == pooled.mean.tolist()
+    se = np.sqrt(pooled.m2 / (2 * REPLICATION_CHUNK - 1) / (2 * REPLICATION_CHUNK))
+    assert [full.busy_period.se, full.served.se, full.lost.se] == se.tolist()
 
 
-def _reference_cycles(rng, arrival_rate, dist, buffer, count):
-    """Reference busy-cycle rounds: indexed NumPy rounds, with no scalar
-    tail, until every cycle has ended."""
-    waiting = np.zeros(count, dtype=np.int64)
-    t = np.zeros(count)
-    served = np.zeros(count, dtype=np.int64)
-    lost = np.zeros(count, dtype=np.int64)
-    active = np.arange(count)
-    while active.size:
-        s = dist.draw(rng, active.size)
-        arrivals = rng.poisson(arrival_rate * s)
-        t[active] += s
-        served[active] += 1
-        w = waiting[active]
-        joined = np.minimum(arrivals, buffer - w)
-        lost[active] += arrivals - joined
-        w = w + joined
-        keep = w > 0
-        waiting[active] = w - keep
-        active = active[keep]
-    return t, served.astype(float), lost.astype(float)
+@contextlib.contextmanager
+def _recorded_cycles():
+    """The (busy time, served, lost) of every cycle ``_run_cycles`` pools,
+    in the order they are pooled: one (3, k) array per batch."""
+    batches = []
+    add = _Pooled.add
+
+    def recording(self, values):
+        batches.append(values.copy())
+        add(self, values)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Pooled, "add", recording)
+        yield batches
+
+
+def _one_customer_at_a_time(rng, arrival_rate, dist, buffer, count):
+    """Reference generation rounds.  Each round takes every running cycle's
+    block, all its present customers or, when the round would serve more
+    than ``REPLICATION_CHUNK``, ``REPLICATION_CHUNK // cycles`` (at least
+    one) of them; draws the round's service times with one ``dist.draw``
+    call and their arrival counts with one ``rng.poisson`` call; and serves
+    each block one customer at a time.  Returns (busy time, served, lost)
+    of each cycle in the order the cycles end, as a (3, count) array, and
+    the number of rounds that were capped."""
+    chunk = lossq.simulate.REPLICATION_CHUNK
+    cycles = [[1, 0.0, 0, 0] for _ in range(count)]
+    ended, capped = [], 0
+    while cycles:
+        size = sum(cycle[0] for cycle in cycles)
+        cap = size if size <= chunk else max(1, chunk // len(cycles))
+        capped += cap < size
+        blocks = [min(cycle[0], cap) for cycle in cycles]
+        s = dist.draw(rng, sum(blocks))
+        services = iter(zip(s.tolist(), rng.poisson(arrival_rate * s).tolist()))
+        running = []
+        for cycle, block in zip(cycles, blocks):
+            waiting = cycle[0] - 1
+            for _ in range(block):
+                service, arrivals = next(services)
+                joined = min(arrivals, buffer - waiting)
+                cycle[1] += service
+                cycle[2] += 1
+                cycle[3] += arrivals - joined
+                waiting += joined - 1
+            cycle[0] = waiting + 1
+            if cycle[0]:
+                running.append(cycle)
+            else:
+                ended.append(cycle[1:])
+        cycles = running
+    return np.array(ended, dtype=float).T, capped
+
+
+def _assert_cycles_match_the_reference(arrival_rate, dist, buffer, count, seed):
+    """Served and lost exactly, busy time to 1e-12: the reference adds the
+    block's services to it one at a time, ``_run_cycles`` a block at once."""
+
+    def stream():
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+    with _recorded_cycles() as batches:
+        pooled = _run_cycles(stream(), arrival_rate, dist, buffer, count)
+    got = np.concatenate(batches, axis=1)
+    want, capped = _one_customer_at_a_time(stream(), arrival_rate, dist, buffer, count)
+    assert pooled.count == count and got.shape == want.shape
+    assert np.array_equal(got[1:], want[1:])
+    np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0.0)
+    # the pooled batches give the mean and centred sum of squares of all
+    mean = got.mean(axis=1)
+    np.testing.assert_allclose(pooled.mean, mean, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(pooled.m2, ((got - mean[:, None]) ** 2).sum(axis=1),
+                               rtol=1e-10, atol=1e-9)
+    return capped
 
 
 # load: the largest buffer drawn.  A cycle at load 1.5 serves about 1.5^buffer
 # customers, so its buffers stay small enough for the reference to finish
 _LOAD_BUFFERS = {0.3: 60, 0.95: 60, 1.5: 6}
+# buffers no cycle fills at these loads: the largest ``_run_cycles`` is given
+_UNFILLED_BUFFERS = [(0.3, 2**62), (0.95, 2**62)]
 # arrival means of 10 and more take NumPy's other Poisson sampler (PTRS):
 # (arrival rate, law, buffer), with every or some services drawing one
 _HIGH_ARRIVAL_MEANS = [(1.0, Deterministic(12.0), 0), (1.0, Uniform(8.0, 16.0), 0),
@@ -317,25 +405,70 @@ def _cycle_configs(draw):
     scalar tail's threshold."""
     tail = lossq.simulate._SCALAR_TAIL
     count = draw(st.sampled_from([1, tail, tail + 1]) | st.integers(1, 3 * tail))
-    if draw(st.integers(0, 4)) == 0:
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
         return (*draw(st.sampled_from(_HIGH_ARRIVAL_MEANS)), count)
-    load = draw(st.sampled_from(sorted(_LOAD_BUFFERS)))
-    buffer = draw(st.integers(0, _LOAD_BUFFERS[load]))
+    if kind == 1:
+        load, buffer = draw(st.sampled_from(_UNFILLED_BUFFERS))
+    else:
+        load = draw(st.sampled_from(sorted(_LOAD_BUFFERS)))
+        buffer = draw(st.integers(0, _LOAD_BUFFERS[load]))
     return load, draw(st.sampled_from(UNIT_MEAN_DISTS)), buffer, count
 
 
 @settings(max_examples=120, deadline=None)
 @given(config=_cycle_configs(), seed=st.integers(0, 2**32 - 1))
-def test_cycles_equal_the_indexed_rounds_bit_for_bit(config, seed):
-    arrival_rate, dist, buffer, count = config
+def test_cycles_equal_one_customer_at_a_time_on_the_same_blocks(config, seed):
+    _assert_cycles_match_the_reference(*config, seed)
 
-    def stream():
-        return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
-    got = _run_cycles(stream(), arrival_rate, dist, buffer, count)
-    want = _reference_cycles(stream(), arrival_rate, dist, buffer, count)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+@pytest.mark.parametrize("chunk", [8, 64])
+def test_capped_rounds_equal_one_customer_at_a_time(monkeypatch, chunk):
+    # a small chunk caps the rounds of full-size blocks: on both sides of the
+    # scalar tail, with one service a cycle when the cycles outnumber it
+    monkeypatch.setattr(lossq.simulate, "REPLICATION_CHUNK", chunk)
+    capped = 0
+    for seed, (arrival_rate, dist, buffer) in enumerate(
+            [(0.95, Exponential(1.0), 60), (1.5, Uniform(0.5, 1.5), 6),
+             (3.0, Exponential(1.0), 2), (0.95, ErlangK(2, 2.0), 2**62)]):
+        for count in (1, lossq.simulate._SCALAR_TAIL, 3 * lossq.simulate._SCALAR_TAIL):
+            capped += _assert_cycles_match_the_reference(arrival_rate, dist, buffer, count, seed)
+    assert capped > 0
+
+
+class _CountingLaw:
+    """A law that counts every value it draws."""
+
+    def __init__(self, law):
+        self.law, self.drawn = law, 0
+
+    def draw(self, rng, size):
+        values = self.law.draw(rng, size)
+        self.drawn += values.size
+        return values
+
+    def __getattr__(self, name):
+        return getattr(self.law, name)
+
+
+@pytest.mark.parametrize("chunk", [REPLICATION_CHUNK, 64])
+@pytest.mark.parametrize("count", [1, 17, 2000])
+def test_every_service_drawn_is_served(monkeypatch, chunk, count):
+    monkeypatch.setattr(lossq.simulate, "REPLICATION_CHUNK", chunk)
+    law = _CountingLaw(Exponential(1.0))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(count)))
+    with _recorded_cycles() as batches:
+        _run_cycles(rng, 0.95, law, 50, count)
+    assert law.drawn == np.concatenate(batches, axis=1)[1].sum()
+
+
+@pytest.mark.parametrize("low, width, rate", [(1e6, 1e-3, 5e-7), (100.0, 1e-6, 5e-3)])
+def test_standard_error_of_a_narrow_law_far_from_zero(low, width, rate):
+    # with no waiting room a busy period is one service, so its standard
+    # error is width / sqrt(12) / sqrt(N).  A sum of squares less N mean^2
+    # cancels to 0.0 on the first law and to 4 times that on the second
+    sim = simulate_busy_period(rate, Uniform(low, low + width), 0, 20_000, seed=3)
+    assert sim.busy_period.se == pytest.approx(width / math.sqrt(12.0 * 20_000), rel=0.03)
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,13 @@ def _calls():
                                 "--replications", "50"]
     yield {}, ["simulate", "--dist", "gamma:1", "--rate", "0.5", "--n", "2",
                "--replications", "50"]
+    # few enough cycles that every round runs on Python scalars
+    yield {}, ["simulate", "--dist", "det:1", "--rate", "3", "--n", "2",
+               "--replications", "20", "--seed", "5"]
+    # a narrow law far from zero, whose standard error a sum of squares
+    # less N mean^2 cancels
+    yield {}, ["simulate", "--dist", "uniform:1000000:1000000.001", "--rate", "5e-7",
+               "--n", "0", "--replications", "20000", "--seed", "3"]
     # above load 1, where the budget check takes the law's moments: a run
     # within the service budget, and one far over it
     for dist in ("exp:1", "erlang:2:2", "uniform:0:2"):
