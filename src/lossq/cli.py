@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -77,19 +76,22 @@ def _characteristic_spec(args: argparse.Namespace):
 
 
 def _seed(args: argparse.Namespace) -> int:
-    """``--seed``, else the ``LOSSQ_SEED`` environment variable, else 0."""
+    """``--seed``, else the ``LOSSQ_SEED`` environment variable, else 0; a
+    seed must be non-negative, as NumPy's seeding takes it."""
     if args.seed is not None:
-        return args.seed
-    raw = os.environ.get(SEED_ENV_VAR, "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+        seed, source = args.seed, f"--seed {args.seed}"
+    else:
+        raw = os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            seed, source = int(raw), f"{SEED_ENV_VAR}={raw!r}"
+        except ValueError:
+            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise ValueError(f"a seed must be non-negative, got {source}")
+    return seed
 
 
 def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     return f"{x:.6f}"
 
 

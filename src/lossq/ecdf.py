@@ -35,14 +35,10 @@ class Sample:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _read_only(self._check(self.values).copy()))
-
-    @staticmethod
-    def _check(values) -> np.ndarray:
-        arr = np.asarray(values, dtype=float)
+        arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("sample must be a non-empty 1-D collection")
-        return _check_positive_finite(arr)
+        object.__setattr__(self, "values", _read_only(_check_positive_finite(arr).copy()))
 
     @property
     def n_obs(self) -> int:
@@ -58,18 +54,12 @@ class EmpiricalCdf:
     sorted_values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "sorted_values", _read_only(self._check(self.sorted_values).copy())
-        )
-
-    @staticmethod
-    def _check(sorted_values) -> np.ndarray:
-        arr = np.asarray(sorted_values, dtype=float)
+        arr = np.asarray(self.sorted_values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("an empirical CDF needs at least one observation")
         if np.any(arr[1:] < arr[:-1]):
             raise ValueError("observations must be sorted ascending")
-        return arr
+        object.__setattr__(self, "sorted_values", _read_only(arr.copy()))
 
     @property
     def n_obs(self) -> int:
@@ -114,11 +104,11 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def _adopt(cls, field: str, arr: np.ndarray):
-    """``cls(arr)`` for a fresh array that nothing else references: checked
-    as the constructor checks it, then made read-only in place instead of
-    copied into ``field``, the class's one field."""
+    """``cls(arr)`` for a fresh float array that nothing else references and
+    that already passes the constructor's checks: made read-only in place
+    instead of copied into ``field``, the class's one field."""
     obj = object.__new__(cls)
-    object.__setattr__(obj, field, _read_only(cls._check(arr)))
+    object.__setattr__(obj, field, _read_only(arr))
     return obj
 
 

@@ -6,12 +6,12 @@ Erlang CDF and the Erlang and uniform closed forms are built from Poisson
 tails and ``math.lgamma``, so the laws need NumPy alone.
 
 Sample drawing uses a PCG64 generator seeded explicitly.  The busy-cycle
-simulator runs batches of ``REPLICATION_CHUNK`` replications, each on its
+simulator runs chunks of ``REPLICATION_CHUNK`` replications, each on its
 own counter-spaced Philox stream, in generation rounds: a round serves every
 running cycle's block, the customers present at the round's start (fewer
 when the round would serve more than ``REPLICATION_CHUNK``).  So a run is
 reproducible from its seed and replication count alone; the last few cycles
-of a batch finish on Python scalars with the same draws.  The generator
+of a chunk finish on Python scalars with the same draws.  The generator
 identities are part of the reproducibility contract and are recorded in
 results.
 """
@@ -60,7 +60,7 @@ REPLICATION_CHUNK = 16384
 
 SAMPLE_GENERATOR = "numpy-pcg64"
 SIMULATION_GENERATOR = f"numpy-philox-chunk{REPLICATION_CHUNK}-generations"
-# a batch with at most this many cycles left finishes on Python scalars:
+# a chunk with at most this many cycles left finishes on Python scalars:
 # ``Generator.poisson`` on an array costs about 10 us however short the
 # array, a scalar draw about 0.5 us (NumPy 2.4, one core of a 2-vCPU VM)
 _SCALAR_TAIL = 16
@@ -75,9 +75,6 @@ _BUDGET_LEVELS = 1000
 # a waiting count never comes near 2^62, so a larger buffer acts as this one
 # and keeps ``buffer + 1`` and ``peak - buffer`` within int64
 _BUFFER_CAP = 2**62
-# finished cycles are pooled in batches of at least this many (or at the end
-# of their chunk): pooling costs about 14 us a call, and a late round ends few
-_POOL_BATCH = 1024
 # KS-law experiment: the most observations held in one block of trials.  A
 # block and its CDF temporaries take about 1 MB; all 1000 x 1000 trials at
 # once would add about 30 MB to the peak RSS
@@ -397,9 +394,10 @@ def simulate_busy_period(
     service drawn is served.  Once at most ``_SCALAR_TAIL`` cycles of a
     chunk are left, the arrival counts are drawn one scalar call at a time:
     the generator gives the same values, so the result does not depend on
-    where the switch happens.  Finished cycles are pooled a batch at a time
-    into the sums and centred sums of squares behind the means and standard
-    errors (``_Pooled``).
+    where the switch happens.  Each chunk's cycles are pooled once, in
+    replication order, into the sums and centred sums of squares behind the
+    means and standard errors (``_Pooled``), so these depend only on each
+    replication's values.
 
     A run is refused with :class:`ValueError` before any draw when
     ``replications`` times the expected number served per cycle exceeds
@@ -426,8 +424,7 @@ def simulate_busy_period(
     for done in range(0, replications, REPLICATION_CHUNK):
         count = min(REPLICATION_CHUNK, replications - done)
         rng = np.random.Generator(root.jumped(done // REPLICATION_CHUNK))
-        chunk = _run_cycles(rng, arrival_rate, dist, buffer, count)
-        pooled.merge(chunk.count, chunk.total, chunk.m2)
+        pooled.add(_run_cycles(rng, arrival_rate, dist, buffer, count))
 
     means = pooled.mean
     ses = np.sqrt(pooled.m2 / max(replications - 1, 1) / replications)
@@ -486,8 +483,8 @@ def _expected_served(arrival_rate: float, dist: ServiceDistribution, buffer: int
 
 class _Pooled:
     """The count, sums and centred sums of squares of (busy time, served,
-    lost) over finished cycles.  Each batch is taken in two passes, its sum
-    and then its squared deviations from its mean, and batches are combined
+    lost) over finished cycles.  Each chunk is taken in two passes, its sum
+    and then its squared deviations from its mean, and chunks are combined
     by the pairwise update of Chan, Golub & LeVeque (1983), so a variance is
     never the difference of two large sums of squares.  A mean is its sum
     over the count, so a mean count is exact to the last bit."""
@@ -504,18 +501,17 @@ class _Pooled:
         return self.total / self.count
 
     def add(self, values: np.ndarray) -> None:
-        """Fold a (3, k) batch: the rows are busy time, served and lost."""
+        """Fold a (3, k) chunk: the rows are busy time, served and lost."""
+        count = values.shape[1]
         total = values.sum(axis=1)
-        dev = values - (total / values.shape[1])[:, None]
-        self.merge(values.shape[1], total, np.einsum("ij,ij->i", dev, dev))
-
-    def merge(self, count: int, total: np.ndarray, m2: np.ndarray) -> None:
+        dev = values - (total / count)[:, None]
+        m2 = np.einsum("ij,ij->i", dev, dev)
         if self.count:
             delta = total / count - self.mean
-            m2 = m2 + delta * delta * (self.count * count / (self.count + count))
+            m2 += delta * delta * (self.count * count / (self.count + count))
         self.count += count
-        self.total = self.total + total
-        self.m2 = self.m2 + m2
+        self.total += total
+        self.m2 += m2
 
 
 def _block_cap(size: int, running: int) -> int:
@@ -531,8 +527,10 @@ def _run_cycles(
     dist: ServiceDistribution,
     buffer: int,
     count: int,
-) -> _Pooled:
-    """Run ``count`` busy cycles in generation rounds and pool them.
+) -> np.ndarray:
+    """Run ``count`` busy cycles in generation rounds.  Returns a (3, count)
+    array whose column j holds replication j's busy time, served and lost
+    count.
 
     A round serves a block of each running cycle: the customers present at
     its start, at most ``_block_cap`` of them.  The cycle cannot end within
@@ -542,13 +540,12 @@ def _run_cycles(
     walk clipped at a ceiling loses what its peak passes it by, so the
     block loses max(0, max_j P_j - buffer); it leaves present its arrivals
     less that loss, and the customers it did not serve.  A cycle ends on a
-    block that leaves none."""
-    pooled = _Pooled()
+    block that leaves none.  The array rounds add into the running cycles'
+    columns, ``ids``; the last ``_SCALAR_TAIL`` or fewer cycles finish in
+    ``_finish_cycles``."""
     present = np.ones(count, dtype=np.int64)
-    # each running cycle's busy time, served and lost so far
     totals = np.zeros((3, count))
-    # finished cycles not yet pooled, and how many
-    ended, unpooled = [], 0
+    ids = np.arange(count)
     while present.size > _SCALAR_TAIL:
         block, size = present, int(present.sum())
         cap = _block_cap(size, present.size)
@@ -556,16 +553,19 @@ def _run_cycles(
             block = np.minimum(present, cap)
             size = int(block.sum())
         s = dist.draw(rng, size)
-        a = rng.poisson(arrival_rate * s)
+        try:
+            a = rng.poisson(arrival_rate * s)
+        except ValueError:
+            raise _past_poisson_limit(arrival_rate, s) from None
         if size == present.size:
-            # one service a block, as in a batch's first round
+            # one service a block, as in a chunk's first round
             busy, arrived = s, a
         else:
             starts = np.cumsum(block) - block
             busy = np.add.reduceat(s, starts)
             arrived = np.add.reduceat(a, starts)
-        totals[0] += busy
-        totals[1] += block
+        totals[0, ids] += busy
+        totals[1, ids] += block
         # the walk's peak is at most its start plus every arrival, less one,
         # and is that on a block of one service
         peak = present + arrived
@@ -578,24 +578,16 @@ def _run_cycles(
                 np.cumsum(np.subtract(a, 1, out=a), out=walk[1:])
                 peak = present + np.maximum.reduceat(walk[1:], starts) - walk[starts]
             loss = np.maximum(peak - buffer, 0)
-            totals[2] += loss
+            totals[2, ids] += loss
             arrived = arrived - loss
         present = arrived if block is present else present - block + arrived
         keep = np.flatnonzero(present)
         if keep.size < present.size:
             # gathers by index: a boolean mask is several times slower here
-            ended.append(totals.take(np.flatnonzero(present == 0), axis=1))
-            unpooled += present.size - keep.size
-            present, totals = present.take(keep), totals.take(keep, axis=1)
-            if unpooled >= _POOL_BATCH:
-                pooled.add(np.concatenate(ended, axis=1))
-                ended, unpooled = [], 0
-    if present.size:
-        cycles = list(zip(present.tolist(), *totals.tolist()))
-        ended.append(np.array(_finish_cycles(rng, arrival_rate, dist, buffer, cycles)).T)
-    if ended:
-        pooled.add(np.concatenate(ended, axis=1))
-    return pooled
+            present, ids = present.take(keep), ids.take(keep)
+    cycles = list(zip(present.tolist(), ids.tolist(), *totals[:, ids].tolist()))
+    _finish_cycles(rng, arrival_rate, dist, buffer, cycles, totals)
+    return totals
 
 
 def _finish_cycles(
@@ -604,39 +596,49 @@ def _finish_cycles(
     dist: ServiceDistribution,
     buffer: int,
     cycles: list[tuple],
-) -> list[tuple]:
-    """The generation rounds of ``_run_cycles`` on a few ``(present, time,
-    served, lost)`` cycles: each round draws its service times with one
-    ``dist.draw`` call and then each arrival count with a scalar
+    totals: np.ndarray,
+) -> None:
+    """The generation rounds of ``_run_cycles`` on a few ``(present, column,
+    time, served, lost)`` cycles: each round draws its service times with
+    one ``dist.draw`` call and then each arrival count with a scalar
     ``rng.poisson``, in the same order as an array draw, and serves each
-    block one customer at a time.  Returns ``(time, served, lost)`` of each
-    cycle, in the order they end."""
+    block one customer at a time.  A cycle's time, served and lost go to
+    its column of ``totals`` when it ends."""
     poisson = rng.poisson
-    ended = []
     while cycles:
         size = sum(c[0] for c in cycles)
         cap = _block_cap(size, len(cycles))
         if cap < size:
             size = sum(min(c[0], cap) for c in cycles)
-        draws = iter(dist.draw(rng, size).tolist())
+        services = dist.draw(rng, size)
+        draws = iter(services.tolist())
         running = []
-        for present, busy, served, lost in cycles:
+        for present, j, busy, served, lost in cycles:
             block = min(present, cap)
             waiting = present - 1
             for _ in range(block):
                 s = next(draws)
                 busy += s
-                waiting += poisson(arrival_rate * s)
+                try:
+                    waiting += poisson(arrival_rate * s)
+                except ValueError:
+                    raise _past_poisson_limit(arrival_rate, services) from None
                 if waiting > buffer:
                     lost += waiting - buffer
                     waiting = buffer
                 waiting -= 1
             if waiting < 0:
-                ended.append((busy, served + block, lost))
+                totals[:, j] = busy, served + block, lost
             else:
-                running.append((waiting + 1, busy, served + block, lost))
+                running.append((waiting + 1, j, busy, served + block, lost))
         cycles = running
-    return ended
+
+
+def _past_poisson_limit(arrival_rate: float, services: np.ndarray) -> ValueError:
+    # NumPy refuses a Poisson mean above int64's largest less 10 sqrt of it
+    mean = arrival_rate * services.max()
+    return ValueError(f"the largest arrival mean of a round (arrival rate times service "
+                      f"time) is {mean:.3g}, past the Poisson sampler's limit of about 9.2e18")
 
 
 def ks_law_experiment(

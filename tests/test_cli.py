@@ -649,6 +649,24 @@ def test_invalid_seed_environment_variable(capsys, monkeypatch):
     assert SEED_ENV_VAR in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--dist", "exp:1", "--rate", "0.5", "--n", "2", "--replications", "10",
+     "--seed", "-1"],
+    ["reproduce", "--seed", "-1"],
+])
+def test_a_negative_seed_names_its_flag(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "lossq: error: a seed must be non-negative, got --seed -1\n"
+
+
+def test_a_negative_seed_environment_variable_names_it(capsys, monkeypatch):
+    monkeypatch.setenv(SEED_ENV_VAR, "-1")
+    assert main(["simulate", "--dist", "exp:1", "--rate", "0.5", "--n", "2",
+                 "--replications", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"lossq: error: a seed must be non-negative, got {SEED_ENV_VAR}='-1'\n"
+
+
 # ---------------------------------------------------------------------------
 # reproduce
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Tests for the service distributions, busy-cycle simulator and oracles."""
 
-import contextlib
 import math
 import warnings
 from decimal import Decimal, localcontext
@@ -303,29 +302,13 @@ def test_each_chunk_of_replications_runs_on_its_own_jump_of_the_seed_stream():
     for jumps in (0, 1):
         chunk = _run_cycles(np.random.Generator(root.jumped(jumps)), 1.0, Exponential(1.0), 2,
                             REPLICATION_CHUNK)
-        assert chunk.count == REPLICATION_CHUNK
+        assert chunk.shape == (3, REPLICATION_CHUNK)
+        pooled.add(chunk)
         if jumps == 0:
-            assert [head.busy_period.mean, head.served.mean, head.lost.mean] == chunk.mean.tolist()
-        pooled.merge(chunk.count, chunk.total, chunk.m2)
+            assert [head.busy_period.mean, head.served.mean, head.lost.mean] == pooled.mean.tolist()
     assert [full.busy_period.mean, full.served.mean, full.lost.mean] == pooled.mean.tolist()
     se = np.sqrt(pooled.m2 / (2 * REPLICATION_CHUNK - 1) / (2 * REPLICATION_CHUNK))
     assert [full.busy_period.se, full.served.se, full.lost.se] == se.tolist()
-
-
-@contextlib.contextmanager
-def _recorded_cycles():
-    """The (busy time, served, lost) of every cycle ``_run_cycles`` pools,
-    in the order they are pooled: one (3, k) array per batch."""
-    batches = []
-    add = _Pooled.add
-
-    def recording(self, values):
-        batches.append(values.copy())
-        add(self, values)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_Pooled, "add", recording)
-        yield batches
 
 
 def _one_customer_at_a_time(rng, arrival_rate, dist, buffer, count):
@@ -335,11 +318,11 @@ def _one_customer_at_a_time(rng, arrival_rate, dist, buffer, count):
     one) of them; draws the round's service times with one ``dist.draw``
     call and their arrival counts with one ``rng.poisson`` call; and serves
     each block one customer at a time.  Returns (busy time, served, lost)
-    of each cycle in the order the cycles end, as a (3, count) array, and
-    the number of rounds that were capped."""
+    of each cycle in replication order, as a (3, count) array, and the
+    number of rounds that were capped."""
     chunk = lossq.simulate.REPLICATION_CHUNK
     cycles = [[1, 0.0, 0, 0] for _ in range(count)]
-    ended, capped = [], 0
+    replications, capped = cycles, 0
     while cycles:
         size = sum(cycle[0] for cycle in cycles)
         cap = size if size <= chunk else max(1, chunk // len(cycles))
@@ -360,10 +343,8 @@ def _one_customer_at_a_time(rng, arrival_rate, dist, buffer, count):
             cycle[0] = waiting + 1
             if cycle[0]:
                 running.append(cycle)
-            else:
-                ended.append(cycle[1:])
         cycles = running
-    return np.array(ended, dtype=float).T, capped
+    return np.array([cycle[1:] for cycle in replications], dtype=float).T, capped
 
 
 def _assert_cycles_match_the_reference(arrival_rate, dist, buffer, count, seed):
@@ -373,14 +354,14 @@ def _assert_cycles_match_the_reference(arrival_rate, dist, buffer, count, seed):
     def stream():
         return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
-    with _recorded_cycles() as batches:
-        pooled = _run_cycles(stream(), arrival_rate, dist, buffer, count)
-    got = np.concatenate(batches, axis=1)
+    got = _run_cycles(stream(), arrival_rate, dist, buffer, count)
     want, capped = _one_customer_at_a_time(stream(), arrival_rate, dist, buffer, count)
-    assert pooled.count == count and got.shape == want.shape
+    assert got.shape == want.shape == (3, count)
     assert np.array_equal(got[1:], want[1:])
     np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0.0)
-    # the pooled batches give the mean and centred sum of squares of all
+    # the pooled chunk gives the mean and centred sum of squares of all
+    pooled = _Pooled()
+    pooled.add(got)
     mean = got.mean(axis=1)
     np.testing.assert_allclose(pooled.mean, mean, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(pooled.m2, ((got - mean[:, None]) ** 2).sum(axis=1),
@@ -457,9 +438,28 @@ def test_every_service_drawn_is_served(monkeypatch, chunk, count):
     monkeypatch.setattr(lossq.simulate, "REPLICATION_CHUNK", chunk)
     law = _CountingLaw(Exponential(1.0))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(count)))
-    with _recorded_cycles() as batches:
-        _run_cycles(rng, 0.95, law, 50, count)
-    assert law.drawn == np.concatenate(batches, axis=1)[1].sum()
+    served = _run_cycles(rng, 0.95, law, 50, count)[1]
+    assert law.drawn == served.sum()
+
+
+@pytest.mark.parametrize("chunk", [REPLICATION_CHUNK, 64])
+@pytest.mark.parametrize("arrival_rate, dist, buffer, count",
+                         [(0.95, Exponential(1.0), 50, 300), (1.5, Uniform(0.5, 1.5), 6, 100),
+                          (0.5, Deterministic(1.0), 5, 500), (3.0, Exponential(1.0), 2, 200)])
+def test_cycles_do_not_depend_on_where_the_scalar_finish_takes_over(
+        monkeypatch, chunk, arrival_rate, dist, buffer, count):
+    # every round on arrays, and every round on Python scalars: the same
+    # draws, so the same counts; busy time is summed a block at once in one
+    # and a service at a time in the other
+    monkeypatch.setattr(lossq.simulate, "REPLICATION_CHUNK", chunk)
+    runs = []
+    for tail in (0, 10**9):
+        monkeypatch.setattr(lossq.simulate, "_SCALAR_TAIL", tail)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(count)))
+        runs.append(_run_cycles(rng, arrival_rate, dist, buffer, count))
+    arrays, scalars = runs
+    assert np.array_equal(arrays[1:], scalars[1:])
+    np.testing.assert_allclose(arrays[0], scalars[0], rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("low, width, rate", [(1e6, 1e-3, 5e-7), (100.0, 1e-6, 5e-3)])
@@ -474,6 +474,15 @@ def test_standard_error_of_a_narrow_law_far_from_zero(low, width, rate):
 # ---------------------------------------------------------------------------
 # Service budget
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("replications", [1, 100])
+def test_an_arrival_mean_past_the_poisson_limit_is_named(replications):
+    # the budget passes (a zero buffer serves one customer a cycle); one
+    # cycle draws on Python scalars, a hundred start on arrays
+    with pytest.raises(ValueError,
+                       match=r"largest arrival mean .* is 1e\+20, past .* limit of about 9\.2e18"):
+        simulate_busy_period(1e10, Deterministic(1e10), 0, replications, seed=1)
 
 
 def test_a_run_that_cannot_finish_is_refused_before_any_draw(monkeypatch):

@@ -221,6 +221,14 @@ def _calls():
                                 "--n-obs", "20"]
     yield {SEED_ENV_VAR: "x"}, ["simulate", "--dist", "exp:1", "--rate", "0.5", "--n", "2",
                                 "--replications", "50"]
+    yield {SEED_ENV_VAR: "-1"}, ["simulate", "--dist", "exp:1", "--rate", "0.5", "--n", "2",
+                                 "--replications", "50"]
+    yield {}, ["simulate", "--dist", "exp:1", "--rate", "0.5", "--n", "2",
+               "--replications", "50", "--seed", "-1"]
+    # an arrival mean past NumPy's Poisson limit, on Python scalars and on arrays
+    for replications in ("1", "100"):
+        yield {}, ["simulate", "--dist", "det:1e10", "--rate", "1e10", "--n", "0",
+                   "--replications", replications]
     yield {}, ["simulate", "--dist", "gamma:1", "--rate", "0.5", "--n", "2",
                "--replications", "50"]
     # few enough cycles that every round runs on Python scalars
@@ -244,6 +252,7 @@ def _calls():
         yield {}, ["reproduce", *extra]
     yield {SEED_ENV_VAR: "9"}, ["reproduce", "--n-obs", "500"]
     yield {SEED_ENV_VAR: "x"}, ["reproduce"]
+    yield {}, ["reproduce", "--seed", "-1"]
     for argv in ([], ["frobnicate"], ["--help"], ["quantile", "--help"]):
         yield {}, argv
     for sample in _PARSE_EDGES:
