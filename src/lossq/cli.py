@@ -199,6 +199,9 @@ def _run_simulate(args: argparse.Namespace) -> int:
 
     dist = parse_distribution(args.dist)
     seed = _seed(args)
+    if args.emit_samples is not None and args.n_obs < 1:
+        # draw_samples's own check, made before the run rather than after it
+        raise ValueError("n_obs must be at least 1")
     result = simulate_busy_period(
         args.rate, dist, args.n, args.replications, seed
     )

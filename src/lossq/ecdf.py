@@ -300,14 +300,12 @@ def _decimal_block(buf: bytearray, cut: int) -> np.ndarray | None:
     pos = np.flatnonzero((b - np.uint8(48)) > 9)  # every byte but the digits
     kind = b[pos]
     nl = pos[1::2]
-    blank = None
     if (pos.size % 2 == 0 and (kind[0::2] == ord(".")).all()
             and (kind[1::2] == ord("\n")).all()):
         # the common file: digits, one dot and a newline on every row
         ends = nl - np.arange(1, nl.size + 1)
         p = nl - pos[0::2] - 1
-        lengths = _row_lengths(ends)
-        redo = lengths == 0
+        redo = np.zeros(nl.size, bool)
     else:
         kind = _KIND[kind]
         if (kind == _FOREIGN).any():
@@ -319,22 +317,17 @@ def _decimal_block(buf: bytearray, cut: int) -> np.ndarray | None:
         dropped = np.cumsum(dot | (kind == _CR))
         row = np.cumsum(newline) - newline
         dot_row = row[dot]
-        if (dot_row[1:] == dot_row[:-1]).any():
-            return None  # two dots on one row, which float() rejects
         ends = nl - dropped[newline]
-        lengths = _row_lengths(ends)
         p = np.zeros(nl.size, np.int64)
         p[dot_row] = ends[dot_row] - (pos[dot] - dropped[dot] + 1)
-        has_dot = np.zeros(nl.size, bool)
-        has_dot[dot_row] = True
         redo = np.zeros(nl.size, bool)
         redo[row[kind == _FLOAT]] = True
-        blank = (lengths == 0) & ~has_dot & ~redo
-        redo |= (lengths == 0) & has_dot
+        redo[dot_row[1:][dot_row[1:] == dot_row[:-1]]] = True  # a second dot
     del b, pos, kind
+    lengths = _row_lengths(ends)
     x = _eight_digit_words(buf.translate(None, b".\r"), ends, lengths)
-    # more than 18 significant or 22 fraction digits: float() reads the row
-    redo |= (x[:, 0] >= 100) | (lengths > _HEAD) | (p > 22)
+    # no digits, more than 18 significant or 22 fraction digits: float() reads the row
+    redo |= (lengths == 0) | (x[:, 0] >= 100) | (lengths > _HEAD) | (p > 22)
     w = np.minimum(x[:, 0], np.uint64(99))
     w *= _E16
     x[:, 1] *= _E8
@@ -345,19 +338,16 @@ def _decimal_block(buf: bytearray, cut: int) -> np.ndarray | None:
     values, near = _quotient(w, p)
     if near is not None:
         redo |= near
-    for i in np.flatnonzero(redo).tolist():
-        start = nl[i - 1] + 1 if i else _HEAD
-        text = buf[start:nl[i]].strip()
-        if not text:
-            # only the second branch redoes a row without a dot
-            blank[i] = True
-            continue
+    if redo.any():
+        rows = np.flatnonzero(redo)
+        starts = nl[rows - 1] + 1
+        starts[rows == 0] = _HEAD
+        texts = [buf[s:e].strip() for s, e in zip(starts.tolist(), nl[rows].tolist())]
         try:
-            values[i] = float(text)
+            values[rows] = [float(t) if t else 0.0 for t in texts]
         except ValueError:
             return None
-    if blank is not None and blank.any():
-        values = values[~blank]
+        values = np.delete(values, rows[[not t for t in texts]])  # the blank rows
     if not (values > 0.0).all() or not (values < np.inf).all():
         return None
     return values
@@ -417,10 +407,11 @@ def read_sample_file(path) -> Sample:
       ``w <= 2**53`` one division is correctly rounded (Clinger); elsewhere
       a double-double remainder decides the rounding (:func:`_quotient`).
       Either way the result is the double nearest ``w * 10**-p``, which is
-      what :func:`float` returns.  Rows it does not convert itself go to
-      :func:`float` on their own stripped bytes: signs, exponents and
-      blanks; more than 18 significant or 22 fraction digits; a quotient
-      within 2**-80 relative of a rounding midpoint.
+      what :func:`float` returns.  Every other row goes to :func:`float`
+      on its own stripped bytes, or is skipped if they are empty: signs,
+      exponents, spaces, tabs, second dots and rows without digits; more
+      than 18 significant or 22 fraction digits; a quotient within 2**-80
+      relative of a rounding midpoint.
     * The line scan reads the file as UTF-8 text and accepts exactly what
       :func:`float` accepts after :meth:`str.splitlines` and
       :meth:`str.strip` (digit separators such as ``1_000`` and non-ASCII

@@ -359,9 +359,10 @@ class KsLawResult:
 
 def draw_samples(dist: ServiceDistribution, n_obs: int, seed: int) -> Sample:
     """Draw a reproducible sample: PCG64 stream keyed by the seed alone."""
+    n_obs = _integer("n_obs", n_obs)
     if n_obs < 1:
         raise ValueError("n_obs must be at least 1")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(_integer("seed", seed))))
     return Sample(dist.draw(rng, n_obs))
 
 
@@ -413,6 +414,7 @@ def simulate_busy_period(
     check_positive("arrival_rate", arrival_rate)
     buffer = _integer("buffer", buffer)
     replications = _integer("replications", replications)
+    seed = _integer("seed", seed)
     if buffer < 0:
         raise ValueError("buffer must be non-negative")
     if replications < 1:
@@ -652,6 +654,8 @@ def ks_law_experiment(
     measured in blocks of at most ``_KS_BLOCK_VALUES`` observations: the
     block's rows are sorted in place and share one ``dist.cdf`` call.
     """
+    n_obs, trials = _integer("n_obs", n_obs), _integer("trials", trials)
+    seed = _integer("seed", seed)
     if n_obs < 100:
         raise ValueError("n_obs must be at least 100")
     if trials < 100:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import lossq.ecdf
 import lossq.moments
+import lossq.simulate
 from lossq.cli import SEED_ENV_VAR, _fmt, _render_text_table, build_parser, main
 from lossq.ecdf import build_ecdf
 from lossq.intervals import Method, interval_table
@@ -633,6 +634,19 @@ def test_emitted_samples_round_trip(capsys, tmp_path):
     # the emitted file parses straight back in through the moments command
     assert main(["moments", "--input", str(out_path), "--rate", "1.0",
                  "--order", "2"]) == 0
+
+
+def test_emit_samples_checks_its_count_before_the_run(capsys, monkeypatch, tmp_path):
+    def run(*args):
+        raise AssertionError("the simulator ran")
+
+    monkeypatch.setattr(lossq.simulate, "simulate_busy_period", run)
+    out_path = tmp_path / "emitted.txt"
+    assert main(["simulate", "--dist", "exp:1", "--rate", "0.95", "--n", "50",
+                 "--replications", "200000", "--emit-samples", str(out_path),
+                 "--n-obs", "0"]) == 1
+    assert capsys.readouterr() == ("", "lossq: error: n_obs must be at least 1\n")
+    assert not out_path.exists()
 
 
 def test_seed_environment_variable(capsys, monkeypatch):

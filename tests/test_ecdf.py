@@ -98,6 +98,8 @@ def test_evaluate_vectorized_matches_scalar():
 
 
 def test_empirical_cdf_validates_ordering_and_derives_count():
+    with pytest.raises(ValueError, match="at least one observation"):
+        EmpiricalCdf(np.array([]))
     with pytest.raises(ValueError):
         EmpiricalCdf(np.array([2.0, 1.0]))
     e = EmpiricalCdf(np.array([1.0, 2.0, 2.0]))

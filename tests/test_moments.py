@@ -21,7 +21,7 @@ from lossq import (
 )
 from lossq.ecdf import EmpiricalCdf
 from lossq.kolmogorov import LimitLaw, width_for
-from lossq.moments import _poisson_tails
+from lossq.moments import _late_sums, _poisson_pmf, _poisson_tails
 from lossq.simulate import Deterministic, ErlangK, Exponential, Uniform
 
 from support import PAIR_SLACK, exp_sup_distances, random_cdf_pairs
@@ -251,6 +251,20 @@ def test_a_late_weight_far_below_its_mean_keeps_its_digits(ax, order):
     got = moments_empirical(build_ecdf(Sample([ax])), 1.0, order).values[order]
     want = _poisson_mixture([ax], 1.0, order)[order]
     assert abs(got - want) <= 30 * 2.0**-53 * want
+
+
+def test_late_sums_are_exactly_zero_past_the_last_nonzero_order():
+    # past both modes every weight steps upward and shrinks; both are 0
+    # after order 1964, where the steps stop and leave the later sums at 0
+    a = np.array([710.0, 712.5])
+    sums = _late_sums(a, 3000)
+    last = int(np.flatnonzero(sums)[-1])
+    assert 713 < last < 3000
+    assert not sums[last + 1:].any()
+    orders, means = np.broadcast_arrays(np.arange(last + 1.0)[:, None], a)
+    direct = _poisson_pmf(orders, means).sum(axis=1)
+    direct[0] = 0.0  # the caller has the weights at order 0
+    np.testing.assert_allclose(sums[:last + 1], direct, rtol=1e-12, atol=1e-300)
 
 
 def _plain_loop(xs: np.ndarray, rate: float, order: int) -> np.ndarray:

@@ -241,10 +241,20 @@ def test_simulator_validation():
 
 @pytest.mark.parametrize("bad", [2.5, 3.0, "3", None])
 def test_simulator_rejects_a_non_integer_buffer_or_replication_count(bad):
-    with pytest.raises(ValueError, match="buffer must be an integer"):
-        simulate_busy_period(1.0, Exponential(1.0), bad, 10, seed=1)
-    with pytest.raises(ValueError, match="replications must be an integer"):
-        simulate_busy_period(1.0, Exponential(1.0), 2, bad, seed=1)
+    # and the other counts and seeds of the simulator and the sample draws
+    exp = Exponential(1.0)
+    for name, call in (
+        ("buffer", lambda: simulate_busy_period(1.0, exp, bad, 10, seed=1)),
+        ("replications", lambda: simulate_busy_period(1.0, exp, 2, bad, seed=1)),
+        ("seed", lambda: simulate_busy_period(0.5, exp, 2, 10, bad)),
+        ("n_obs", lambda: draw_samples(exp, bad, 1)),
+        ("seed", lambda: draw_samples(exp, 10, bad)),
+        ("n_obs", lambda: ks_law_experiment(exp, bad, 100, 1)),
+        ("trials", lambda: ks_law_experiment(exp, 100, bad, 1)),
+        ("seed", lambda: ks_law_experiment(exp, 100, 100, bad)),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            call()
 
 
 def test_simulator_accepts_numpy_integers():

@@ -76,10 +76,13 @@ def _sample_files() -> dict[str, str]:
 
 # sample files that take the reader's less common branches: line endings,
 # padding, signs and exponents, decimals too long or too close to a rounding
-# midpoint to convert directly, forms only the line scan reads, and a large
-# file spanning many blocks
+# midpoint to convert directly, forms only the line scan reads, a large file
+# spanning many blocks, NumPy's savetxt default, blank and whitespace-only
+# rows, and rows float() rejects: two dots, a lone dot
 _PARSE_EDGES = ("crlf.txt", "no-final-newline.txt", "trailing-blank.txt", "padded.txt",
-                "signed.txt", "long.txt", "midpoints.txt", "forms.txt", "large.txt")
+                "signed.txt", "long.txt", "midpoints.txt", "forms.txt", "large.txt",
+                "savetxt.txt", "blank-rows.txt", "blank-rows-crlf.txt", "space-rows.txt",
+                "two-dots.txt", "lone-dot.txt")
 
 
 def _parse_edge_files() -> dict[str, str]:
@@ -102,6 +105,12 @@ def _parse_edge_files() -> dict[str, str]:
         "".join(f"{s}\n" for s in _midpoints(values)),
         "1.\n.5\n1_000\n" + "\n".join(reprs[:50]) + "\n",
         "".join(f"{v!r}\n" for v in rng.exponential(1.0, 200_000).tolist()),
+        "".join(f"{v:.18e}\n" for v in values),
+        "\n\n".join(reprs) + "\n",
+        "\r\n\r\n".join(reprs) + "\r\n",
+        "".join(f"{s}\n{pads[i % 3]}\n" for i, s in enumerate(reprs)),
+        "\n".join(reprs[:200] + ["1.2.3"] + reprs[200:]) + "\n",
+        "\n".join(reprs[:200] + ["."] + reprs[200:]) + "\n",
     ), strict=True))
 
 
