@@ -267,7 +267,7 @@ def _run_reproduce(args: argparse.Namespace) -> int:
         print(_render_levels({"theoretical": theory_chain.tolist()}))
         return 0
 
-    for method in Method:
+    for method in (Method.TWO_SIDED_STATISTIC, Method.ONE_SIDED_STATISTICS):
         if args.fixture is None:
             table = interval_table(busy, empirical, 0.95, args.n_obs, method, order)
         else:

@@ -6,18 +6,21 @@ Erlang CDF and the Erlang and uniform closed forms are built from Poisson
 tails and ``math.lgamma``, so the laws need NumPy alone.
 
 Sample drawing uses a PCG64 generator seeded explicitly.  The busy-cycle
-simulator runs chunks of ``REPLICATION_CHUNK`` replications, each on its
-own counter-spaced Philox stream, in generation rounds: a round serves every
-running cycle's block, the customers present at the round's start (fewer
-when the round would serve more than ``REPLICATION_CHUNK``).  So a run is
-reproducible from its seed and replication count alone; the last few cycles
-of a chunk finish on Python scalars with the same draws.  The generator
-identities are part of the reproducibility contract and are recorded in
-results.
+simulator runs chunks of ``REPLICATION_CHUNK`` replications, chunk c on the
+SFC64 stream of ``SeedSequence(seed, spawn_key=(c,))``, the seed's c-th
+spawned child, in generation rounds: a round serves every running cycle's
+block, the customers present at the round's start (fewer when the round
+would serve more than ``REPLICATION_CHUNK``).  A block far from the buffer
+draws one Poisson arrival total instead of a count per service.  So a run
+is reproducible from its seed and replication count alone; the last few
+cycles of a chunk finish on Python scalars with the same draws.  The
+generator identities are part of the reproducibility contract and are
+recorded in results.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -59,16 +62,30 @@ __all__ = [
 REPLICATION_CHUNK = 16384
 
 SAMPLE_GENERATOR = "numpy-pcg64"
-SIMULATION_GENERATOR = f"numpy-philox-chunk{REPLICATION_CHUNK}-generations"
-# a chunk with at most this many cycles left finishes on Python scalars:
-# ``Generator.poisson`` on an array costs about 10 us however short the
-# array, a scalar draw about 0.5 us (NumPy 2.4, one core of a 2-vCPU VM)
+SIMULATION_GENERATOR = f"numpy-sfc64-chunk{REPLICATION_CHUNK}-block-totals"
+# a chunk with at most this many cycles left finishes in Python, where a
+# round of at most _SCALAR_DRAWS services draws its arrival counts one
+# scalar call at a time, and a larger one with one array call (the same
+# values): ``Generator.poisson`` on an array costs 8 to 12 us however short
+# the array, a scalar draw about 0.8 us (NumPy 2.4 on SFC64, one core of a
+# 2-vCPU VM)
 _SCALAR_TAIL = 16
+_SCALAR_DRAWS = 16
+# _far: the margin, in Poisson standard deviations plus one, by which a
+# block's expected arrivals must stay below the buffer for one total to
+# stand for them, and the fewest services such a block has (at least 2, so
+# a round of one service a block has no far block).  Where a round's far
+# totals would save fewer than _FAR_SAVED draws, all its blocks are near:
+# the extra passes of a round with far blocks cost about as much as that
+# many draws (load 0.5, buffer 50)
+_NEAR_SIGMAS = 3.0
+_FAR_BLOCK = 3
+_FAR_SAVED = 1024
 # the most services a run may expect to draw (replications times the mean
-# served per busy cycle).  On the same core a run draws 5.4e6 to 7.2e6
-# services a second in full chunks (the four laws at load 0.95, buffer 50)
-# and 5.9e5 to 1.1e6 in a single cycle (det:1 at load 3, buffer 5, and
-# exp:1 at load 1.2, buffer 30): 14 s to 3 minutes
+# served per busy cycle).  On the same core a run draws 8.4e6 (erlang:2:2)
+# to 1.5e7 (det:1) services a second in full chunks at load 0.95, buffer
+# 50, and 6.7e5 to 8.4e5 in a single cycle (det:1 at load 3, buffer 5, and
+# exp:1 at load 1.2, buffer 30): 7 s to 2.5 minutes
 _SERVICE_BUDGET = 1e8
 # the levels of the served chain that the budget check computes at most
 _BUDGET_LEVELS = 1000
@@ -382,22 +399,36 @@ def simulate_busy_period(
     room), the rest are lost; the cycle ends when a service completes and
     leaves the system empty.
 
-    Replication ``j`` is served by the Philox stream numbered
-    ``j // REPLICATION_CHUNK``.  A chunk runs in generation rounds (a busy
-    period is a branching process, Kendall 1951).  Each round serves a
-    block of each running cycle, the customers present when the round
-    starts; the cycle cannot end before the block's last service.  If the
-    blocks would add up to more than ``REPLICATION_CHUNK`` services, each
-    is cut to ``REPLICATION_CHUNK`` over the number of running cycles,
-    rounded down (but at least one).  The round draws the blocks' service
-    times with one ``dist.draw`` call, block by block in replication order,
-    and then their Poisson arrival counts in the same order, so every
+    Replication ``j`` is served by chunk ``c = j // REPLICATION_CHUNK``,
+    which draws from ``SFC64(SeedSequence(seed, spawn_key=(c,)))``.  A chunk
+    runs in generation rounds (a busy period is a branching process,
+    Kendall 1951).  Each round serves a block of each running cycle, the
+    customers present when the round starts; the cycle cannot end before
+    the block's last service.  If the blocks would add up to more than
+    ``REPLICATION_CHUNK`` services, each is cut to ``REPLICATION_CHUNK``
+    over the number of running cycles, rounded down (but at least one).
+
+    A round draws, in this order and each in replication order:
+
+    - the blocks' service times, with one ``dist.draw`` call;
+    - the Poisson arrival count of each service of a near block;
+    - the Poisson arrival total of each far block;
+    - for each far block whose total would bring ``present + total`` past
+      ``buffer + 1``, a multinomial split of that total over its services
+      in proportion to their lengths.
+
+    A block is far when it has at least ``_FAR_BLOCK`` services and
+    ``present + mu + _NEAR_SIGMAS (sqrt(mu) + 1) < buffer + 1``, for mu the
+    arrival rate times its service sum (taken with ``np.add.reduceat``),
+    unless the round's far blocks hold fewer than ``_FAR_SAVED`` services
+    more than their number, the draws their totals would save.  The choice reads no arrival count, and a total or its split
+    has the law of the counts it stands for, so every law is exact.  Every
     service drawn is served.  Once at most ``_SCALAR_TAIL`` cycles of a
-    chunk are left, the arrival counts are drawn one scalar call at a time:
-    the generator gives the same values, so the result does not depend on
-    where the switch happens.  Each chunk's cycles are pooled once, in
-    replication order, into the sums and centred sums of squares behind the
-    means and standard errors (``_Pooled``), so these depend only on each
+    chunk are left, the rounds run on Python scalars with the same draws in
+    the same order, so the result does not depend on where the switch
+    happens.  Each chunk's cycles are pooled once, in replication order,
+    into the sums and centred sums of squares behind the means and
+    standard errors (``_Pooled``), so these depend only on each
     replication's values.
 
     A run is refused with :class:`ValueError` before any draw when
@@ -421,11 +452,12 @@ def simulate_busy_period(
         raise ValueError("replications must be at least 1")
     _check_budget(arrival_rate, dist, buffer, replications)
     buffer = min(buffer, _BUFFER_CAP)
-    root = np.random.Philox(np.random.SeedSequence(seed))
     pooled = _Pooled()
     for done in range(0, replications, REPLICATION_CHUNK):
         count = min(REPLICATION_CHUNK, replications - done)
-        rng = np.random.Generator(root.jumped(done // REPLICATION_CHUNK))
+        # the seed's spawned child number done // REPLICATION_CHUNK
+        child = np.random.SeedSequence(seed, spawn_key=(done // REPLICATION_CHUNK,))
+        rng = np.random.Generator(np.random.SFC64(child))
         pooled.add(_run_cycles(rng, arrival_rate, dist, buffer, count))
 
     means = pooled.mean
@@ -523,6 +555,16 @@ def _block_cap(size: int, running: int) -> int:
     return size if size <= REPLICATION_CHUNK else max(1, REPLICATION_CHUNK // running)
 
 
+def _far(present, mu, ceiling: float, sqrt=np.sqrt):
+    """Whether a block of at least ``_FAR_BLOCK`` services may draw only its
+    arrival total (far) rather than one count per service (near): when
+    ``present + mu + _NEAR_SIGMAS (sqrt(mu) + 1)`` is below ``ceiling =
+    buffer + 1``, for ``mu`` the arrival rate times its service sum.  Takes
+    arrays, or Python numbers with ``math.sqrt``: the same operations in
+    the same order give the same decisions."""
+    return present + mu + _NEAR_SIGMAS * (sqrt(mu) + 1.0) < ceiling
+
+
 def _run_cycles(
     rng: np.random.Generator,
     arrival_rate: float,
@@ -542,12 +584,32 @@ def _run_cycles(
     walk clipped at a ceiling loses what its peak passes it by, so the
     block loses max(0, max_j P_j - buffer); it leaves present its arrivals
     less that loss, and the customers it did not serve.  A cycle ends on a
-    block that leaves none.  The array rounds add into the running cycles'
-    columns, ``ids``; the last ``_SCALAR_TAIL`` or fewer cycles finish in
-    ``_finish_cycles``."""
+    block that leaves none.
+
+    A round draws its services and sums each block's (``np.add.reduceat``).
+    The blocks of ``_FAR_BLOCK`` or more services that ``_far`` picks are
+    far, unless their totals would save fewer than ``_FAR_SAVED`` draws;
+    then the round has none.  Neither choice reads an arrival count.  Every
+    near block draws its a_j, one per service, and walks.  Every far block
+    then draws only their total, Poisson(arrival rate times its service
+    sum).  Its walk peaks at
+    most at w plus that total, so it loses nothing unless ``present +
+    total`` passes ``buffer + 1``; then ``_split_loss`` splits the total
+    over its services and walks.  Both are exact: a sum of independent
+    Poisson counts is Poisson, and a Poisson total split in proportion to
+    the service lengths gives independent Poisson counts.  A far mu is
+    below ``buffer + 1``, which is capped below NumPy's Poisson limit, so
+    no far total passes that limit, even where its services' would.
+
+    The array rounds add into the running cycles' columns, ``ids``; the
+    last ``_SCALAR_TAIL`` or fewer cycles finish in ``_finish_cycles``."""
     present = np.ones(count, dtype=np.int64)
     totals = np.zeros((3, count))
     ids = np.arange(count)
+    ceiling = float(buffer + 1)
+    # a far block has present >= _FAR_BLOCK and mu >= 0, so there is none
+    # unless this holds
+    some_far = _FAR_BLOCK + _NEAR_SIGMAS < ceiling
     while present.size > _SCALAR_TAIL:
         block, size = present, int(present.sum())
         cap = _block_cap(size, present.size)
@@ -555,31 +617,45 @@ def _run_cycles(
             block = np.minimum(present, cap)
             size = int(block.sum())
         s = dist.draw(rng, size)
-        try:
-            a = rng.poisson(arrival_rate * s)
-        except ValueError:
-            raise _past_poisson_limit(arrival_rate, s) from None
-        if size == present.size:
-            # one service a block, as in a chunk's first round
-            busy, arrived = s, a
+        # one service a block, as in a chunk's first round: all near
+        starts = None if size == present.size else np.cumsum(block) - block
+        busy = s if starts is None else np.add.reduceat(s, starts)
+        far = None
+        if some_far and starts is not None:
+            # only these blocks may be far: if all of their totals would
+            # save fewer than _FAR_SAVED draws, the far ones' would too
+            wide = np.flatnonzero(block >= _FAR_BLOCK)
+            if int(block[wide].sum()) - wide.size >= _FAR_SAVED:
+                mu = arrival_rate * busy[wide]
+                picked = _far(present[wide], mu, ceiling)
+                far, mu = wide[picked], mu[picked]
+                if not far.size or int(block[far].sum()) - far.size < _FAR_SAVED:
+                    far = None
+        if far is None:
+            arrived, loss = _near_arrivals(rng, arrival_rate, s, present, starts, buffer)
         else:
-            starts = np.cumsum(block) - block
-            busy = np.add.reduceat(s, starts)
-            arrived = np.add.reduceat(a, starts)
+            arrived = np.empty(present.size, dtype=np.int64)
+            loss = np.zeros(present.size, dtype=np.int64)
+            near = np.ones(present.size, dtype=bool)
+            near[far] = False
+            inner = np.flatnonzero(near)
+            if inner.size:
+                inner_block = block[inner]
+                arrived[inner], inner_loss = _near_arrivals(
+                    rng, arrival_rate, s[np.repeat(near, block)], present[inner],
+                    np.cumsum(inner_block) - inner_block, buffer)
+                if inner_loss is not None:
+                    loss[inner] = inner_loss
+            total = rng.poisson(mu)
+            arrived[far] = total
+            over = np.flatnonzero(present[far] + total > buffer + 1)
+            for j, n in zip(far[over].tolist(), total[over].tolist()):
+                lo = int(starts[j])
+                loss[j] = _split_loss(rng, s[lo:lo + int(block[j])], busy[j], int(present[j]),
+                                      n, buffer)
         totals[0, ids] += busy
         totals[1, ids] += block
-        # the walk's peak is at most its start plus every arrival, less one,
-        # and is that on a block of one service
-        peak = present + arrived
-        if peak.max() > buffer + 1:
-            if size == present.size:
-                peak -= 1
-            else:
-                walk = np.empty(size + 1, dtype=np.int64)
-                walk[0] = 0
-                np.cumsum(np.subtract(a, 1, out=a), out=walk[1:])
-                peak = present + np.maximum.reduceat(walk[1:], starts) - walk[starts]
-            loss = np.maximum(peak - buffer, 0)
+        if loss is not None:
             totals[2, ids] += loss
             arrived = arrived - loss
         present = arrived if block is present else present - block + arrived
@@ -592,6 +668,43 @@ def _run_cycles(
     return totals
 
 
+def _near_arrivals(rng, arrival_rate, s, present, starts, buffer):
+    """Arrivals and losses of near blocks whose services ``s`` lie one block
+    after another from ``starts`` (``None`` for one service a block): one
+    arrival count per service, and each block's walk.  The loss is ``None``
+    where no block reaches the buffer."""
+    try:
+        a = rng.poisson(arrival_rate * s)
+    except ValueError:
+        raise _past_poisson_limit(arrival_rate, s) from None
+    arrived = a if starts is None else np.add.reduceat(a, starts)
+    # the walk's peak is at most its start plus every arrival, less one,
+    # and is that on a block of one service
+    peak = present + arrived
+    if peak.max() <= buffer + 1:
+        return arrived, None
+    if starts is None:
+        peak -= 1
+    else:
+        walk = np.empty(s.size + 1, dtype=np.int64)
+        walk[0] = 0
+        np.cumsum(np.subtract(a, 1, out=a), out=walk[1:])
+        peak = present + np.maximum.reduceat(walk[1:], starts) - walk[starts]
+    return arrived, np.maximum(peak - buffer, 0)
+
+
+def _split_loss(
+    rng: np.random.Generator, services: np.ndarray, time: float, present: int, total: int,
+    buffer: int,
+) -> int:
+    """The loss of a far block whose arrival total brings ``present +
+    total`` past ``buffer + 1``: the total split over its services in
+    proportion to their lengths (``time`` is their sum), and the walk's
+    peak on the split counts."""
+    counts = rng.multinomial(total, services / time)
+    return max(present + int(np.cumsum(counts - 1).max()) - buffer, 0)
+
+
 def _finish_cycles(
     rng: np.random.Generator,
     arrival_rate: float,
@@ -601,34 +714,79 @@ def _finish_cycles(
     totals: np.ndarray,
 ) -> None:
     """The generation rounds of ``_run_cycles`` on a few ``(present, column,
-    time, served, lost)`` cycles: each round draws its service times with
-    one ``dist.draw`` call and then each arrival count with a scalar
-    ``rng.poisson``, in the same order as an array draw, and serves each
-    block one customer at a time.  A cycle's time, served and lost go to
+    time, served, lost)`` cycles, with the same draws in the same order:
+    one ``dist.draw`` call for the round's services, the far blocks by the
+    same rule on the same ``np.add.reduceat`` sums, then the near services'
+    arrival counts (one scalar call each, or one array call for more than
+    ``_SCALAR_DRAWS``: the same values), the far totals, and
+    ``_split_loss`` for each far total past the buffer.  Each near block is
+    served one customer at a time.  A cycle's time, served and lost go to
     its column of ``totals`` when it ends."""
     poisson = rng.poisson
+    ceiling = float(buffer + 1)
+    some_far = _FAR_BLOCK + _NEAR_SIGMAS < ceiling
+
+    def draw_counts(services):
+        try:
+            if services.size > _SCALAR_DRAWS:
+                return iter(rng.poisson(arrival_rate * services).tolist())
+            return iter([poisson(arrival_rate * s) for s in services.tolist()])
+        except ValueError:
+            raise _past_poisson_limit(arrival_rate, services) from None
+
     while cycles:
         size = sum(c[0] for c in cycles)
         cap = _block_cap(size, len(cycles))
         if cap < size:
             size = sum(min(c[0], cap) for c in cycles)
         services = dist.draw(rng, size)
+        far = counts = None
+        if some_far:
+            blocks = [min(c[0], cap) for c in cycles]
+            if sum(b - 1 for b in blocks if b >= _FAR_BLOCK) >= _FAR_SAVED:
+                lows = [0, *itertools.accumulate(blocks[:-1])]
+                sums = np.add.reduceat(services, lows).tolist()
+                far = [b >= _FAR_BLOCK and _far(c[0], arrival_rate * time, ceiling, math.sqrt)
+                       for c, b, time in zip(cycles, blocks, sums)]
+                if not any(far) or sum(b - 1 for b, f in zip(blocks, far) if f) < _FAR_SAVED:
+                    far = None
+        if far is not None:
+            # the near blocks' counts, then every far total; the splits come
+            # in replication order below
+            counts = draw_counts(services[np.repeat(np.logical_not(far), blocks)])
+            far_totals = iter([poisson(arrival_rate * time) for time, f in zip(sums, far) if f])
+        elif size > _SCALAR_DRAWS:
+            counts = draw_counts(services)
         draws = iter(services.tolist())
         running = []
-        for present, j, busy, served, lost in cycles:
+        for k, (present, j, busy, served, lost) in enumerate(cycles):
             block = min(present, cap)
-            waiting = present - 1
-            for _ in range(block):
-                s = next(draws)
-                busy += s
-                try:
-                    waiting += poisson(arrival_rate * s)
-                except ValueError:
-                    raise _past_poisson_limit(arrival_rate, services) from None
-                if waiting > buffer:
-                    lost += waiting - buffer
-                    waiting = buffer
-                waiting -= 1
+            if far is not None and far[k]:
+                for _ in range(block):
+                    next(draws)
+                total, time = next(far_totals), sums[k]
+                loss = (_split_loss(rng, services[lows[k]:lows[k] + block], time, present, total,
+                                    buffer) if present + total > buffer + 1 else 0)
+                # the clipped walk ends its loss below the free one
+                waiting = present - 1 + total - block - loss
+                busy += time
+                lost += loss
+            else:
+                waiting = present - 1
+                for _ in range(block):
+                    s = next(draws)
+                    busy += s
+                    if counts is None:
+                        try:
+                            waiting += poisson(arrival_rate * s)
+                        except ValueError:
+                            raise _past_poisson_limit(arrival_rate, services) from None
+                    else:
+                        waiting += next(counts)
+                    if waiting > buffer:
+                        lost += waiting - buffer
+                        waiting = buffer
+                    waiting -= 1
             if waiting < 0:
                 totals[:, j] = busy, served + block, lost
             else:

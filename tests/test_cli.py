@@ -574,7 +574,7 @@ def test_simulate_json_payload(capsys):
     assert main(["simulate", "--dist", "exp:1", "--rate", "1.0", "--n", "2",
                  "--replications", "2000", "--seed", "9"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["generator"] == "numpy-philox-chunk16384-generations"
+    assert payload["generator"] == "numpy-sfc64-chunk16384-block-totals"
     assert payload["seed"] == 9
     assert payload["replications"] == 2000
     assert payload["distribution"] == "exp:1"
@@ -721,6 +721,16 @@ def test_reproduce_sampled_run_names_its_source(capsys):
     out = capsys.readouterr().out
     assert "simulated sample (N = 2000, seed = 5)" in out
     assert "one-sided-statistics method" in out
+
+
+@pytest.mark.parametrize("extra", [["--n-obs", "200", "--seed", "5"], ["--fixture", "published"]])
+def test_reproduce_prints_the_papers_two_bound_blocks(capsys, extra):
+    # the paper's two methods by name, whatever other methods exist
+    assert main(["reproduce", *extra]) == 0
+    heads = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("busy-period bounds")]
+    assert [head.split(",")[1].split("(")[0].strip() for head in heads] == [
+        "two-sided-statistic method", "one-sided-statistics method"]
 
 
 @pytest.mark.parametrize("n_obs, seed", [(2000, 5), (30, 2)])

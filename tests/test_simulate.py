@@ -222,7 +222,7 @@ def test_draw_samples_large_sample_mean():
 
 def test_generator_identifiers():
     assert SAMPLE_GENERATOR == "numpy-pcg64"
-    assert SIMULATION_GENERATOR == f"numpy-philox-chunk{REPLICATION_CHUNK}-generations"
+    assert SIMULATION_GENERATOR == f"numpy-sfc64-chunk{REPLICATION_CHUNK}-block-totals"
 
 
 # ---------------------------------------------------------------------------
@@ -299,22 +299,21 @@ def test_simulator_is_reproducible():
     assert a != c
 
 
-def test_each_chunk_of_replications_runs_on_its_own_jump_of_the_seed_stream():
+def test_each_chunk_of_replications_runs_on_its_own_spawned_stream():
     # 2^15 replications: the first chunk is a one-chunk run of the same seed,
-    # the second runs on the seed's Philox stream jumped once, and the run
-    # pools the two chunks in that order
+    # the second runs on SFC64 seeded by the seed's second spawned child, and
+    # the run pools the two chunks in that order
     full = simulate_busy_period(1.0, Exponential(1.0), 2, 2 * REPLICATION_CHUNK,
                                 seed=21)
     head = simulate_busy_period(1.0, Exponential(1.0), 2, REPLICATION_CHUNK,
                                 seed=21)
-    root = np.random.Philox(np.random.SeedSequence(21))
     pooled = _Pooled()
-    for jumps in (0, 1):
-        chunk = _run_cycles(np.random.Generator(root.jumped(jumps)), 1.0, Exponential(1.0), 2,
-                            REPLICATION_CHUNK)
-        assert chunk.shape == (3, REPLICATION_CHUNK)
-        pooled.add(chunk)
-        if jumps == 0:
+    for chunk, child in enumerate(np.random.SeedSequence(21).spawn(2)):
+        rng = np.random.Generator(np.random.SFC64(child))
+        values = _run_cycles(rng, 1.0, Exponential(1.0), 2, REPLICATION_CHUNK)
+        assert values.shape == (3, REPLICATION_CHUNK)
+        pooled.add(values)
+        if chunk == 0:
             assert [head.busy_period.mean, head.served.mean, head.lost.mean] == pooled.mean.tolist()
     assert [full.busy_period.mean, full.served.mean, full.lost.mean] == pooled.mean.tolist()
     se = np.sqrt(pooled.m2 / (2 * REPLICATION_CHUNK - 1) / (2 * REPLICATION_CHUNK))
@@ -322,50 +321,91 @@ def test_each_chunk_of_replications_runs_on_its_own_jump_of_the_seed_stream():
 
 
 def _one_customer_at_a_time(rng, arrival_rate, dist, buffer, count):
-    """Reference generation rounds.  Each round takes every running cycle's
-    block, all its present customers or, when the round would serve more
-    than ``REPLICATION_CHUNK``, ``REPLICATION_CHUNK // cycles`` (at least
-    one) of them; draws the round's service times with one ``dist.draw``
-    call and their arrival counts with one ``rng.poisson`` call; and serves
-    each block one customer at a time.  Returns (busy time, served, lost)
-    of each cycle in replication order, as a (3, count) array, and the
-    number of rounds that were capped."""
+    """Reference generation rounds, in the simulator's draw order.
+
+    Each round takes every running cycle's block: all its present customers
+    or, when the round would serve more than ``REPLICATION_CHUNK``,
+    ``REPLICATION_CHUNK // cycles`` (at least one) of them.  It draws the
+    round's service times with one ``dist.draw`` call and sums each block's
+    with ``np.add.reduceat``.  A block of ``_FAR_BLOCK`` or more services is
+    far when present + mu + sigmas (sqrt(mu) + 1) < buffer + 1, for mu the
+    arrival rate times its sum and sigmas ``_NEAR_SIGMAS``, unless the far
+    blocks' totals would save fewer than ``_FAR_SAVED`` draws.  The
+    near blocks' arrival counts come from one ``rng.poisson`` call, one
+    count per service; then the far blocks' totals from another; then, in
+    replication order, ``rng.multinomial`` splits each far total that
+    brings present + total past buffer + 1 over its block's services, in
+    proportion to their lengths.  Each block is served one customer at a
+    time; a far total that is not split arrives with the block's first
+    customer, and cannot reach the buffer.
+
+    Returns (busy time, served, lost) of each cycle in replication order,
+    as a (3, count) array, and the numbers of capped rounds, near blocks of
+    several services, far blocks and splits."""
     chunk = lossq.simulate.REPLICATION_CHUNK
+    sigmas = lossq.simulate._NEAR_SIGMAS
+    smallest, saved = lossq.simulate._FAR_BLOCK, lossq.simulate._FAR_SAVED
     cycles = [[1, 0.0, 0, 0] for _ in range(count)]
-    replications, capped = cycles, 0
+    replications = cycles
+    counted = {"capped": 0, "near": 0, "far": 0, "split": 0}
     while cycles:
         size = sum(cycle[0] for cycle in cycles)
         cap = size if size <= chunk else max(1, chunk // len(cycles))
-        capped += cap < size
+        counted["capped"] += cap < size
         blocks = [min(cycle[0], cap) for cycle in cycles]
         s = dist.draw(rng, sum(blocks))
-        services = iter(zip(s.tolist(), rng.poisson(arrival_rate * s).tolist()))
+        lows = np.cumsum(blocks) - blocks
+        sums = np.add.reduceat(s, lows).tolist()
+        far = []
+        for cycle, block, total in zip(cycles, blocks, sums):
+            mu = arrival_rate * total
+            far.append(block >= smallest
+                       and cycle[0] + mu + sigmas * (math.sqrt(mu) + 1.0) < float(buffer + 1))
+        if not any(far) or sum(b - 1 for b, f in zip(blocks, far) if f) < saved:
+            far = [False] * len(cycles)
+        counted["far"] += sum(far)
+        counted["near"] += sum(not f and b > 1 for b, f in zip(blocks, far))
+        near_means = [arrival_rate * x for lo, b, f in zip(lows, blocks, far) if not f
+                      for x in s[lo:lo + b].tolist()]
+        near_counts = iter(rng.poisson(np.array(near_means, dtype=float)).tolist())
+        far_means = [arrival_rate * total for total, f in zip(sums, far) if f]
+        far_totals = iter(rng.poisson(np.array(far_means, dtype=float)).tolist())
+        arrivals = []
+        for cycle, lo, block, total, f in zip(cycles, lows, blocks, sums, far):
+            if not f:
+                arrivals.append([next(near_counts) for _ in range(block)])
+                continue
+            n = next(far_totals)
+            if cycle[0] + n > buffer + 1:
+                counted["split"] += 1
+                arrivals.append(rng.multinomial(n, s[lo:lo + block] / total).tolist())
+            else:
+                arrivals.append([n] + [0] * (block - 1))
         running = []
-        for cycle, block in zip(cycles, blocks):
+        for cycle, lo, block, counts in zip(cycles, lows, blocks, arrivals):
             waiting = cycle[0] - 1
-            for _ in range(block):
-                service, arrivals = next(services)
-                joined = min(arrivals, buffer - waiting)
+            for service, a in zip(s[lo:lo + block].tolist(), counts):
+                joined = min(a, buffer - waiting)
                 cycle[1] += service
                 cycle[2] += 1
-                cycle[3] += arrivals - joined
+                cycle[3] += a - joined
                 waiting += joined - 1
             cycle[0] = waiting + 1
             if cycle[0]:
                 running.append(cycle)
         cycles = running
-    return np.array([cycle[1:] for cycle in replications], dtype=float).T, capped
+    return np.array([cycle[1:] for cycle in replications], dtype=float).T, counted
+
+
+def _stream(seed):
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
 
 
 def _assert_cycles_match_the_reference(arrival_rate, dist, buffer, count, seed):
     """Served and lost exactly, busy time to 1e-12: the reference adds the
     block's services to it one at a time, ``_run_cycles`` a block at once."""
-
-    def stream():
-        return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-    got = _run_cycles(stream(), arrival_rate, dist, buffer, count)
-    want, capped = _one_customer_at_a_time(stream(), arrival_rate, dist, buffer, count)
+    got = _run_cycles(_stream(seed), arrival_rate, dist, buffer, count)
+    want, counted = _one_customer_at_a_time(_stream(seed), arrival_rate, dist, buffer, count)
     assert got.shape == want.shape == (3, count)
     assert np.array_equal(got[1:], want[1:])
     np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0.0)
@@ -376,7 +416,7 @@ def _assert_cycles_match_the_reference(arrival_rate, dist, buffer, count, seed):
     np.testing.assert_allclose(pooled.mean, mean, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(pooled.m2, ((got - mean[:, None]) ** 2).sum(axis=1),
                                rtol=1e-10, atol=1e-9)
-    return capped
+    return counted
 
 
 # load: the largest buffer drawn.  A cycle at load 1.5 serves about 1.5^buffer
@@ -423,8 +463,47 @@ def test_capped_rounds_equal_one_customer_at_a_time(monkeypatch, chunk):
             [(0.95, Exponential(1.0), 60), (1.5, Uniform(0.5, 1.5), 6),
              (3.0, Exponential(1.0), 2), (0.95, ErlangK(2, 2.0), 2**62)]):
         for count in (1, lossq.simulate._SCALAR_TAIL, 3 * lossq.simulate._SCALAR_TAIL):
-            capped += _assert_cycles_match_the_reference(arrival_rate, dist, buffer, count, seed)
+            counted = _assert_cycles_match_the_reference(arrival_rate, dist, buffer, count, seed)
+            capped += counted["capped"]
     assert capped > 0
+
+
+# (sigmas, fewest far services, fewest draws saved): every block near; every
+# block of two or more services far; and far blocks let up to the buffer,
+# so that their totals are split
+_DRAW_SETTINGS = {"near": (math.inf, 3, 1024), "far": (-math.inf, 2, 0),
+                  "split": (-1.0, 2, 0)}
+
+
+@pytest.mark.parametrize("setting", sorted(_DRAW_SETTINGS))
+def test_near_far_and_split_draws_equal_one_customer_at_a_time(monkeypatch, setting):
+    sigmas, smallest, saved = _DRAW_SETTINGS[setting]
+    monkeypatch.setattr(lossq.simulate, "_NEAR_SIGMAS", sigmas)
+    monkeypatch.setattr(lossq.simulate, "_FAR_BLOCK", smallest)
+    monkeypatch.setattr(lossq.simulate, "_FAR_SAVED", saved)
+    counted = dict.fromkeys(["near", "far", "split"], 0)
+    tail = lossq.simulate._SCALAR_TAIL
+    for seed, (arrival_rate, dist, buffer) in enumerate(
+            [(0.95, Exponential(1.0), 50), (0.95, Deterministic(1.0), 5),
+             (0.95, Uniform(0.0, 2.0), 20), (1.5, ErlangK(2, 2.0), 6)]):
+        for count in (1, tail, 3 * tail, 400):
+            got = _assert_cycles_match_the_reference(arrival_rate, dist, buffer, count, seed)
+            for key in counted:
+                counted[key] += got[key]
+    if setting == "near":
+        assert counted["near"] > 0 and counted["far"] == counted["split"] == 0
+    elif setting == "far":
+        assert counted["far"] > 0 and counted["near"] == 0
+    else:
+        assert counted["near"] > 0 and counted["split"] > 0
+
+
+@pytest.mark.parametrize("dist", [Exponential(1.0), Deterministic(1.0)], ids=lambda d: d.label())
+def test_full_rounds_at_buffer_50_equal_one_customer_at_a_time(dist):
+    # the shipped margin and gate, on rounds large enough that some draw far
+    # totals and some save too few draws to
+    counted = _assert_cycles_match_the_reference(0.95, dist, 50, 3000, seed=4)
+    assert counted["far"] > 0
 
 
 class _CountingLaw:
@@ -479,6 +558,84 @@ def test_standard_error_of_a_narrow_law_far_from_zero(low, width, rate):
     # cancels to 0.0 on the first law and to 4 times that on the second
     sim = simulate_busy_period(rate, Uniform(low, low + width), 0, 20_000, seed=3)
     assert sim.busy_period.se == pytest.approx(width / math.sqrt(12.0 * 20_000), rel=0.03)
+
+
+class _ScheduledLaw:
+    """Draws ``values[k]`` tiled over the k-th call's size, and a negligible
+    service after the schedule ends."""
+
+    def __init__(self, *values):
+        self.values, self.calls = values, 0
+
+    def draw(self, rng, size):
+        self.calls += 1
+        pattern = self.values[self.calls - 1] if self.calls <= len(self.values) else [1e-300]
+        return np.resize(np.asarray(pattern, dtype=float), size)
+
+
+class _RecordingStream:
+    """A generator that records every Poisson mean it is asked for."""
+
+    def __init__(self, rng):
+        self.rng, self.means = rng, []
+
+    def poisson(self, lam):
+        self.means.extend(np.ravel(lam).tolist())
+        return self.rng.poisson(lam)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("count", [1, 200])
+def test_a_block_whose_total_passes_the_poisson_limit_draws_per_service(monkeypatch, count):
+    # the first round fills the buffer, so the second serves blocks of eight
+    # services.  Each mean is within NumPy's Poisson limit, their sum is past
+    # it, and their counts still sum within int64.  With no gate, the margin
+    # alone keeps these blocks near; a far total would raise
+    monkeypatch.setattr(lossq.simulate, "_FAR_SAVED", 0)
+    limit = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+    big, small = limit - 1e10, 2e9
+    assert big + 7 * small > limit
+    buffer = 8
+    assert lossq.simulate._FAR_BLOCK <= buffer
+    rng = _RecordingStream(_stream(count))
+    got = _run_cycles(rng, 1.0, _ScheduledLaw([big], [big] + [small] * 7), buffer, count)
+    assert np.array_equal(got[1], np.full(count, 1 + 2 * buffer))
+    assert max(rng.means) == big and small in rng.means
+    monkeypatch.setattr(lossq.simulate, "_NEAR_SIGMAS", -math.inf)
+    with pytest.raises(ValueError):
+        _run_cycles(_stream(count), 1.0, _ScheduledLaw([big], [big] + [small] * 7), buffer, count)
+
+
+def test_the_golden_grid_calls_at_buffer_50_draw_far_totals_and_split_one(monkeypatch):
+    # tools/golden_grid.py pins these two CLI calls.  The first draws far
+    # totals, so it differs from the same run with every block near
+    first = simulate_busy_period(0.95, Exponential(1.0), 50, 2000, seed=7)
+    with monkeypatch.context() as near:
+        near.setattr(lossq.simulate, "_NEAR_SIGMAS", math.inf)
+        assert simulate_busy_period(0.95, Exponential(1.0), 50, 2000, seed=7) != first
+    # the second splits one far total: about one in 1e5 cycles does here
+    splits = []
+    split = lossq.simulate._split_loss
+    monkeypatch.setattr(lossq.simulate, "_split_loss", lambda *args: splits.append(1)
+                        or split(*args))
+    simulate_busy_period(0.95, Uniform(0.0, 2.0), 50, 100_000, seed=7)
+    assert len(splits) == 1
+
+
+@pytest.mark.parametrize("load, buffer", [(0.95, 50), (0.95, 5), (0.5, 5)])
+@pytest.mark.parametrize("dist", UNIT_MEAN_DISTS, ids=lambda d: d.label())
+def test_simulated_served_and_lost_match_the_exact_chains(load, buffer, dist):
+    # the served and lost chains on the law's exact moments, within 5 SE
+    moments = dist.moments(load, buffer)
+    served = estimate_characteristic(CharacteristicSpec.served_customers(load), moments,
+                                     buffer).natural_values[buffer]
+    lost = estimate_characteristic(CharacteristicSpec.lost_customers(load, dist.mean()),
+                                   moments, buffer).natural_values[buffer]
+    sim = simulate_busy_period(load, dist, buffer, 20_000, seed=buffer + int(100 * load))
+    for name, stat, want in (("served", sim.served, served), ("lost", sim.lost, lost)):
+        assert abs(stat.mean - want) <= 5.0 * stat.se, (name, stat, want)
 
 
 # ---------------------------------------------------------------------------

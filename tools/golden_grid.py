@@ -243,6 +243,12 @@ def _calls():
     # few enough cycles that every round runs on Python scalars
     yield {}, ["simulate", "--dist", "det:1", "--rate", "3", "--n", "2",
                "--replications", "20", "--seed", "5"]
+    # load 0.95, buffer 50: rounds that draw far blocks' arrival totals; the
+    # second call also splits one far total over its block's services
+    yield {}, ["simulate", "--dist", "exp:1", "--rate", "0.95", "--n", "50",
+               "--replications", "2000", "--seed", "7"]
+    yield {}, ["simulate", "--dist", "uniform:0:2", "--rate", "0.95", "--n", "50",
+               "--replications", "100000", "--seed", "7"]
     # a narrow law far from zero, whose standard error a sum of squares
     # less N mean^2 cancels
     yield {}, ["simulate", "--dist", "uniform:1000000:1000000.001", "--rate", "5e-7",
