@@ -194,6 +194,8 @@ def _run_estimate(args: argparse.Namespace) -> int:
 
 
 def _run_simulate(args: argparse.Namespace) -> int:
+    from contextlib import nullcontext
+
     from .simulate import (SAMPLE_GENERATOR, draw_samples, parse_distribution,
                            simulate_busy_period)
 
@@ -202,9 +204,16 @@ def _run_simulate(args: argparse.Namespace) -> int:
     if args.emit_samples is not None and args.n_obs < 1:
         # draw_samples's own check, made before the run rather than after it
         raise ValueError("n_obs must be at least 1")
-    result = simulate_busy_period(
-        args.rate, dist, args.n, args.replications, seed
-    )
+    # opened before the run, so that a path that cannot be written fails at
+    # once rather than after the whole simulation
+    with (nullcontext() if args.emit_samples is None
+          else open(args.emit_samples, "w", encoding="utf-8")) as fh:
+        result = simulate_busy_period(
+            args.rate, dist, args.n, args.replications, seed
+        )
+        if fh is not None:
+            for v in draw_samples(dist, args.n_obs, seed).values:
+                fh.write(f"{float(v)!r}\n")
     payload = {
         "generator": result.generator,
         "seed": result.seed,
@@ -216,11 +225,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
         "served": {"mean": result.served.mean, "se": result.served.se},
         "lost": {"mean": result.lost.mean, "se": result.lost.se},
     }
-    if args.emit_samples is not None:
-        sample = draw_samples(dist, args.n_obs, seed)
-        with open(args.emit_samples, "w", encoding="utf-8") as fh:
-            for v in sample.values:
-                fh.write(f"{float(v)!r}\n")
+    if fh is not None:
         payload["emitted"] = {
             "path": args.emit_samples,
             "n_obs": args.n_obs,

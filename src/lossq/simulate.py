@@ -11,16 +11,15 @@ SFC64 stream of ``SeedSequence(seed, spawn_key=(c,))``, the seed's c-th
 spawned child, in generation rounds: a round serves every running cycle's
 block, the customers present at the round's start (fewer when the round
 would serve more than ``REPLICATION_CHUNK``).  A block far from the buffer
-draws one Poisson arrival total instead of a count per service.  So a run
-is reproducible from its seed and replication count alone; the last few
-cycles of a chunk finish on Python scalars with the same draws.  The
-generator identities are part of the reproducibility contract and are
-recorded in results.
+draws one Poisson arrival total instead of a count per service.  A round of
+a few cycles and few services, which can be neither capped nor far, runs on
+Python scalars with the same draws.  So a run is reproducible from its seed
+and replication count alone.  The generator identities are part of the
+reproducibility contract and are recorded in results.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -63,11 +62,12 @@ REPLICATION_CHUNK = 16384
 
 SAMPLE_GENERATOR = "numpy-pcg64"
 SIMULATION_GENERATOR = f"numpy-sfc64-chunk{REPLICATION_CHUNK}-block-totals"
-# a chunk with at most this many cycles left finishes in Python, where a
-# round of at most _SCALAR_DRAWS services draws its arrival counts one
-# scalar call at a time, and a larger one with one array call (the same
-# values): ``Generator.poisson`` on an array costs 8 to 12 us however short
-# the array, a scalar draw about 0.8 us (NumPy 2.4 on SFC64, one core of a
+# a round of at most this many cycles runs in Python when it serves at most
+# min(REPLICATION_CHUNK, _FAR_SAVED) services.  There a round of at most
+# _SCALAR_DRAWS services draws its arrival counts one scalar call at a time,
+# and a larger one with one array call (the same values):
+# ``Generator.poisson`` on an array costs 8 to 12 us however short the
+# array, a scalar draw about 0.8 us (NumPy 2.4 on SFC64, one core of a
 # 2-vCPU VM)
 _SCALAR_TAIL = 16
 _SCALAR_DRAWS = 16
@@ -421,11 +421,17 @@ def simulate_busy_period(
     ``present + mu + _NEAR_SIGMAS (sqrt(mu) + 1) < buffer + 1``, for mu the
     arrival rate times its service sum (taken with ``np.add.reduceat``),
     unless the round's far blocks hold fewer than ``_FAR_SAVED`` services
-    more than their number, the draws their totals would save.  The choice reads no arrival count, and a total or its split
-    has the law of the counts it stands for, so every law is exact.  Every
-    service drawn is served.  Once at most ``_SCALAR_TAIL`` cycles of a
-    chunk are left, the rounds run on Python scalars with the same draws in
-    the same order, so the result does not depend on where the switch
+    more than their number, the draws their totals would save.  The choice
+    reads no arrival count, and a total or its split has the law of the
+    counts it stands for, so every law is exact.  Every service drawn is
+    served.
+
+    A round of at most ``_SCALAR_TAIL`` cycles that serves at most
+    ``min(REPLICATION_CHUNK, _FAR_SAVED)`` services is never capped and has
+    no far block.  It runs on Python scalars, with the same draws in the
+    same order, and serves each block one customer at a time; a larger
+    round hands the cycles back to the array rounds, and a later small one
+    takes them again.  So the counts do not depend on where the switch
     happens.  Each chunk's cycles are pooled once, in replication order,
     into the sums and centred sums of squares behind the means and
     standard errors (``_Pooled``), so these depend only on each
@@ -548,21 +554,12 @@ class _Pooled:
         self.m2 += m2
 
 
-def _block_cap(size: int, running: int) -> int:
-    """The most services one cycle takes in a round that would serve
-    ``size`` in ``running`` cycles: all it has, unless that is more than
-    ``REPLICATION_CHUNK``, and then ``REPLICATION_CHUNK // running``."""
-    return size if size <= REPLICATION_CHUNK else max(1, REPLICATION_CHUNK // running)
-
-
-def _far(present, mu, ceiling: float, sqrt=np.sqrt):
+def _far(present, mu, ceiling: float):
     """Whether a block of at least ``_FAR_BLOCK`` services may draw only its
     arrival total (far) rather than one count per service (near): when
     ``present + mu + _NEAR_SIGMAS (sqrt(mu) + 1)`` is below ``ceiling =
-    buffer + 1``, for ``mu`` the arrival rate times its service sum.  Takes
-    arrays, or Python numbers with ``math.sqrt``: the same operations in
-    the same order give the same decisions."""
-    return present + mu + _NEAR_SIGMAS * (sqrt(mu) + 1.0) < ceiling
+    buffer + 1``, for ``mu`` the arrival rate times its service sum."""
+    return present + mu + _NEAR_SIGMAS * (np.sqrt(mu) + 1.0) < ceiling
 
 
 def _run_cycles(
@@ -577,14 +574,15 @@ def _run_cycles(
     count.
 
     A round serves a block of each running cycle: the customers present at
-    its start, at most ``_block_cap`` of them.  The cycle cannot end within
-    the block, so from the w waiting when the block's first service starts,
-    the waiting count before the buffer clips it is the walk
-    P_j = w + a_0 + ... + a_j - j over the block's arrival counts a_j.  A
-    walk clipped at a ceiling loses what its peak passes it by, so the
-    block loses max(0, max_j P_j - buffer); it leaves present its arrivals
-    less that loss, and the customers it did not serve.  A cycle ends on a
-    block that leaves none.
+    its start, or ``REPLICATION_CHUNK // running`` of them (at least one)
+    when the blocks would add up to more than ``REPLICATION_CHUNK``.  The
+    cycle cannot end within the block, so from the w waiting when the
+    block's first service starts, the waiting count before the buffer clips
+    it is the walk P_j = w + a_0 + ... + a_j - j over the block's arrival
+    counts a_j.  A walk clipped at a ceiling loses what its peak passes it
+    by, so the block loses max(0, max_j P_j - buffer); it leaves present its
+    arrivals less that loss, and the customers it did not serve.  A cycle
+    ends on a block that leaves none.
 
     A round draws its services and sums each block's (``np.add.reduceat``).
     The blocks of ``_FAR_BLOCK`` or more services that ``_far`` picks are
@@ -592,17 +590,20 @@ def _run_cycles(
     then the round has none.  Neither choice reads an arrival count.  Every
     near block draws its a_j, one per service, and walks.  Every far block
     then draws only their total, Poisson(arrival rate times its service
-    sum).  Its walk peaks at
-    most at w plus that total, so it loses nothing unless ``present +
-    total`` passes ``buffer + 1``; then ``_split_loss`` splits the total
-    over its services and walks.  Both are exact: a sum of independent
-    Poisson counts is Poisson, and a Poisson total split in proportion to
-    the service lengths gives independent Poisson counts.  A far mu is
-    below ``buffer + 1``, which is capped below NumPy's Poisson limit, so
-    no far total passes that limit, even where its services' would.
+    sum).  Its walk peaks at most at w plus that total, so it loses nothing
+    unless ``present + total`` passes ``buffer + 1``; then ``_split_loss``
+    splits the total over its services and walks.  Both are exact: a sum of
+    independent Poisson counts is Poisson, and a Poisson total split in
+    proportion to the service lengths gives independent Poisson counts.  A
+    far mu is below ``buffer + 1``, which is capped below NumPy's Poisson
+    limit, so no far total passes that limit, even where its services'
+    would.
 
-    The array rounds add into the running cycles' columns, ``ids``; the
-    last ``_SCALAR_TAIL`` or fewer cycles finish in ``_finish_cycles``."""
+    The rounds add into the running cycles' columns, ``ids``.  A round of
+    at most ``_SCALAR_TAIL`` cycles that serves at most
+    ``min(REPLICATION_CHUNK, _FAR_SAVED)`` services is neither capped nor
+    far; it runs in ``_scalar_rounds``, which hands the cycles back when a
+    round would serve more."""
     present = np.ones(count, dtype=np.int64)
     totals = np.zeros((3, count))
     ids = np.arange(count)
@@ -610,11 +611,13 @@ def _run_cycles(
     # a far block has present >= _FAR_BLOCK and mu >= 0, so there is none
     # unless this holds
     some_far = _FAR_BLOCK + _NEAR_SIGMAS < ceiling
-    while present.size > _SCALAR_TAIL:
+    while present.size:
         block, size = present, int(present.sum())
-        cap = _block_cap(size, present.size)
-        if cap < size:
-            block = np.minimum(present, cap)
+        if present.size <= _SCALAR_TAIL and size <= min(REPLICATION_CHUNK, _FAR_SAVED):
+            present, ids = _scalar_rounds(rng, arrival_rate, dist, buffer, present, ids, totals)
+            continue
+        if size > REPLICATION_CHUNK:
+            block = np.minimum(present, max(1, REPLICATION_CHUNK // present.size))
             size = int(block.sum())
         s = dist.draw(rng, size)
         # one service a block, as in a chunk's first round: all near
@@ -663,8 +666,6 @@ def _run_cycles(
         if keep.size < present.size:
             # gathers by index: a boolean mask is several times slower here
             present, ids = present.take(keep), ids.take(keep)
-    cycles = list(zip(present.tolist(), ids.tolist(), *totals[:, ids].tolist()))
-    _finish_cycles(rng, arrival_rate, dist, buffer, cycles, totals)
     return totals
 
 
@@ -705,93 +706,55 @@ def _split_loss(
     return max(present + int(np.cumsum(counts - 1).max()) - buffer, 0)
 
 
-def _finish_cycles(
-    rng: np.random.Generator,
-    arrival_rate: float,
-    dist: ServiceDistribution,
-    buffer: int,
-    cycles: list[tuple],
-    totals: np.ndarray,
-) -> None:
-    """The generation rounds of ``_run_cycles`` on a few ``(present, column,
-    time, served, lost)`` cycles, with the same draws in the same order:
-    one ``dist.draw`` call for the round's services, the far blocks by the
-    same rule on the same ``np.add.reduceat`` sums, then the near services'
-    arrival counts (one scalar call each, or one array call for more than
-    ``_SCALAR_DRAWS``: the same values), the far totals, and
-    ``_split_loss`` for each far total past the buffer.  Each near block is
-    served one customer at a time.  A cycle's time, served and lost go to
-    its column of ``totals`` when it ends."""
+def _scalar_rounds(
+    rng: np.random.Generator, arrival_rate: float, dist: ServiceDistribution, buffer: int,
+    present: np.ndarray, ids: np.ndarray, totals: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rounds of ``_run_cycles`` on the few cycles ``present`` in
+    columns ``ids`` of ``totals``, on Python scalars, while a round serves
+    at most ``min(REPLICATION_CHUNK, _FAR_SAVED)`` services: such a round is
+    never capped, and its far totals could not save ``_FAR_SAVED`` draws, so
+    every block is near.  A round draws its services with one ``dist.draw``
+    call, then one arrival count per service (one scalar call each, or one
+    array call for more than ``_SCALAR_DRAWS``: the same values), and serves
+    each block one customer at a time.  A cycle's time, served and lost go
+    to its column when it ends.  When a round would serve more, the running
+    cycles' go there too, and their ``(present, ids)`` are returned."""
     poisson = rng.poisson
-    ceiling = float(buffer + 1)
-    some_far = _FAR_BLOCK + _NEAR_SIGMAS < ceiling
-
-    def draw_counts(services):
-        try:
-            if services.size > _SCALAR_DRAWS:
-                return iter(rng.poisson(arrival_rate * services).tolist())
-            return iter([poisson(arrival_rate * s) for s in services.tolist()])
-        except ValueError:
-            raise _past_poisson_limit(arrival_rate, services) from None
-
+    most = min(REPLICATION_CHUNK, _FAR_SAVED)
+    cycles = list(zip(present.tolist(), ids.tolist(), *totals[:, ids].tolist()))
     while cycles:
         size = sum(c[0] for c in cycles)
-        cap = _block_cap(size, len(cycles))
-        if cap < size:
-            size = sum(min(c[0], cap) for c in cycles)
+        if size > most:
+            break
         services = dist.draw(rng, size)
-        far = counts = None
-        if some_far:
-            blocks = [min(c[0], cap) for c in cycles]
-            if sum(b - 1 for b in blocks if b >= _FAR_BLOCK) >= _FAR_SAVED:
-                lows = [0, *itertools.accumulate(blocks[:-1])]
-                sums = np.add.reduceat(services, lows).tolist()
-                far = [b >= _FAR_BLOCK and _far(c[0], arrival_rate * time, ceiling, math.sqrt)
-                       for c, b, time in zip(cycles, blocks, sums)]
-                if not any(far) or sum(b - 1 for b, f in zip(blocks, far) if f) < _FAR_SAVED:
-                    far = None
-        if far is not None:
-            # the near blocks' counts, then every far total; the splits come
-            # in replication order below
-            counts = draw_counts(services[np.repeat(np.logical_not(far), blocks)])
-            far_totals = iter([poisson(arrival_rate * time) for time, f in zip(sums, far) if f])
-        elif size > _SCALAR_DRAWS:
-            counts = draw_counts(services)
-        draws = iter(services.tolist())
+        draws = services.tolist()
+        try:
+            counts = (rng.poisson(arrival_rate * services).tolist() if size > _SCALAR_DRAWS
+                      else [poisson(arrival_rate * s) for s in draws])
+        except ValueError:
+            raise _past_poisson_limit(arrival_rate, services) from None
+        pairs = zip(draws, counts)
         running = []
-        for k, (present, j, busy, served, lost) in enumerate(cycles):
-            block = min(present, cap)
-            if far is not None and far[k]:
-                for _ in range(block):
-                    next(draws)
-                total, time = next(far_totals), sums[k]
-                loss = (_split_loss(rng, services[lows[k]:lows[k] + block], time, present, total,
-                                    buffer) if present + total > buffer + 1 else 0)
-                # the clipped walk ends its loss below the free one
-                waiting = present - 1 + total - block - loss
-                busy += time
-                lost += loss
-            else:
-                waiting = present - 1
-                for _ in range(block):
-                    s = next(draws)
-                    busy += s
-                    if counts is None:
-                        try:
-                            waiting += poisson(arrival_rate * s)
-                        except ValueError:
-                            raise _past_poisson_limit(arrival_rate, services) from None
-                    else:
-                        waiting += next(counts)
-                    if waiting > buffer:
-                        lost += waiting - buffer
-                        waiting = buffer
-                    waiting -= 1
+        for block, j, busy, served, lost in cycles:
+            waiting = block - 1
+            for _ in range(block):
+                s, a = next(pairs)
+                busy += s
+                waiting += a
+                if waiting > buffer:
+                    lost += waiting - buffer
+                    waiting = buffer
+                waiting -= 1
             if waiting < 0:
                 totals[:, j] = busy, served + block, lost
             else:
                 running.append((waiting + 1, j, busy, served + block, lost))
         cycles = running
+    for block, j, *values in cycles:
+        totals[:, j] = values
+    return (np.array([c[0] for c in cycles], dtype=np.int64),
+            np.array([c[1] for c in cycles], dtype=ids.dtype))
 
 
 def _past_poisson_limit(arrival_rate: float, services: np.ndarray) -> ValueError:

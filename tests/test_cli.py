@@ -649,6 +649,26 @@ def test_emit_samples_checks_its_count_before_the_run(capsys, monkeypatch, tmp_p
     assert not out_path.exists()
 
 
+def test_emit_samples_opens_its_path_before_the_run(capsys, monkeypatch, tmp_path):
+    def run(*args):
+        raise AssertionError("the simulator ran")
+
+    monkeypatch.setattr(lossq.simulate, "simulate_busy_period", run)
+    out_path = tmp_path / "missing" / "emitted.txt"
+    assert main(["simulate", "--dist", "exp:1", "--rate", "0.95", "--n", "50",
+                 "--replications", "200000", "--emit-samples", str(out_path)]) == 1
+    assert capsys.readouterr() == (
+        "", f"lossq: error: [Errno 2] No such file or directory: {str(out_path)!r}\n")
+
+
+def test_a_run_that_fails_after_the_emit_path_is_opened_leaves_it_empty(capsys, tmp_path):
+    out_path = tmp_path / "emitted.txt"
+    assert main(["simulate", "--dist", "det:1", "--rate", "5", "--n", "30",
+                 "--replications", "1", "--emit-samples", str(out_path)]) == 1
+    assert "budget" in capsys.readouterr().err
+    assert out_path.read_text() == ""
+
+
 def test_seed_environment_variable(capsys, monkeypatch):
     monkeypatch.setenv(SEED_ENV_VAR, "123")
     assert main(["simulate", "--dist", "exp:1", "--rate", "1.0", "--n", "1",

@@ -537,9 +537,10 @@ def test_every_service_drawn_is_served(monkeypatch, chunk, count):
                           (0.5, Deterministic(1.0), 5, 500), (3.0, Exponential(1.0), 2, 200)])
 def test_cycles_do_not_depend_on_where_the_scalar_finish_takes_over(
         monkeypatch, chunk, arrival_rate, dist, buffer, count):
-    # every round on arrays, and every round on Python scalars: the same
-    # draws, so the same counts; busy time is summed a block at once in one
-    # and a service at a time in the other
+    """A ``_SCALAR_TAIL`` of 0 runs every round on arrays, and one of 10**9
+    runs on Python scalars every round that is neither capped nor far: the
+    same draws, so the same counts.  Busy time is summed a block at once in
+    one and a service at a time in the other."""
     monkeypatch.setattr(lossq.simulate, "REPLICATION_CHUNK", chunk)
     runs = []
     for tail in (0, 10**9):
@@ -549,6 +550,27 @@ def test_cycles_do_not_depend_on_where_the_scalar_finish_takes_over(
     arrays, scalars = runs
     assert np.array_equal(arrays[1:], scalars[1:])
     np.testing.assert_allclose(arrays[0], scalars[0], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("dist", [Exponential(1.0), Deterministic(1.0), Uniform(0.0, 2.0)],
+                         ids=lambda d: d.label())
+def test_scalar_rounds_hand_larger_rounds_back_to_arrays(monkeypatch, dist):
+    # with a gate of 32 draws, a round of more than 32 services at load 1.5,
+    # buffer 12 leaves the scalar path for an array round, and the cycles
+    # come back to it once their rounds are small again
+    monkeypatch.setattr(lossq.simulate, "_FAR_SAVED", 32)
+    scalar_rounds = lossq.simulate._scalar_rounds
+    handed_back = []
+
+    def counting(*args):
+        present, ids = scalar_rounds(*args)
+        handed_back.append(present.size > 0)
+        return present, ids
+
+    monkeypatch.setattr(lossq.simulate, "_scalar_rounds", counting)
+    for seed in range(3):
+        _assert_cycles_match_the_reference(1.5, dist, 12, 8, seed)
+    assert any(handed_back)
 
 
 @pytest.mark.parametrize("low, width, rate", [(1e6, 1e-3, 5e-7), (100.0, 1e-6, 5e-3)])

@@ -228,6 +228,9 @@ def _calls():
     yield {SEED_ENV_VAR: "3"}, ["simulate", "--dist", "exp:1", "--rate", "0.5", "--n", "2",
                                 "--replications", "50", "--emit-samples", "emitted.txt",
                                 "--n-obs", "20"]
+    # a sample path that cannot be opened: the same error before or after the run
+    yield {}, ["simulate", "--dist", "exp:1", "--rate", "0.95", "--n", "50",
+               "--replications", "2000", "--emit-samples", "no-such-dir/x.txt"]
     yield {SEED_ENV_VAR: "x"}, ["simulate", "--dist", "exp:1", "--rate", "0.5", "--n", "2",
                                 "--replications", "50"]
     yield {SEED_ENV_VAR: "-1"}, ["simulate", "--dist", "exp:1", "--rate", "0.5", "--n", "2",
