@@ -9,10 +9,17 @@ exponential holding times, and the Poisson tail probabilities that the
 other laws' closed forms (and the Erlang CDF) are made of; each law in
 :mod:`lossq.simulate` gives its own closed form as
 ``law.moments(rate, order)``.
+
+The atomic sum streams each pass over the sample in leaves of at most
+2^15 observations, split as NumPy's pairwise sum splits an array and added
+up in the same tree, so its sums keep the bits of whole-array sums.  It
+holds, beyond the sorted sample, only the window of observations that the
+first 32 orders leave active, and a few leaves.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +46,10 @@ _BLOCK_BUFFER = 2**15
 # a window of at most this many observations fills its block's rows with one
 # accumulate along the orders, which is faster there than a call per row
 _ACCUMULATE_WINDOW = 128
+# moments_empirical takes each pass over a window in leaves of at most this
+# many observations, split as NumPy's pairwise sum splits the window; at
+# least 128, the longest run NumPy sums without halving it
+_LEAF = 2**15
 _TINY = np.finfo(float).tiny
 _HALF_ULP = 2.0**-53
 # stirlerr(n) = log(n!) - log(sqrt(2 pi n) (n/e)^n) at n = 0..15, where its
@@ -128,6 +139,19 @@ def moments_empirical(ecdf: EmpiricalCdf, rate: float, order: int) -> MomentVect
     place and summed once per order.  Both take the same products and the
     same pairwise sums, so they give the same bits.
 
+    Every pass over a whole window runs over leaves of at most ``2^15``
+    observations: r_0 and the late boundary, each block, and the tail.
+    The leaves are those of NumPy's pairwise sum, which halves a run of
+    more than 128, rounding the left part down to a multiple of 8, so the
+    leaves' sums added up in the same tree (``_pairwise``) have the bits
+    of one ``np.add.reduce`` over the window; a window of at most 2^15
+    observations is one leaf.  The first block takes ``rate x`` and the
+    weights from the sorted values a leaf at a time, and keeps the weights
+    of the window that survives it only when another block follows; that
+    window's ``rate x`` is then taken again.  Beyond the sorted sample the
+    call holds the surviving window's weights and ``rate x`` and a few
+    leaves, at most two more copies of the sample and often far less.
+
     After each block the window drops its leading run of weights below
     ``2^-53 w(x_max) / N``, where x_max is the largest observation in the
     window; observations at ``rate x = 0`` go after the first block.  The
@@ -142,62 +166,162 @@ def moments_empirical(ecdf: EmpiricalCdf, rate: float, order: int) -> MomentVect
     loop its weights at orders 1..order are added in one step from Loader's
     pmf at the order nearest its mean (``_late_sums``).  The tail is the
     mean of the upper Poisson tails P(N_x > order) over the last window and
-    the late observations.  The observations the window dropped sit below
-    its cut at every order, so the tail they leave out is bounded as each
-    r_j's is.
+    the late observations, one exact ``math.fsum`` over every leaf's.  The
+    observations the window dropped sit below its cut at every order, so
+    the tail they leave out is bounded as each r_j's is.
     """
     _check_rate_order(rate, order)
-    # a product past the largest double is inf, whose weight is 0 at every
-    # order: the limit of the Poisson pmf as its mean grows
-    with np.errstate(over="ignore"):
-        ax = rate * ecdf.sorted_values
-    n = ax.size
-    w = np.negative(ax)
-    np.exp(w, out=w)
+    x = ecdf.sorted_values
+    n = x.size
     out = np.zeros(order + 1)
-    out[0] = w.mean()
-    # w is nonincreasing along the sorted observations, so the late weights,
-    # those below the smallest normal double, are a trailing run
-    lo, hi = 0, n - int(np.searchsorted(w[::-1], _TINY))
-    buf = None
+    parts, late = [], 0
+    for a, b in _leaves(n):
+        w, ax = _weights(rate, x[a:b])
+        parts.append(np.add.reduce(w))
+        # w is nonincreasing along the sorted observations, so the late
+        # weights, those below the smallest normal double, are a trailing run
+        late += int(np.searchsorted(w[::-1], _TINY))
+    out[0] = _pairwise(parts, n) / n
+    hi = n - late
+    # the last leaf's weights and rate x serve the first block's leaves
+    # that lie inside it
+    stash = a, w, ax
+    # the window is lo..hi; after the first block its weights and rate x
+    # are held from lo on
+    lo, window, axw, buf = 0, None, None, None
+
+    def leaf(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        if window is not None:
+            return window[a:b], axw[a:b]
+        start, w, ax = stash
+        if start <= a and b - start <= w.size:
+            return w[a - start:b - start], ax[a - start:b - start]
+        return _weights(rate, x[a:b])
+
     for i in range(1, order + 1, _BLOCK):
+        # an empty first window: every observation is late
+        if lo == hi:
+            break
         # orders i..end on unnormalised weights, each row sum divided by
         # i (i + 1) ... (its order) and then by N
         end = min(order, i + _BLOCK - 1)
-        window = w[lo:hi]
         facts = np.multiply.accumulate(np.arange(i, end + 1, dtype=float))
+        bounds = _leaves(hi - lo)
         narrow = (hi - lo) * _BLOCK <= _BLOCK_BUFFER
         if narrow and buf is None:
             buf = np.empty(_BLOCK_BUFFER)
-        sums = _block_sums(window, ax[lo:hi], facts, buf if narrow else None)
+        # the last leaf first, whose last weight sets the cut
+        last = bounds[-1][0]
+        w_last, ax_last = leaf(last, hi - lo)
+        sums_last = _block_sums(w_last, ax_last, facts, buf if narrow else None)
+        cut = _WINDOW_CUT * w_last[-1] / n
+        # the first block copies the weights from the first one at or above
+        # the cut when that is not in the last leaf and another block follows
+        copy = window is None and end < order
+        parts, first = [], None
+        for a, b in bounds[:-1]:
+            w, ax = leaf(a, b)
+            parts.append(_block_sums(w, ax, facts, None))
+            if first is None and (j := _first_at_least(w, cut)) < w.size:
+                first = a + j
+                if copy:
+                    kept = np.empty(hi - lo - first)
+            if copy and first is not None:
+                kept[max(a, first) - first:b - first] = w[max(a, first) - a:]
+        parts.append(sums_last)
+        if first is None:
+            # the last weight is never below the cut
+            first = last + _first_at_least(w_last, cut)
+        sums = _pairwise(parts, hi - lo)
+        np.divide(sums, facts, out=sums)
         np.divide(sums, n, out=out[i:end + 1])
         # a sum of non-negative weights is 0 only if every weight is 0
         if sums[-1] == 0.0:
             lo = hi
             break
-        cut = _WINDOW_CUT * window[-1] / n
-        if window[0] < cut:
-            # the last weight is never below the cut, so argmax finds one
-            lo += int(np.argmax(window >= cut))
+        if first >= last:
+            window, axw = w_last[first - last:], ax_last[first - last:]
+        elif window is not None:
+            window, axw = window[first:], axw[first:]
+        elif copy:
+            kept[last - first:] = w_last
+            window, axw = kept, rate * x[lo + first:hi]
+        lo += first
+        stash = None
     # the weights and every view of them are released first, so that the
-    # late sums' and the tails' temporaries can reuse their memory; kept
-    # alive, they raised a 1e6-line estimate's peak RSS by about 3 MB
-    w = window = buf = None
+    # late sums' and the tails' temporaries can reuse their memory
+    stash = window = axw = buf = w = ax = w_last = ax_last = kept = None
     if hi < n:
-        out += _late_sums(ax[hi:], order) / n
+        out += _late_sums(_scaled(rate, x[hi:]), order) / n
     tail = 0.0
     if lo < n:
-        tail = math.fsum(_poisson_tails(order + 1, ax[lo:])[1].tolist()) / n
+        leaves = _leaves(n - lo)
+        tails = (_poisson_tails(order + 1, _scaled(rate, x[lo + a:lo + b]))[1].tolist()
+                 for a, b in leaves)
+        # chaining the leaves' lists costs about 2 ns a term, which a single
+        # list need not pay
+        terms = next(tails) if len(leaves) == 1 else itertools.chain.from_iterable(tails)
+        tail = math.fsum(terms) / n
     return MomentVector(rate=rate, values=out, tail=tail)
+
+
+def _scaled(rate: float, x: np.ndarray) -> np.ndarray:
+    """``rate x``; a product past the largest double is inf, whose weight
+    is 0 at every order: the limit of the Poisson pmf as its mean grows."""
+    with np.errstate(over="ignore"):
+        return rate * x
+
+
+def _weights(rate: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weights ``exp(-rate x)`` and ``rate x``."""
+    ax = _scaled(rate, x)
+    w = np.negative(ax)
+    np.exp(w, out=w)
+    return w, ax
+
+
+def _first_at_least(w: np.ndarray, cut: float) -> int:
+    """The index of the first weight at or above ``cut``, or ``w.size``."""
+    if w[0] >= cut:
+        return 0
+    above = w >= cut
+    j = int(above.argmax())
+    return j if above[j] else w.size
+
+
+def _leaves(size: int) -> list[tuple[int, int]]:
+    """The runs ``(a, b)`` of at most ``_LEAF`` items, in order, that
+    NumPy's pairwise sum of ``size`` items splits them into: it halves a
+    longer run, rounding the left part down to a multiple of 8."""
+    if size <= _LEAF:
+        return [(0, size)]
+    half = size // 2 - size // 2 % 8
+    return _leaves(half) + [(a + half, b + half) for a, b in _leaves(size - half)]
+
+
+def _pairwise(parts: list, size: int):
+    """The sums ``parts`` over ``_leaves(size)`` added up as NumPy's
+    pairwise sum adds its halves: the same bits as one sum over all."""
+    if size <= _LEAF:
+        return parts[0]
+    leaves = iter(parts)
+
+    def total(size: int):
+        if size <= _LEAF:
+            return next(leaves)
+        half = size // 2 - size // 2 % 8
+        return total(half) + total(size - half)
+
+    return total(size)
 
 
 def _block_sums(window: np.ndarray, axw: np.ndarray, facts: np.ndarray,
                 buf: np.ndarray | None) -> np.ndarray:
-    """Row sums of one block's orders over the window, each divided by its
-    running product in ``facts``, for weights u <- u (rate x) once per
-    order; the window is left at the block's last order, divided by the
-    last product.  The rows go into ``buf`` when one is given, and
-    otherwise the window is updated in place, one sum per order."""
+    """Row sums of one block's orders over the window, for weights
+    u <- u (rate x) once per order; the window is left at the block's last
+    order, divided by the last running product in ``facts``.  The rows go
+    into ``buf`` when one is given, and otherwise the window is updated in
+    place, one sum per order."""
     count = facts.size
     if buf is not None:
         rows = buf[:count * window.size].reshape(count, window.size)
@@ -221,7 +345,7 @@ def _block_sums(window: np.ndarray, axw: np.ndarray, facts: np.ndarray,
                 break
         last = window
     np.divide(last, facts[-1], out=window)
-    return np.divide(sums, facts, out=sums)
+    return sums
 
 
 def _late_sums(a: np.ndarray, order: int) -> np.ndarray:

@@ -92,6 +92,9 @@ _BUDGET_LEVELS = 1000
 # a waiting count never comes near 2^62, so a larger buffer acts as this one
 # and keeps ``buffer + 1`` and ``peak - buffer`` within int64
 _BUFFER_CAP = 2**62
+# NumPy refuses a Poisson mean above int64's largest less 10 sqrt of it
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_POISSON_LIMIT = _INT64_MAX - 10.0 * math.sqrt(_INT64_MAX)
 # KS-law experiment: the most observations held in one block of trials.  A
 # block and its CDF temporaries take about 1 MB; all 1000 x 1000 trials at
 # once would add about 30 MB to the peak RSS
@@ -597,7 +600,9 @@ def _run_cycles(
     proportion to the service lengths gives independent Poisson counts.  A
     far mu is below ``buffer + 1``, which is capped below NumPy's Poisson
     limit, so no far total passes that limit, even where its services'
-    would.
+    would.  A near block's counts may still sum past int64, where their
+    int64 sum wraps; a round whose largest block mean passes that limit
+    sums them exactly and refuses such a block.
 
     The rounds add into the running cycles' columns, ``ids``.  A round of
     at most ``_SCALAR_TAIL`` cycles that serves at most
@@ -623,6 +628,11 @@ def _run_cycles(
         # one service a block, as in a chunk's first round: all near
         starts = None if size == present.size else np.cumsum(block) - block
         busy = s if starts is None else np.add.reduceat(s, starts)
+        # a block's arrival total is Poisson with mean arrival rate times its
+        # service sum, so it may pass int64 only where that mean passes the
+        # limit NumPy puts on a Poisson mean; such a round checks its near
+        # blocks' totals exactly
+        exact = starts is not None and arrival_rate * busy.max() > _POISSON_LIMIT
         far = None
         if some_far and starts is not None:
             # only these blocks may be far: if all of their totals would
@@ -635,7 +645,7 @@ def _run_cycles(
                 if not far.size or int(block[far].sum()) - far.size < _FAR_SAVED:
                     far = None
         if far is None:
-            arrived, loss = _near_arrivals(rng, arrival_rate, s, present, starts, buffer)
+            arrived, loss = _near_arrivals(rng, arrival_rate, s, present, starts, buffer, exact)
         else:
             arrived = np.empty(present.size, dtype=np.int64)
             loss = np.zeros(present.size, dtype=np.int64)
@@ -646,7 +656,7 @@ def _run_cycles(
                 inner_block = block[inner]
                 arrived[inner], inner_loss = _near_arrivals(
                     rng, arrival_rate, s[np.repeat(near, block)], present[inner],
-                    np.cumsum(inner_block) - inner_block, buffer)
+                    np.cumsum(inner_block) - inner_block, buffer, exact)
                 if inner_loss is not None:
                     loss[inner] = inner_loss
             total = rng.poisson(mu)
@@ -669,16 +679,19 @@ def _run_cycles(
     return totals
 
 
-def _near_arrivals(rng, arrival_rate, s, present, starts, buffer):
+def _near_arrivals(rng, arrival_rate, s, present, starts, buffer, exact):
     """Arrivals and losses of near blocks whose services ``s`` lie one block
     after another from ``starts`` (``None`` for one service a block): one
     arrival count per service, and each block's walk.  The loss is ``None``
-    where no block reaches the buffer."""
+    where no block reaches the buffer.  With ``exact``, a block whose
+    arrivals pass int64 is refused, where their int64 sum would wrap."""
     try:
         a = rng.poisson(arrival_rate * s)
     except ValueError:
         raise _past_poisson_limit(arrival_rate, s) from None
     arrived = a if starts is None else np.add.reduceat(a, starts)
+    if exact and max(np.add.reduceat(a.astype(object), starts)) > _INT64_MAX:
+        raise _past_count_limit(arrival_rate, s)
     # the walk's peak is at most its start plus every arrival, less one,
     # and is that on a block of one service
     peak = present + arrived
@@ -758,10 +771,16 @@ def _scalar_rounds(
 
 
 def _past_poisson_limit(arrival_rate: float, services: np.ndarray) -> ValueError:
-    # NumPy refuses a Poisson mean above int64's largest less 10 sqrt of it
     mean = arrival_rate * services.max()
     return ValueError(f"the largest arrival mean of a round (arrival rate times service "
                       f"time) is {mean:.3g}, past the Poisson sampler's limit of about 9.2e18")
+
+
+def _past_count_limit(arrival_rate: float, services: np.ndarray) -> ValueError:
+    mean = arrival_rate * services.max()
+    return ValueError(f"the largest arrival mean of a round (arrival rate times service "
+                      f"time) is {mean:.3g}, and one block of its services draws more "
+                      f"arrivals than the counter's limit of about 9.2e18")
 
 
 def ks_law_experiment(

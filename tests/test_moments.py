@@ -21,7 +21,7 @@ from lossq import (
 )
 from lossq.ecdf import EmpiricalCdf
 from lossq.kolmogorov import LimitLaw, width_for
-from lossq.moments import _late_sums, _poisson_pmf, _poisson_tails
+from lossq.moments import _late_sums, _leaves, _pairwise, _poisson_pmf, _poisson_tails
 from lossq.simulate import Deterministic, ErlangK, Exponential, Uniform
 
 from support import PAIR_SLACK, exp_sup_distances, random_cdf_pairs
@@ -334,6 +334,97 @@ def test_buffered_and_in_place_blocks_agree_bit_for_bit(monkeypatch, xs, order):
         got = moments_empirical(ecdf, 1.0, order)
         runs.append((got.values.tobytes(), got.tail))
     assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("leaf", [128, 2**15])
+def test_leaves_add_up_as_numpys_pairwise_sum(monkeypatch, leaf):
+    # NumPy sums a run of more than 128 as its two halves, the left one
+    # rounded down to a multiple of 8.  Leaves of that split, added up in
+    # its tree, give the bits of one np.add.reduce at every size; this
+    # fails loudly if NumPy ever changes its rule
+    monkeypatch.setattr("lossq.moments._LEAF", leaf)
+    rng = np.random.default_rng(23)
+    for size in [*range(1, 301), 2**15 - 1, 2**15 + 1, 2**16 + 7, 200_000, 1_000_003]:
+        values = rng.lognormal(0.0, 3.0, size)
+        bounds = _leaves(size)
+        assert [a for a, _ in bounds[1:]] == [b for _, b in bounds[:-1]]
+        assert bounds[0][0] == 0 and bounds[-1][1] == size
+        assert all(b - a <= leaf for a, b in bounds)
+        parts = [np.add.reduce(values[a:b]) for a, b in bounds]
+        assert _pairwise(parts, size) == np.add.reduce(values), size
+
+
+def _whole_array_moments(ecdf: EmpiricalCdf, rate: float, order: int) -> MomentVector:
+    """The empirical kernel as it was before it ran in leaves, with its
+    whole-array rate x and weights, each order's row summed by one
+    np.add.reduce over the window."""
+    with np.errstate(over="ignore"):
+        ax = rate * ecdf.sorted_values
+    n = ax.size
+    w = np.exp(-ax)
+    out = np.zeros(order + 1)
+    out[0] = w.mean()
+    lo, hi = 0, n - int(np.searchsorted(w[::-1], np.finfo(float).tiny))
+    for i in range(1, order + 1, 32):
+        end = min(order, i + 31)
+        window, axw = w[lo:hi], ax[lo:hi]
+        facts = np.multiply.accumulate(np.arange(i, end + 1, dtype=float))
+        sums = np.zeros(facts.size)
+        for k in range(facts.size):
+            np.multiply(window, axw, out=window)
+            sums[k] = np.add.reduce(window)
+        np.divide(window, facts[-1], out=window)
+        np.divide(sums / facts, n, out=out[i:end + 1])
+        if sums[-1] == 0.0:
+            lo = hi
+            break
+        cut = 2.0**-53 * window[-1] / n
+        if window[0] < cut:
+            lo += int(np.argmax(window >= cut))
+    if hi < n:
+        out += _late_sums(ax[hi:], order) / n
+    tail = 0.0
+    if lo < n:
+        tail = math.fsum(_poisson_tails(order + 1, ax[lo:])[1].tolist()) / n
+    return MomentVector(rate=rate, values=out, tail=tail)
+
+
+def _assert_same_bits(got: MomentVector, want: MomentVector) -> None:
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.tail == want.tail
+
+
+_LAWS_AT_40 = {
+    "exp": lambda rng, n: rng.exponential(1.0, n),
+    "gamma": lambda rng, n: rng.gamma(0.5, 2.0, n),
+    # about 2.7% of these are late at rate 40, and the window is never cut
+    "lognormal": lambda rng, n: rng.lognormal(0.0, 1.5, n),
+}
+
+
+@pytest.mark.parametrize("law", _LAWS_AT_40)
+@pytest.mark.parametrize("n", [2**15 - 1, 2**15 + 1, 70_001, 200_000])
+def test_leaves_give_the_whole_array_kernels_bits(law, n):
+    xs = _LAWS_AT_40[law](np.random.default_rng(n), n)
+    ecdf = build_ecdf(Sample(xs))
+    for order in (10, 32, 33, 50, 400):
+        _assert_same_bits(moments_empirical(ecdf, 40.0, order),
+                          _whole_array_moments(ecdf, 40.0, order))
+
+
+@pytest.mark.parametrize("inside", [0, 1, 1000])
+def test_a_first_blocks_cut_inside_or_at_the_edge_of_a_leaf(inside):
+    # at rate 40 the first block leaves the observations at x = 0.001 about
+    # 1e-50 of the cut and keeps every later one, so the window after it
+    # starts on the boundary of the second leaf, or inside it
+    n = 70_001
+    start = _leaves(n)[1][0] + inside
+    rest = np.random.default_rng(3).uniform(1.0, 2.0, n - start)
+    xs = np.concatenate([np.full(start, 0.001), rest])
+    ecdf = build_ecdf(Sample(xs))
+    for order in (33, 50):
+        _assert_same_bits(moments_empirical(ecdf, 40.0, order),
+                          _whole_array_moments(ecdf, 40.0, order))
 
 
 def test_leading_coefficient_is_the_plain_mean():

@@ -630,6 +630,18 @@ def test_a_block_whose_total_passes_the_poisson_limit_draws_per_service(monkeypa
         _run_cycles(_stream(count), 1.0, _ScheduledLaw([big], [big] + [small] * 7), buffer, count)
 
 
+def test_a_block_whose_arrivals_pass_int64_is_refused():
+    # the first round fills the buffer, so the second serves blocks of three
+    # services, each within NumPy's Poisson limit: a block's counts sum
+    # past int64's largest, where an int64 sum wraps
+    limit = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+    big, count, buffer = limit - 1e10, 40, 2
+    assert count > lossq.simulate._SCALAR_TAIL
+    with pytest.raises(ValueError, match=r"mean of a round .* is 9\.22e\+18, and one block .* "
+                                         r"limit of about 9\.2e18"):
+        _run_cycles(_stream(count), 1.0, _ScheduledLaw([big], [big]), buffer, count)
+
+
 def test_the_golden_grid_calls_at_buffer_50_draw_far_totals_and_split_one(monkeypatch):
     # tools/golden_grid.py pins these two CLI calls.  The first draws far
     # totals, so it differs from the same run with every block near

@@ -70,6 +70,9 @@ def _sample_files() -> dict[str, str]:
         "empty.txt": "",
         "bad.txt": "1.0\nabc\n2.0\n",
         "negative.txt": "1.0\n-2.0\n",
+        # several leaves of the moment kernel, late observations at rate 40
+        # and a window no cut narrows
+        "heavy-40k.txt": lines(np.random.default_rng(20093).lognormal(0.0, 1.5, 40_000)),
         **_parse_edge_files(),
     }
 
@@ -288,6 +291,11 @@ def _calls():
                    "--confidence", "0.95", "--format", "json"]
     for order in ("4", "720", "1000"):
         yield {}, ["moments", "--input", "far.txt", "--rate", "0.72", "--order", order]
+    for order in ("10", "50"):
+        yield {}, ["moments", "--input", "heavy-40k.txt", "--rate", "40", "--order", order]
+    yield {}, ["estimate", "--system", "mg1n", "--characteristic", "busy", "--mean-service", "1",
+               "--rate", "40", "--n", "50", "--input", "heavy-40k.txt", "--confidence", "0.95",
+               "--format", "json"]
 
 
 def _run(env: dict, argv: list[str]) -> tuple[str, int]:
