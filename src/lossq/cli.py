@@ -51,7 +51,9 @@ def _characteristic_spec(args: argparse.Namespace):
     """Cross-validate the estimate arguments and build the characteristic spec.
 
     The loss probability is estimated from the service side (``gim1n``),
-    every other characteristic from the arrival side (``mg1n``).
+    every other characteristic from the arrival side (``mg1n``), and
+    ``--rate`` is the rate of that side.  The spec itself says which
+    characteristics need ``--mean-service``.
     """
     from .recursion import CharacteristicSpec
 
@@ -61,18 +63,14 @@ def _characteristic_spec(args: argparse.Namespace):
     if args.confidence is not None and not 0.0 < args.confidence < 1.0:
         raise ValueError("--confidence must lie strictly between 0 and 1")
     if characteristic is Characteristic.LOSS_PROBABILITY:
-        side, system = "service", "gim1n"
+        side, system, rate_field = "service", "gim1n", "service_rate"
     else:
-        side, system = "arrival", "mg1n"
+        side, system, rate_field = "arrival", "mg1n", "arrival_rate"
     if args.system != system:
         raise ValueError(f"{characteristic.value} is estimated from the {side} side; "
                          f"use --system {system}")
-    if system == "gim1n":
-        return CharacteristicSpec.loss_probability(args.rate)
-    if args.mean_service is None:
-        raise ValueError("missing --mean-service (required for mg1n)")
-    return CharacteristicSpec(characteristic, arrival_rate=args.rate,
-                              mean_service=args.mean_service)
+    return CharacteristicSpec(characteristic, mean_service=args.mean_service,
+                              **{rate_field: args.rate})
 
 
 def _seed(args: argparse.Namespace) -> int:
@@ -340,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--rate", type=float, required=True,
         help="arrival rate for mg1n; service rate for gim1n",
     )
-    p.add_argument("--mean-service", type=float, help="mean service time (mg1n)")
+    p.add_argument("--mean-service", type=float, help="mean service time (busy and lost)")
     p.add_argument("--n", type=int, required=True,
                    help="largest buffer level, which is also the moment order")
     p.add_argument("--input", required=True, help="file with one observation per line")

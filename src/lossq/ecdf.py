@@ -65,15 +65,6 @@ class EmpiricalCdf:
     def n_obs(self) -> int:
         return int(self.sorted_values.size)
 
-    def evaluate(self, x):
-        """Fraction of observations <= x; accepts scalars or arrays."""
-        xs = np.asarray(x, dtype=float)
-        counts = np.searchsorted(self.sorted_values, xs, side="right")
-        out = counts / self.n_obs
-        return float(out) if np.isscalar(x) or xs.ndim == 0 else out
-
-    __call__ = evaluate
-
 
 @dataclass(frozen=True)
 class KsStatistics:

@@ -23,7 +23,6 @@ from .moments import MomentVector
 from .recursion import CharacteristicSpec
 
 __all__ = [
-    "Method",
     "IntervalRow",
     "IntervalTable",
     "interval_table",

@@ -23,7 +23,6 @@ __all__ = [
     "kolmogorov_cdf",
     "one_sided_cdf",
     "conv_cdf",
-    "law_cdf",
     "quantile",
     "width_for",
 ]
@@ -154,11 +153,6 @@ _LAWS = {
     LimitLaw.ONE_SIDED: (one_sided_cdf, _one_sided_sf),
     LimitLaw.ONE_SIDED_SUM: (conv_cdf, _conv_sf),
 }
-
-
-def law_cdf(law: LimitLaw, z: float) -> float:
-    """Evaluate the chosen limit law at z."""
-    return _LAWS[law][0](z)
 
 
 def _bisect(below, lo: float, hi: float) -> float:

@@ -255,13 +255,9 @@ def moments_empirical(ecdf: EmpiricalCdf, rate: float, order: int) -> MomentVect
         out += _late_sums(_scaled(rate, x[hi:]), order) / n
     tail = 0.0
     if lo < n:
-        leaves = _leaves(n - lo)
         tails = (_poisson_tails(order + 1, _scaled(rate, x[lo + a:lo + b]))[1].tolist()
-                 for a, b in leaves)
-        # chaining the leaves' lists costs about 2 ns a term, which a single
-        # list need not pay
-        terms = next(tails) if len(leaves) == 1 else itertools.chain.from_iterable(tails)
-        tail = math.fsum(terms) / n
+                 for a, b in _leaves(n - lo))
+        tail = math.fsum(itertools.chain.from_iterable(tails)) / n
     return MomentVector(rate=rate, values=out, tail=tail)
 
 

@@ -38,7 +38,6 @@ from .errors import DegeneracyError, check_positive
 from .moments import MomentVector
 
 __all__ = [
-    "Characteristic",
     "CharacteristicSpec",
     "BoundSequences",
     "RecursionResult",

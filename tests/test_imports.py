@@ -1,5 +1,6 @@
-"""Every exported name resolves, and the package's lazy re-exports are the
-defining modules' objects; SciPy stays off the import, every CLI subcommand,
+"""Every exported name resolves, each submodule exports only the classes and
+functions it defines, and the package's lazy re-exports are the defining
+modules' objects; SciPy stays off the import, every CLI subcommand,
 the laws, the simulator and the KS-law experiment; NumPy stays off
 ``import lossq`` and ``lossq quantile``, ``dataclasses`` off ``lossq
 quantile``, and the simulator off the
@@ -51,6 +52,16 @@ def test_every_exported_name_resolves(module):
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "lossq"])
+def test_every_exported_class_and_function_is_defined_by_its_module(module):
+    # a submodule exports what it defines; a name it imports is exported by
+    # its own module (the package re-exports lazily, by design)
+    mod = importlib.import_module(module)
+    foreign = [name for name in mod.__all__
+               if callable(value := getattr(mod, name)) and value.__module__ != module]
+    assert foreign == []
 
 
 def test_package_exports_are_the_defining_modules_objects():

@@ -11,7 +11,6 @@ from lossq.kolmogorov import (
     LimitLaw,
     conv_cdf,
     kolmogorov_cdf,
-    law_cdf,
     one_sided_cdf,
     quantile,
     width_for,
@@ -24,6 +23,13 @@ from support import crossing_point
 Z_TWO_SIDED = 1.3580986393228045
 Z_ONE_SIDED = 1.2238734153405062
 Z_ONE_SIDED_SUM = 2.073026244748064
+
+# each limit law's CDF
+CDF = {
+    LimitLaw.TWO_SIDED: kolmogorov_cdf,
+    LimitLaw.ONE_SIDED: one_sided_cdf,
+    LimitLaw.ONE_SIDED_SUM: conv_cdf,
+}
 
 
 # ------------------------------------------------------------------ CDFs
@@ -78,7 +84,7 @@ def test_sum_law_closed_form_matches_quadrature_on_grid(z):
 def test_laws_are_monotone_and_bounded():
     grid = np.linspace(0.0, 5.0, 10_000)
     for law in LimitLaw:
-        vals = np.array([law_cdf(law, float(z)) for z in grid])
+        vals = np.array([CDF[law](float(z)) for z in grid])
         assert np.all(np.diff(vals) >= -1e-15)
         assert np.all((vals >= 0.0) & (vals <= 1.0))
 
@@ -95,12 +101,6 @@ def test_sum_law_is_dominated_by_one_sided_law():
         assert conv_cdf(float(z)) <= one_sided_cdf(float(z)) + 1e-15
 
 
-def test_law_cdf_dispatch():
-    assert law_cdf(LimitLaw.TWO_SIDED, 1.3581) == kolmogorov_cdf(1.3581)
-    assert law_cdf(LimitLaw.ONE_SIDED, 1.224) == one_sided_cdf(1.224)
-    assert law_cdf(LimitLaw.ONE_SIDED_SUM, 2.08) == conv_cdf(2.08)
-
-
 # ------------------------------------------------------------- quantiles
 
 
@@ -114,13 +114,13 @@ def test_quantile_anchors():
 def test_quantile_inverts_the_law(law):
     for p in (0.2, 0.5, 0.9, 0.99):
         z = quantile(law, p)
-        assert law_cdf(law, z) == pytest.approx(p, abs=1e-9)
+        assert CDF[law](z) == pytest.approx(p, abs=1e-9)
 
 
 @pytest.mark.parametrize("law", list(LimitLaw))
 def test_quantile_round_trip(law):
     for z in np.linspace(0.5, 3.0, 11):
-        p = law_cdf(law, float(z))
+        p = CDF[law](float(z))
         if p <= 0.0 or p >= 1.0:
             continue
         assert quantile(law, p) == pytest.approx(float(z), abs=1e-8)
@@ -204,7 +204,7 @@ def test_small_arguments_keep_relative_accuracy(law, z):
     # no silent zero and no cancellation where the laws are tiny
     reference = float(_REFERENCES[law](mpmath.mpf(z)))
     assert reference > 0.0
-    assert law_cdf(law, z) == pytest.approx(reference, rel=1e-12)
+    assert CDF[law](z) == pytest.approx(reference, rel=1e-12)
 
 
 # ---------------------------------------------------------------- widths
@@ -222,7 +222,7 @@ def test_widths_at_ten_thousand_observations():
 def test_width_scales_with_root_sample_size(law, n):
     width = width_for(law, 0.95, n)
     assert width == pytest.approx(quantile(law, 0.95) / math.sqrt(n), abs=1e-15)
-    assert law_cdf(law, width * math.sqrt(n)) == pytest.approx(0.95, abs=1e-9)
+    assert CDF[law](width * math.sqrt(n)) == pytest.approx(0.95, abs=1e-9)
 
 
 def test_quantiles_are_memoised_and_an_invalid_level_raises_every_time():

@@ -192,6 +192,9 @@ def _estimate_calls():
     for sample in ("empty.txt", "bad.txt", "negative.txt", "missing.txt"):
         yield ["estimate", "--system", "mg1n", "--characteristic", "served", "--rate", "1",
                "--n", "4", "--input", sample]
+    # the served count takes no mean service time
+    yield ["estimate", "--system", "mg1n", "--characteristic", "served", "--rate", "0.8",
+           "--n", "4", "--input", "exp.txt", "--format", "json"]
     for bad in (["--n", "0"], ["--confidence", "1.5"], ["--rate", "0"], ["--rate", "nan"],
                 ["--characteristic", "loss-prob"], ["--method", "three-sided"]):
         argv = ["estimate", "--system", "mg1n", "--characteristic", "busy", "--rate", "1",
