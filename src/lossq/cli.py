@@ -149,10 +149,10 @@ def _run_quantile(args: argparse.Namespace) -> int:
 
 
 def _run_moments(args: argparse.Namespace) -> int:
-    from .ecdf import build_ecdf, read_sample_file
+    from .ecdf import read_ecdf
     from .moments import moments_empirical
 
-    ecdf = build_ecdf(read_sample_file(args.input))
+    ecdf = read_ecdf(args.input)
     vector = moments_empirical(ecdf, args.rate, args.order)
     print(",".join(f"r_{i}" for i in range(vector.order + 1)))
     print(",".join(repr(float(v)) for v in vector.values))
@@ -160,14 +160,13 @@ def _run_moments(args: argparse.Namespace) -> int:
 
 
 def _run_estimate(args: argparse.Namespace) -> int:
-    from .ecdf import build_ecdf, read_sample_file
+    from .ecdf import read_ecdf
     from .intervals import interval_table
     from .moments import moments_empirical
     from .recursion import estimate_characteristic
 
     spec = _characteristic_spec(args)
-    # the unsorted sample is dropped once sorted, before the moments run
-    ecdf = build_ecdf(read_sample_file(args.input))
+    ecdf = read_ecdf(args.input)
     moments = moments_empirical(ecdf, spec.weighting_rate, args.n)
     header = {"characteristic": spec.kind.value, "system": args.system}
 

@@ -24,6 +24,7 @@ __all__ = [
     "KsStatistics",
     "build_ecdf",
     "ks_statistics",
+    "read_ecdf",
     "read_sample_file",
 ]
 
@@ -108,6 +109,17 @@ def build_ecdf(sample: Sample) -> EmpiricalCdf:
     if not isinstance(sample, Sample):
         sample = Sample(np.asarray(sample, dtype=float))
     return _adopt(EmpiricalCdf, "sorted_values", np.sort(sample.values))
+
+
+def read_ecdf(path) -> EmpiricalCdf:
+    """``build_ecdf(read_sample_file(path))`` holding one copy of the
+    sample instead of two: the array the reader returns is fresh and held
+    by nothing but its own ``Sample``, so it is sorted in place and
+    adopted."""
+    values = read_sample_file(path).values
+    values.setflags(write=True)
+    values.sort()
+    return _adopt(EmpiricalCdf, "sorted_values", values)
 
 
 def ks_statistics(ecdf: EmpiricalCdf, model_cdf: Callable) -> KsStatistics:

@@ -13,8 +13,8 @@ other laws' closed forms (and the Erlang CDF) are made of; each law in
 The atomic sum streams each pass over the sample in leaves of at most
 2^15 observations, split as NumPy's pairwise sum splits an array and added
 up in the same tree, so its sums keep the bits of whole-array sums.  It
-holds, beyond the sorted sample, only the window of observations that the
-first 32 orders leave active, and a few leaves.
+holds, beyond the sorted sample, only the weights of the window of
+observations that the first 32 orders leave active, and a few leaves.
 """
 
 from __future__ import annotations
@@ -50,6 +50,10 @@ _ACCUMULATE_WINDOW = 128
 # many observations, split as NumPy's pairwise sum splits the window; at
 # least 128, the longest run NumPy sums without halving it
 _LEAF = 2**15
+# the tail's Poisson tails run over chunks of this many observations, which
+# bounds their temporaries; each element's tail is computed on its own and
+# summed exactly, so the chunks do not change a bit
+_TAIL_CHUNK = 2**13
 _TINY = np.finfo(float).tiny
 _HALF_ULP = 2.0**-53
 # stirlerr(n) = log(n!) - log(sqrt(2 pi n) (n/e)^n) at n = 0..15, where its
@@ -147,10 +151,12 @@ def moments_empirical(ecdf: EmpiricalCdf, rate: float, order: int) -> MomentVect
     of one ``np.add.reduce`` over the window; a window of at most 2^15
     observations is one leaf.  The first block takes ``rate x`` and the
     weights from the sorted values a leaf at a time, and keeps the weights
-    of the window that survives it only when another block follows; that
-    window's ``rate x`` is then taken again.  Beyond the sorted sample the
-    call holds the surviving window's weights and ``rate x`` and a few
-    leaves, at most two more copies of the sample and often far less.
+    of the window that survives it only when another block follows.  A
+    window in one leaf keeps its ``rate x`` too; a wider one takes it
+    again from the sorted values a leaf at a time, the same products.
+    Beyond the sorted sample the call holds the surviving window's weights,
+    at most one more copy of the sample and often far less, and a few
+    leaves.
 
     After each block the window drops its leading run of weights below
     ``2^-53 w(x_max) / N``, where x_max is the largest observation in the
@@ -166,7 +172,8 @@ def moments_empirical(ecdf: EmpiricalCdf, rate: float, order: int) -> MomentVect
     loop its weights at orders 1..order are added in one step from Loader's
     pmf at the order nearest its mean (``_late_sums``).  The tail is the
     mean of the upper Poisson tails P(N_x > order) over the last window and
-    the late observations, one exact ``math.fsum`` over every leaf's.  The
+    the late observations, one exact ``math.fsum`` over every chunk's of
+    ``2^13`` observations, so that their temporaries stay small.  The
     observations the window dropped sit below its cut at every order, so
     the tail they leave out is bounded as each r_j's is.
     """
@@ -186,12 +193,14 @@ def moments_empirical(ecdf: EmpiricalCdf, rate: float, order: int) -> MomentVect
     # the last leaf's weights and rate x serve the first block's leaves
     # that lie inside it
     stash = a, w, ax
-    # the window is lo..hi; after the first block its weights and rate x
-    # are held from lo on
+    # the window is lo..hi; after the first block its weights are held from
+    # lo on, and its rate x too (axw) only when it lies in one leaf
     lo, window, axw, buf = 0, None, None, None
 
     def leaf(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
         if window is not None:
+            if axw is None:
+                return window[a:b], rate * x[lo + a:lo + b]
             return window[a:b], axw[a:b]
         start, w, ax = stash
         if start <= a and b - start <= w.size:
@@ -242,10 +251,11 @@ def moments_empirical(ecdf: EmpiricalCdf, rate: float, order: int) -> MomentVect
         if first >= last:
             window, axw = w_last[first - last:], ax_last[first - last:]
         elif window is not None:
-            window, axw = window[first:], axw[first:]
+            # a window wider than a leaf, so axw is None
+            window = window[first:]
         elif copy:
             kept[last - first:] = w_last
-            window, axw = kept, rate * x[lo + first:hi]
+            window = kept
         lo += first
         stash = None
     # the weights and every view of them are released first, so that the
@@ -255,8 +265,8 @@ def moments_empirical(ecdf: EmpiricalCdf, rate: float, order: int) -> MomentVect
         out += _late_sums(_scaled(rate, x[hi:]), order) / n
     tail = 0.0
     if lo < n:
-        tails = (_poisson_tails(order + 1, _scaled(rate, x[lo + a:lo + b]))[1].tolist()
-                 for a, b in _leaves(n - lo))
+        tails = (_poisson_tails(order + 1, _scaled(rate, x[a:a + _TAIL_CHUNK]))[1].tolist()
+                 for a in range(lo, n, _TAIL_CHUNK))
         tail = math.fsum(itertools.chain.from_iterable(tails)) / n
     return MomentVector(rate=rate, values=out, tail=tail)
 

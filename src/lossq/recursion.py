@@ -55,7 +55,8 @@ class CharacteristicSpec:
     time.  The lost count's seed lambda m - 1 must be finite, since an
     infinite one meets a lower chain's zeros as ``inf * 0``.  The loss
     probability is driven from the service side and needs the service rate
-    only.
+    only.  Every input given must be positive and finite, whether the
+    characteristic uses it or not.
     """
 
     kind: Characteristic
@@ -75,6 +76,10 @@ class CharacteristicSpec:
             if value is None:
                 raise ValueError(f"{self.kind.value} requires {name}")
             check_positive(name, value)
+        for name in ("arrival_rate", "mean_service", "service_rate"):
+            value = getattr(self, name)
+            if value is not None:
+                check_positive(name, value)
         if (self.kind is Characteristic.LOST_CUSTOMERS
                 and not math.isfinite(self.arrival_rate * self.mean_service)):
             raise ValueError(f"{self.kind.value} requires a finite arrival_rate * mean_service")

@@ -318,6 +318,20 @@ def test_estimate_served_needs_no_mean_service(capsys, unit_exp_sample, fmt):
     assert without.err == "" and without == capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--system", "mg1n", "--characteristic", "served", "--mean-service", "-5"],
+    ["--system", "gim1n", "--characteristic", "loss-prob", "--mean-service", "nan"],
+])
+def test_estimate_rejects_a_bad_mean_service_it_does_not_use(capsys, unit_exp_sample, argv):
+    # neither characteristic takes a mean service time, but a value given
+    # is still checked rather than silently ignored
+    path, _ = unit_exp_sample
+    assert main(["estimate", *argv, "--rate", "0.8", "--n", "4", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "lossq: error: mean_service must be positive and finite\n"
+
+
 def test_estimate_rejects_a_lost_seed_past_the_largest_double(capsys, tmp_path):
     # 2 x 1e308 is inf: the seed lambda m - 1 once met the pinned lower
     # chain's zeros and printed nan lower bounds from level 5 on
@@ -538,8 +552,7 @@ def _estimate_output(monkeypatch, capsys, fmt, system, spec, moments, n_obs, ord
                      *interval):
     """What ``lossq estimate`` prints for these moments: the file is not read
     and the moments are stubbed, so any vector and sample size can go in."""
-    monkeypatch.setattr(lossq.ecdf, "read_sample_file", lambda path: None)
-    monkeypatch.setattr(lossq.ecdf, "build_ecdf", lambda sample: SimpleNamespace(n_obs=n_obs))
+    monkeypatch.setattr(lossq.ecdf, "read_ecdf", lambda path: SimpleNamespace(n_obs=n_obs))
     monkeypatch.setattr(lossq.moments, "moments_empirical", lambda ecdf, rate, n: moments)
     argv = ["estimate", "--system", system, "--characteristic", spec.kind.value,
             "--rate", repr(spec.weighting_rate), "--n", str(order), "--input", "unread",

@@ -25,7 +25,7 @@ from lossq import (
     moments_empirical,
     read_sample_file,
 )
-from lossq.ecdf import _read_decimals
+from lossq.ecdf import _read_decimals, read_ecdf
 from lossq.errors import ParseError
 from lossq.kolmogorov import kolmogorov_cdf
 from lossq.simulate import Exponential
@@ -577,8 +577,9 @@ def test_ingest_holds_few_copies_of_the_sample(large_sample_file):
     # check temporary of N bytes).  The moments, beyond the ECDF they are
     # given once the Sample is dropped, hold the window that survives the
     # first block and a few leaves of 2^15 observations: at order 400 a
-    # small window (about 0.8 x 8N), at order 10 no window but the tail's
-    # temporaries over one leaf (about 2.3 x 8N at this N)
+    # small window (about 0.8 x 8N), at order 10 no window, and the tail's
+    # temporaries over chunks of 2^13 observations stay below the first
+    # pass's leaves (about 0.8 x 8N at this N)
     path, n = large_sample_file
     copy = 8 * n
     gc.collect()
@@ -597,4 +598,36 @@ def test_ingest_holds_few_copies_of_the_sample(large_sample_file):
     assert read_peak <= 1.25 * copy, read_peak / copy
     assert ecdf_peak <= 2.25 * copy, ecdf_peak / copy
     assert moments_peaks[400] <= 1.5 * copy, moments_peaks[400] / copy
-    assert moments_peaks[10] <= 4.0 * copy, moments_peaks[10] / copy
+    assert moments_peaks[10] <= 1.0 * copy, moments_peaks[10] / copy
+
+
+def test_read_ecdf_holds_one_copy_of_the_sample(large_sample_file):
+    # the reader's result is sorted in place and adopted, so the peak is the
+    # read's own: that result and the block scratch
+    path, n = large_sample_file
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ecdf, peak = _traced_peak(read_ecdf, path)
+    finally:
+        tracemalloc.stop()
+    assert ecdf.n_obs == n
+    assert peak <= 1.25 * 8 * n, peak / (8 * n)
+
+
+def test_read_ecdf_matches_build_ecdf(large_sample_file):
+    path, _ = large_sample_file
+    ecdf = read_ecdf(path)
+    want = build_ecdf(read_sample_file(path)).sorted_values
+    assert ecdf.sorted_values.tobytes() == want.tobytes()
+    assert not ecdf.sorted_values.flags.writeable
+
+
+@pytest.mark.parametrize("text", ["3.5\n1.25\n2\n", "3.5\n1_0\n2\n"],
+                         ids=["decimal-kernel", "line-scan"])
+def test_read_ecdf_sorts_what_either_reader_path_returns(tmp_path, text):
+    p = tmp_path / "obs.txt"
+    p.write_text(text)
+    ecdf = read_ecdf(p)
+    assert ecdf.sorted_values.tolist() == sorted(read_sample_file(p).values.tolist())
+    assert not ecdf.sorted_values.flags.writeable

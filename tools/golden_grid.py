@@ -180,9 +180,9 @@ def _estimate_calls():
                "--mean-service", "1.25", "--n", "4", "--input", "exp.txt", "--format", "json",
                "--confidence", confidence, "--method", method]
     base = ["estimate", "--system", "mg1n", "--characteristic", "busy", "--rate", "0.8",
-            "--mean-service", "1.25", "--n", "30", "--input", "exp.txt"]
-    for extra in (["--order", "28"], ["--order", "29"], ["--order", "30"],
-                  ["--order", "300"], ["--confidence", "0.95", "--order", "31"]):
+            "--mean-service", "1.25", "--input", "exp.txt"]
+    for extra in (["--n", "28"], ["--n", "29"], ["--n", "30"],
+                  ["--n", "300"], ["--confidence", "0.95", "--n", "31"]):
         yield base + extra
     # r_0 = 0 (exit 2), bad inputs, bad options, cross-option errors
     yield ["estimate", "--system", "mg1n", "--characteristic", "busy", "--rate", "5",
@@ -195,6 +195,11 @@ def _estimate_calls():
     # the served count takes no mean service time
     yield ["estimate", "--system", "mg1n", "--characteristic", "served", "--rate", "0.8",
            "--n", "4", "--input", "exp.txt", "--format", "json"]
+    # a mean service time the characteristic does not use must still be valid
+    yield ["estimate", "--system", "mg1n", "--characteristic", "served", "--rate", "0.8",
+           "--mean-service", "-5", "--n", "4", "--input", "exp.txt"]
+    yield ["estimate", "--system", "gim1n", "--characteristic", "loss-prob", "--rate", "0.8",
+           "--mean-service", "nan", "--n", "4", "--input", "exp.txt"]
     for bad in (["--n", "0"], ["--confidence", "1.5"], ["--rate", "0"], ["--rate", "nan"],
                 ["--characteristic", "loss-prob"], ["--method", "three-sided"]):
         argv = ["estimate", "--system", "mg1n", "--characteristic", "busy", "--rate", "1",
