@@ -50,9 +50,10 @@ _ACCUMULATE_WINDOW = 128
 # many observations, split as NumPy's pairwise sum splits the window; at
 # least 128, the longest run NumPy sums without halving it
 _LEAF = 2**15
-# the tail's Poisson tails run over chunks of this many observations, which
-# bounds their temporaries; each element's tail is computed on its own and
-# summed exactly, so the chunks do not change a bit
+# the tail's Poisson tails and the late observations' pmf run over chunks of
+# this many observations, which bounds their temporaries; each element's
+# value is computed on its own (the tails summed exactly), so the chunks do
+# not change a bit
 _TAIL_CHUNK = 2**13
 _TINY = np.finfo(float).tiny
 _HALF_ULP = 2.0**-53
@@ -370,12 +371,19 @@ def _late_sums(a: np.ndarray, order: int) -> np.ndarray:
     an observation whose pmf at the order is 0, or whose a is infinite,
     adds nothing up to the order and takes no steps.
     """
-    a = a[a < math.inf]
-    a = a[_poisson_pmf(np.minimum(np.rint(a), order), a) > 0.0]
+    # a is ascending, so its finite values are a prefix
+    a = a[:np.searchsorted(a, math.inf)]
+    kept = np.empty(a.size, dtype=bool)
+    for c in range(0, a.size, _TAIL_CHUNK):
+        part = a[c:c + _TAIL_CHUNK]
+        kept[c:c + _TAIL_CHUNK] = _poisson_pmf(np.minimum(np.rint(part), order), part) > 0.0
+    a = a[kept]
     if not (a.size and order):
         return np.zeros(order + 1)
     m = np.rint(a)
-    pmf = _poisson_pmf(m, a)
+    pmf = np.empty(a.size)
+    for c in range(0, a.size, _TAIL_CHUNK):
+        pmf[c:c + _TAIL_CHUNK] = _poisson_pmf(m[c:c + _TAIL_CHUNK], a[c:c + _TAIL_CHUNK])
     # the steps down start at the largest m, past the order if it is larger
     sums = np.zeros(max(order, int(m[-1])) + 1)
     # m is nondecreasing, so the weights at orders at or below their m are a

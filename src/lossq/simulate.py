@@ -10,12 +10,12 @@ simulator runs chunks of ``REPLICATION_CHUNK`` replications, chunk c on the
 SFC64 stream of ``SeedSequence(seed, spawn_key=(c,))``, the seed's c-th
 spawned child, in generation rounds: a round serves every running cycle's
 block, the customers present at the round's start (fewer when the round
-would serve more than ``REPLICATION_CHUNK``).  A block far from the buffer
-draws one Poisson arrival total instead of a count per service.  A round of
-a few cycles and few services, which can be neither capped nor far, runs on
-Python scalars with the same draws.  So a run is reproducible from its seed
-and replication count alone.  The generator identities are part of the
-reproducibility contract and are recorded in results.
+would serve more than ``REPLICATION_CHUNK``), and draws one Poisson arrival
+count per service.  A round of a few cycles and few services, which is
+never capped, runs on Python scalars with the same draws.  So a run is
+reproducible from its seed and replication count alone.  The generator
+identities are part of the reproducibility contract and are recorded in
+results.
 """
 
 from __future__ import annotations
@@ -61,26 +61,19 @@ __all__ = [
 REPLICATION_CHUNK = 16384
 
 SAMPLE_GENERATOR = "numpy-pcg64"
-SIMULATION_GENERATOR = f"numpy-sfc64-chunk{REPLICATION_CHUNK}-block-totals"
-# a round of at most this many cycles runs in Python when it serves at most
-# min(REPLICATION_CHUNK, _FAR_SAVED) services.  There a round of at most
+SIMULATION_GENERATOR = f"numpy-sfc64-chunk{REPLICATION_CHUNK}-service-counts"
+# a round of at most _SCALAR_TAIL cycles runs in Python when it serves at
+# most min(REPLICATION_CHUNK, _SCALAR_SERVICES) services.  The limit is a
+# speed choice, timed against the array rounds, and gates nothing else; a
+# round's draws are the same on either side of it.  There a round of at most
 # _SCALAR_DRAWS services draws its arrival counts one scalar call at a time,
 # and a larger one with one array call (the same values):
 # ``Generator.poisson`` on an array costs 8 to 12 us however short the
 # array, a scalar draw about 0.8 us (NumPy 2.4 on SFC64, one core of a
 # 2-vCPU VM)
 _SCALAR_TAIL = 16
+_SCALAR_SERVICES = 1024
 _SCALAR_DRAWS = 16
-# _far: the margin, in Poisson standard deviations plus one, by which a
-# block's expected arrivals must stay below the buffer for one total to
-# stand for them, and the fewest services such a block has (at least 2, so
-# a round of one service a block has no far block).  Where a round's far
-# totals would save fewer than _FAR_SAVED draws, all its blocks are near:
-# the extra passes of a round with far blocks cost about as much as that
-# many draws (load 0.5, buffer 50)
-_NEAR_SIGMAS = 3.0
-_FAR_BLOCK = 3
-_FAR_SAVED = 1024
 # the most services a run may expect to draw (replications times the mean
 # served per busy cycle).  On the same core a run draws 8.4e6 (erlang:2:2)
 # to 1.5e7 (det:1) services a second in full chunks at load 0.95, buffer
@@ -411,34 +404,20 @@ def simulate_busy_period(
     ``REPLICATION_CHUNK`` services, each is cut to ``REPLICATION_CHUNK``
     over the number of running cycles, rounded down (but at least one).
 
-    A round draws, in this order and each in replication order:
-
-    - the blocks' service times, with one ``dist.draw`` call;
-    - the Poisson arrival count of each service of a near block;
-    - the Poisson arrival total of each far block;
-    - for each far block whose total would bring ``present + total`` past
-      ``buffer + 1``, a multinomial split of that total over its services
-      in proportion to their lengths.
-
-    A block is far when it has at least ``_FAR_BLOCK`` services and
-    ``present + mu + _NEAR_SIGMAS (sqrt(mu) + 1) < buffer + 1``, for mu the
-    arrival rate times its service sum (taken with ``np.add.reduceat``),
-    unless the round's far blocks hold fewer than ``_FAR_SAVED`` services
-    more than their number, the draws their totals would save.  The choice
-    reads no arrival count, and a total or its split has the law of the
-    counts it stands for, so every law is exact.  Every service drawn is
+    A round draws the blocks' service times with one ``dist.draw`` call,
+    then the Poisson arrival count of each service, with mean the arrival
+    rate times its length, in replication order.  Every service drawn is
     served.
 
     A round of at most ``_SCALAR_TAIL`` cycles that serves at most
-    ``min(REPLICATION_CHUNK, _FAR_SAVED)`` services is never capped and has
-    no far block.  It runs on Python scalars, with the same draws in the
-    same order, and serves each block one customer at a time; a larger
-    round hands the cycles back to the array rounds, and a later small one
-    takes them again.  So the counts do not depend on where the switch
-    happens.  Each chunk's cycles are pooled once, in replication order,
-    into the sums and centred sums of squares behind the means and
-    standard errors (``_Pooled``), so these depend only on each
-    replication's values.
+    ``min(REPLICATION_CHUNK, _SCALAR_SERVICES)`` services is never capped.
+    It runs on Python scalars, with the same draws in the same order, and
+    serves each block one customer at a time; a larger round hands the
+    cycles back to the array rounds, and a later small one takes them again.
+    So the counts do not depend on where the switch happens.  Each chunk's
+    cycles are pooled once, in replication order, into the sums and centred
+    sums of squares behind the means and standard errors (``_Pooled``), so
+    these depend only on each replication's values.
 
     A run is refused with :class:`ValueError` before any draw when
     ``replications`` times the expected number served per cycle exceeds
@@ -557,14 +536,6 @@ class _Pooled:
         self.m2 += m2
 
 
-def _far(present, mu, ceiling: float):
-    """Whether a block of at least ``_FAR_BLOCK`` services may draw only its
-    arrival total (far) rather than one count per service (near): when
-    ``present + mu + _NEAR_SIGMAS (sqrt(mu) + 1)`` is below ``ceiling =
-    buffer + 1``, for ``mu`` the arrival rate times its service sum."""
-    return present + mu + _NEAR_SIGMAS * (np.sqrt(mu) + 1.0) < ceiling
-
-
 def _run_cycles(
     rng: np.random.Generator,
     arrival_rate: float,
@@ -587,36 +558,21 @@ def _run_cycles(
     arrivals less that loss, and the customers it did not serve.  A cycle
     ends on a block that leaves none.
 
-    A round draws its services and sums each block's (``np.add.reduceat``).
-    The blocks of ``_FAR_BLOCK`` or more services that ``_far`` picks are
-    far, unless their totals would save fewer than ``_FAR_SAVED`` draws;
-    then the round has none.  Neither choice reads an arrival count.  Every
-    near block draws its a_j, one per service, and walks.  Every far block
-    then draws only their total, Poisson(arrival rate times its service
-    sum).  Its walk peaks at most at w plus that total, so it loses nothing
-    unless ``present + total`` passes ``buffer + 1``; then ``_split_loss``
-    splits the total over its services and walks.  Both are exact: a sum of
-    independent Poisson counts is Poisson, and a Poisson total split in
-    proportion to the service lengths gives independent Poisson counts.  A
-    far mu is below ``buffer + 1``, which is capped below NumPy's Poisson
-    limit, so no far total passes that limit, even where its services'
-    would.  A near block's counts may still sum past int64, where their
-    int64 sum wraps; a round whose largest block mean passes that limit
-    sums them exactly and refuses such a block.
+    A round draws its services and sums each block's (``np.add.reduceat``),
+    then draws every a_j, one per service, and walks (``_near_arrivals``).
+    A block's counts may sum past int64, where their int64 sum wraps; a
+    round whose largest block mean passes NumPy's Poisson limit sums them
+    exactly and refuses such a block.
 
     The rounds add into the running cycles' columns, ``ids``.  A round of
     at most ``_SCALAR_TAIL`` cycles that serves at most
-    ``min(REPLICATION_CHUNK, _FAR_SAVED)`` services is neither capped nor
-    far; it runs in ``_scalar_rounds``, which hands the cycles back when a
-    round would serve more."""
+    ``min(REPLICATION_CHUNK, _SCALAR_SERVICES)`` services is never capped;
+    it runs in ``_scalar_rounds``, which hands the cycles back when a round
+    would serve more."""
     present = np.ones(count, dtype=np.int64)
     totals = np.zeros((3, count))
     ids = np.arange(count)
-    ceiling = float(buffer + 1)
-    # a far block has present >= _FAR_BLOCK and mu >= 0, so there is none
-    # unless this holds
-    some_far = _FAR_BLOCK + _NEAR_SIGMAS < ceiling
-    most = min(REPLICATION_CHUNK, _FAR_SAVED)
+    most = min(REPLICATION_CHUNK, _SCALAR_SERVICES)
     while present.size:
         block, size = present, int(present.sum())
         if present.size <= _SCALAR_TAIL and size <= most:
@@ -627,47 +583,15 @@ def _run_cycles(
             block = np.minimum(present, max(1, REPLICATION_CHUNK // present.size))
             size = int(block.sum())
         s = dist.draw(rng, size)
-        # one service a block, as in a chunk's first round: all near
+        # one service a block, as in a chunk's first round
         starts = None if size == present.size else np.cumsum(block) - block
         busy = s if starts is None else np.add.reduceat(s, starts)
         # a block's arrival total is Poisson with mean arrival rate times its
         # service sum, so it may pass int64 only where that mean passes the
-        # limit NumPy puts on a Poisson mean; such a round checks its near
-        # blocks' totals exactly
+        # limit NumPy puts on a Poisson mean; such a round checks its blocks'
+        # totals exactly
         exact = starts is not None and arrival_rate * busy.max() > _POISSON_LIMIT
-        far = None
-        if some_far and starts is not None:
-            # only these blocks may be far: if all of their totals would
-            # save fewer than _FAR_SAVED draws, the far ones' would too
-            wide = np.flatnonzero(block >= _FAR_BLOCK)
-            if int(block[wide].sum()) - wide.size >= _FAR_SAVED:
-                mu = arrival_rate * busy[wide]
-                picked = _far(present[wide], mu, ceiling)
-                far, mu = wide[picked], mu[picked]
-                if not far.size or int(block[far].sum()) - far.size < _FAR_SAVED:
-                    far = None
-        if far is None:
-            arrived, loss = _near_arrivals(rng, arrival_rate, s, present, starts, buffer, exact)
-        else:
-            arrived = np.empty(present.size, dtype=np.int64)
-            loss = np.zeros(present.size, dtype=np.int64)
-            near = np.ones(present.size, dtype=bool)
-            near[far] = False
-            inner = np.flatnonzero(near)
-            if inner.size:
-                inner_block = block[inner]
-                arrived[inner], inner_loss = _near_arrivals(
-                    rng, arrival_rate, s[np.repeat(near, block)], present[inner],
-                    np.cumsum(inner_block) - inner_block, buffer, exact)
-                if inner_loss is not None:
-                    loss[inner] = inner_loss
-            total = rng.poisson(mu)
-            arrived[far] = total
-            over = np.flatnonzero(present[far] + total > buffer + 1)
-            for j, n in zip(far[over].tolist(), total[over].tolist()):
-                lo = int(starts[j])
-                loss[j] = _split_loss(rng, s[lo:lo + int(block[j])], busy[j], int(present[j]),
-                                      n, buffer)
+        arrived, loss = _near_arrivals(rng, arrival_rate, s, present, starts, buffer, exact)
         totals[0, ids] += busy
         totals[1, ids] += block
         if loss is not None:
@@ -682,7 +606,7 @@ def _run_cycles(
 
 
 def _near_arrivals(rng, arrival_rate, s, present, starts, buffer, exact):
-    """Arrivals and losses of near blocks whose services ``s`` lie one block
+    """Arrivals and losses of the blocks whose services ``s`` lie one block
     after another from ``starts`` (``None`` for one service a block): one
     arrival count per service, and each block's walk.  The loss is ``None``
     where no block reaches the buffer.  With ``exact``, a block whose
@@ -709,32 +633,20 @@ def _near_arrivals(rng, arrival_rate, s, present, starts, buffer, exact):
     return arrived, np.maximum(peak - buffer, 0)
 
 
-def _split_loss(
-    rng: np.random.Generator, services: np.ndarray, time: float, present: int, total: int,
-    buffer: int,
-) -> int:
-    """The loss of a far block whose arrival total brings ``present +
-    total`` past ``buffer + 1``: the total split over its services in
-    proportion to their lengths (``time`` is their sum), and the walk's
-    peak on the split counts."""
-    counts = rng.multinomial(total, services / time)
-    return max(present + int(np.cumsum(counts - 1).max()) - buffer, 0)
-
-
 def _scalar_rounds(
     rng: np.random.Generator, arrival_rate: float, dist: ServiceDistribution, buffer: int,
     present: np.ndarray, ids: np.ndarray, totals: np.ndarray, most: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The rounds of ``_run_cycles`` on the few cycles ``present`` in
     columns ``ids`` of ``totals``, on Python scalars, while a round serves
-    at most ``most``, ``min(REPLICATION_CHUNK, _FAR_SAVED)``, services: such
-    a round is never capped, and its far totals could not save
-    ``_FAR_SAVED`` draws, so every block is near.  A round draws its services with one ``dist.draw``
-    call, then one arrival count per service (one scalar call each, or one
-    array call for more than ``_SCALAR_DRAWS``: the same values), and serves
-    each block one customer at a time.  A cycle's time, served and lost go
-    to its column when it ends.  When a round would serve more, the running
-    cycles' go there too, and their ``(present, ids)`` are returned."""
+    at most ``most``, ``min(REPLICATION_CHUNK, _SCALAR_SERVICES)``,
+    services: such a round is never capped.  A round draws its services with
+    one ``dist.draw`` call, then one arrival count per service (one scalar
+    call each, or one array call for more than ``_SCALAR_DRAWS``: the same
+    values), and serves each block one customer at a time.  A cycle's time,
+    served and lost go to its column when it ends.  When a round would
+    serve more, the running cycles' go there too, and their
+    ``(present, ids)`` are returned."""
     poisson = rng.poisson
     cycles = list(zip(present.tolist(), ids.tolist(), *totals[:, ids].tolist()))
     while cycles:

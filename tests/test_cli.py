@@ -603,7 +603,7 @@ def test_simulate_json_payload(capsys):
     assert main(["simulate", "--dist", "exp:1", "--rate", "1.0", "--n", "2",
                  "--replications", "2000", "--seed", "9"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["generator"] == "numpy-sfc64-chunk16384-block-totals"
+    assert payload["generator"] == "numpy-sfc64-chunk16384-service-counts"
     assert payload["seed"] == 9
     assert payload["replications"] == 2000
     assert payload["distribution"] == "exp:1"

@@ -1,7 +1,9 @@
 """Poisson-weighted moment coefficients: the empirical kernel, the closed
 form of each law, and their sup-distance bounds."""
 
+import gc
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -265,6 +267,27 @@ def test_late_sums_are_exactly_zero_past_the_last_nonzero_order():
     direct = _poisson_pmf(orders, means).sum(axis=1)
     direct[0] = 0.0  # the caller has the weights at order 0
     np.testing.assert_allclose(sums[:last + 1], direct, rtol=1e-12, atol=1e-300)
+
+
+@pytest.mark.parametrize("rate, order, most", [(1000.0, 10, 2.0), (1000.0, 50, 2.0),
+                                               (2000.0, 400, 2.5)])
+def test_late_observations_hold_few_copies_of_the_sample(rate, order, most):
+    # in units of one float64 copy of the sample (8N bytes).  About half
+    # the observations are late at rate 1000 and 70% at rate 2000; their
+    # pmf runs in chunks, so beyond the late rate x the peak holds the kept
+    # ones' m, pmf and weights, not ten late-sized temporaries at once
+    n = 200_000
+    ecdf = build_ecdf(Sample(np.random.default_rng(2024).exponential(1.0, n)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        moments_empirical(ecdf, rate, order)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= most * 8 * n, peak / (8 * n)
 
 
 def _plain_loop(xs: np.ndarray, rate: float, order: int) -> np.ndarray:

@@ -222,7 +222,7 @@ def test_draw_samples_large_sample_mean():
 
 def test_generator_identifiers():
     assert SAMPLE_GENERATOR == "numpy-pcg64"
-    assert SIMULATION_GENERATOR == f"numpy-sfc64-chunk{REPLICATION_CHUNK}-block-totals"
+    assert SIMULATION_GENERATOR == f"numpy-sfc64-chunk{REPLICATION_CHUNK}-service-counts"
 
 
 # ---------------------------------------------------------------------------
@@ -326,67 +326,33 @@ def _one_customer_at_a_time(rng, arrival_rate, dist, buffer, count):
     Each round takes every running cycle's block: all its present customers
     or, when the round would serve more than ``REPLICATION_CHUNK``,
     ``REPLICATION_CHUNK // cycles`` (at least one) of them.  It draws the
-    round's service times with one ``dist.draw`` call and sums each block's
-    with ``np.add.reduceat``.  A block of ``_FAR_BLOCK`` or more services is
-    far when present + mu + sigmas (sqrt(mu) + 1) < buffer + 1, for mu the
-    arrival rate times its sum and sigmas ``_NEAR_SIGMAS``, unless the far
-    blocks' totals would save fewer than ``_FAR_SAVED`` draws.  The
-    near blocks' arrival counts come from one ``rng.poisson`` call, one
-    count per service; then the far blocks' totals from another; then, in
-    replication order, ``rng.multinomial`` splits each far total that
-    brings present + total past buffer + 1 over its block's services, in
-    proportion to their lengths.  Each block is served one customer at a
-    time; a far total that is not split arrives with the block's first
-    customer, and cannot reach the buffer.
+    round's service times with one ``dist.draw`` call, then one arrival
+    count per service with one ``rng.poisson`` call, and serves each block
+    one customer at a time.
 
     Returns (busy time, served, lost) of each cycle in replication order,
-    as a (3, count) array, and the numbers of capped rounds, near blocks of
-    several services, far blocks and splits."""
+    as a (3, count) array, and the numbers of capped rounds and of blocks
+    of several services."""
     chunk = lossq.simulate.REPLICATION_CHUNK
-    sigmas = lossq.simulate._NEAR_SIGMAS
-    smallest, saved = lossq.simulate._FAR_BLOCK, lossq.simulate._FAR_SAVED
     cycles = [[1, 0.0, 0, 0] for _ in range(count)]
     replications = cycles
-    counted = {"capped": 0, "near": 0, "far": 0, "split": 0}
+    counted = {"capped": 0, "several": 0}
     while cycles:
         size = sum(cycle[0] for cycle in cycles)
         cap = size if size <= chunk else max(1, chunk // len(cycles))
         counted["capped"] += cap < size
         blocks = [min(cycle[0], cap) for cycle in cycles]
+        counted["several"] += sum(b > 1 for b in blocks)
         s = dist.draw(rng, sum(blocks))
-        lows = np.cumsum(blocks) - blocks
-        sums = np.add.reduceat(s, lows).tolist()
-        far = []
-        for cycle, block, total in zip(cycles, blocks, sums):
-            mu = arrival_rate * total
-            far.append(block >= smallest
-                       and cycle[0] + mu + sigmas * (math.sqrt(mu) + 1.0) < float(buffer + 1))
-        if not any(far) or sum(b - 1 for b, f in zip(blocks, far) if f) < saved:
-            far = [False] * len(cycles)
-        counted["far"] += sum(far)
-        counted["near"] += sum(not f and b > 1 for b, f in zip(blocks, far))
-        near_means = [arrival_rate * x for lo, b, f in zip(lows, blocks, far) if not f
-                      for x in s[lo:lo + b].tolist()]
-        near_counts = iter(rng.poisson(np.array(near_means, dtype=float)).tolist())
-        far_means = [arrival_rate * total for total, f in zip(sums, far) if f]
-        far_totals = iter(rng.poisson(np.array(far_means, dtype=float)).tolist())
-        arrivals = []
-        for cycle, lo, block, total, f in zip(cycles, lows, blocks, sums, far):
-            if not f:
-                arrivals.append([next(near_counts) for _ in range(block)])
-                continue
-            n = next(far_totals)
-            if cycle[0] + n > buffer + 1:
-                counted["split"] += 1
-                arrivals.append(rng.multinomial(n, s[lo:lo + block] / total).tolist())
-            else:
-                arrivals.append([n] + [0] * (block - 1))
+        counts = iter(rng.poisson(arrival_rate * s).tolist())
+        services = iter(s.tolist())
         running = []
-        for cycle, lo, block, counts in zip(cycles, lows, blocks, arrivals):
+        for cycle, block in zip(cycles, blocks):
             waiting = cycle[0] - 1
-            for service, a in zip(s[lo:lo + block].tolist(), counts):
+            for _ in range(block):
+                a = next(counts)
                 joined = min(a, buffer - waiting)
-                cycle[1] += service
+                cycle[1] += next(services)
                 cycle[2] += 1
                 cycle[3] += a - joined
                 waiting += joined - 1
@@ -468,42 +434,22 @@ def test_capped_rounds_equal_one_customer_at_a_time(monkeypatch, chunk):
     assert capped > 0
 
 
-# (sigmas, fewest far services, fewest draws saved): every block near; every
-# block of two or more services far; and far blocks let up to the buffer,
-# so that their totals are split
-_DRAW_SETTINGS = {"near": (math.inf, 3, 1024), "far": (-math.inf, 2, 0),
-                  "split": (-1.0, 2, 0)}
-
-
-@pytest.mark.parametrize("setting", sorted(_DRAW_SETTINGS))
-def test_near_far_and_split_draws_equal_one_customer_at_a_time(monkeypatch, setting):
-    sigmas, smallest, saved = _DRAW_SETTINGS[setting]
-    monkeypatch.setattr(lossq.simulate, "_NEAR_SIGMAS", sigmas)
-    monkeypatch.setattr(lossq.simulate, "_FAR_BLOCK", smallest)
-    monkeypatch.setattr(lossq.simulate, "_FAR_SAVED", saved)
-    counted = dict.fromkeys(["near", "far", "split"], 0)
+def test_blocks_of_several_services_equal_one_customer_at_a_time():
+    counted = 0
     tail = lossq.simulate._SCALAR_TAIL
     for seed, (arrival_rate, dist, buffer) in enumerate(
             [(0.95, Exponential(1.0), 50), (0.95, Deterministic(1.0), 5),
              (0.95, Uniform(0.0, 2.0), 20), (1.5, ErlangK(2, 2.0), 6)]):
         for count in (1, tail, 3 * tail, 400):
             got = _assert_cycles_match_the_reference(arrival_rate, dist, buffer, count, seed)
-            for key in counted:
-                counted[key] += got[key]
-    if setting == "near":
-        assert counted["near"] > 0 and counted["far"] == counted["split"] == 0
-    elif setting == "far":
-        assert counted["far"] > 0 and counted["near"] == 0
-    else:
-        assert counted["near"] > 0 and counted["split"] > 0
+            counted += got["several"]
+    assert counted > 0
 
 
 @pytest.mark.parametrize("dist", [Exponential(1.0), Deterministic(1.0)], ids=lambda d: d.label())
 def test_full_rounds_at_buffer_50_equal_one_customer_at_a_time(dist):
-    # the shipped margin and gate, on rounds large enough that some draw far
-    # totals and some save too few draws to
-    counted = _assert_cycles_match_the_reference(0.95, dist, 50, 3000, seed=4)
-    assert counted["far"] > 0
+    # the shipped constants, on rounds large enough to run on arrays
+    _assert_cycles_match_the_reference(0.95, dist, 50, 3000, seed=4)
 
 
 class _CountingLaw:
@@ -538,7 +484,7 @@ def test_every_service_drawn_is_served(monkeypatch, chunk, count):
 def test_cycles_do_not_depend_on_where_the_scalar_finish_takes_over(
         monkeypatch, chunk, arrival_rate, dist, buffer, count):
     """A ``_SCALAR_TAIL`` of 0 runs every round on arrays, and one of 10**9
-    runs on Python scalars every round that is neither capped nor far: the
+    runs on Python scalars every round that is not capped: the
     same draws, so the same counts.  Busy time is summed a block at once in
     one and a service at a time in the other."""
     monkeypatch.setattr(lossq.simulate, "REPLICATION_CHUNK", chunk)
@@ -555,10 +501,10 @@ def test_cycles_do_not_depend_on_where_the_scalar_finish_takes_over(
 @pytest.mark.parametrize("dist", [Exponential(1.0), Deterministic(1.0), Uniform(0.0, 2.0)],
                          ids=lambda d: d.label())
 def test_scalar_rounds_hand_larger_rounds_back_to_arrays(monkeypatch, dist):
-    # with a gate of 32 draws, a round of more than 32 services at load 1.5,
+    # with a limit of 32 services, a round of more than 32 at load 1.5,
     # buffer 12 leaves the scalar path for an array round, and the cycles
     # come back to it once their rounds are small again
-    monkeypatch.setattr(lossq.simulate, "_FAR_SAVED", 32)
+    monkeypatch.setattr(lossq.simulate, "_SCALAR_SERVICES", 32)
     scalar_rounds = lossq.simulate._scalar_rounds
     handed_back = []
 
@@ -609,25 +555,30 @@ class _RecordingStream:
         return getattr(self.rng, name)
 
 
+@pytest.mark.parametrize("dist", [Exponential(1.0), Deterministic(1.0)], ids=lambda d: d.label())
+def test_every_service_served_draws_one_poisson_count(dist):
+    # at load 0.95, buffer 50 most blocks sit far below the buffer, and
+    # those draw one arrival count per service too
+    rng = _RecordingStream(_stream(5))
+    served = _run_cycles(rng, 0.95, dist, 50, 3000)[1]
+    assert len(rng.means) == served.sum()
+
+
 @pytest.mark.parametrize("count", [1, 200])
 def test_a_block_whose_total_passes_the_poisson_limit_draws_per_service(monkeypatch, count):
     # the first round fills the buffer, so the second serves blocks of eight
     # services.  Each mean is within NumPy's Poisson limit, their sum is past
-    # it, and their counts still sum within int64.  With no gate, the margin
-    # alone keeps these blocks near; a far total would raise
-    monkeypatch.setattr(lossq.simulate, "_FAR_SAVED", 0)
+    # it, and their counts still sum within int64.  With no scalar rounds,
+    # every round runs on arrays and draws one count per service
+    monkeypatch.setattr(lossq.simulate, "_SCALAR_SERVICES", 0)
     limit = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
     big, small = limit - 1e10, 2e9
     assert big + 7 * small > limit
     buffer = 8
-    assert lossq.simulate._FAR_BLOCK <= buffer
     rng = _RecordingStream(_stream(count))
     got = _run_cycles(rng, 1.0, _ScheduledLaw([big], [big] + [small] * 7), buffer, count)
     assert np.array_equal(got[1], np.full(count, 1 + 2 * buffer))
     assert max(rng.means) == big and small in rng.means
-    monkeypatch.setattr(lossq.simulate, "_NEAR_SIGMAS", -math.inf)
-    with pytest.raises(ValueError):
-        _run_cycles(_stream(count), 1.0, _ScheduledLaw([big], [big] + [small] * 7), buffer, count)
 
 
 def test_a_block_whose_arrivals_pass_int64_is_refused():
@@ -640,22 +591,6 @@ def test_a_block_whose_arrivals_pass_int64_is_refused():
     with pytest.raises(ValueError, match=r"mean of a round .* is 9\.22e\+18, and one block .* "
                                          r"limit of about 9\.2e18"):
         _run_cycles(_stream(count), 1.0, _ScheduledLaw([big], [big]), buffer, count)
-
-
-def test_the_golden_grid_calls_at_buffer_50_draw_far_totals_and_split_one(monkeypatch):
-    # tools/golden_grid.py pins these two CLI calls.  The first draws far
-    # totals, so it differs from the same run with every block near
-    first = simulate_busy_period(0.95, Exponential(1.0), 50, 2000, seed=7)
-    with monkeypatch.context() as near:
-        near.setattr(lossq.simulate, "_NEAR_SIGMAS", math.inf)
-        assert simulate_busy_period(0.95, Exponential(1.0), 50, 2000, seed=7) != first
-    # the second splits one far total: about one in 1e5 cycles does here
-    splits = []
-    split = lossq.simulate._split_loss
-    monkeypatch.setattr(lossq.simulate, "_split_loss", lambda *args: splits.append(1)
-                        or split(*args))
-    simulate_busy_period(0.95, Uniform(0.0, 2.0), 50, 100_000, seed=7)
-    assert len(splits) == 1
 
 
 @pytest.mark.parametrize("load, buffer", [(0.95, 50), (0.95, 5), (0.5, 5)])

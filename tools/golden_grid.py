@@ -257,8 +257,8 @@ def _calls():
     # few enough cycles that every round runs on Python scalars
     yield {}, ["simulate", "--dist", "det:1", "--rate", "3", "--n", "2",
                "--replications", "20", "--seed", "5"]
-    # load 0.95, buffer 50: rounds that draw far blocks' arrival totals; the
-    # second call also splits one far total over its block's services
+    # load 0.95, buffer 50: full array rounds, with blocks of many services
+    # that draw one arrival count each
     yield {}, ["simulate", "--dist", "exp:1", "--rate", "0.95", "--n", "50",
                "--replications", "2000", "--seed", "7"]
     yield {}, ["simulate", "--dist", "uniform:0:2", "--rate", "0.95", "--n", "50",
