@@ -171,12 +171,9 @@ def _run_estimate(args: argparse.Namespace) -> int:
     header = {"characteristic": spec.kind.value, "system": args.system}
 
     if args.confidence is None:
-        result = estimate_characteristic(spec, moments, args.n)
-        flags = [()] * (args.n + 1)
-        for level in result.sign_anomalies:
-            flags[level] = ("sign",)
-        columns = {"estimate": result.natural_values.tolist(), "flags": flags}
-        print(_render_levels(columns, args.format, header))
+        values = estimate_characteristic(spec, moments, args.n).natural_values.tolist()
+        flags = [("sign",) if v < 0.0 else () for v in values]
+        print(_render_levels({"estimate": values, "flags": flags}, args.format, header))
         return 0
     table = interval_table(
         spec, moments, args.confidence, ecdf.n_obs, Method(args.method), args.n,
@@ -233,7 +230,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
 
 
 def _run_reproduce(args: argparse.Namespace) -> int:
-    from .intervals import _interval_table, interval_table
+    from .intervals import _interval_table
     from .moments import MomentVector, moments_exponential
     from .recursion import CharacteristicSpec, estimate_characteristic
 
@@ -270,34 +267,24 @@ def _run_reproduce(args: argparse.Namespace) -> int:
         return 0
 
     for method in (Method.TWO_SIDED_STATISTIC, Method.ONE_SIDED_STATISTICS):
-        if args.fixture is None:
-            table = interval_table(busy, empirical, 0.95, args.n_obs, method, order)
-        else:
-            widths = tuple(FIXTURE_WIDTHS[law] for law in method.laws)
-            table = _interval_table(busy, empirical, method, widths, order)
-        detail = ", ".join(f"{name} = {width:g}"
-                           for name, width in zip(("eps", "gamma"), table.widths))
+        widths = tuple(FIXTURE_WIDTHS[law] if args.fixture else width_for(law, 0.95, args.n_obs)
+                       for law in method.laws)
+        table = _interval_table(busy, empirical, method, widths, order)
+        detail = ", ".join(f"{name} = {width:g}" for name, width in zip(("eps", "gamma"), widths))
         columns = {name: getattr(table, name).tolist() for name in ("point", "lower", "upper")}
         print()
         print(f"busy-period bounds, {method.name.lower().replace('_', '-')} method "
               f"({detail}):")
-        print(_render_levels({"theoretical": theory_chain.tolist(), **columns}))
+        print(_render_levels({"theoretical": theory_chain.tolist(), **columns,
+                              "flags": table.flags()}))
     return 0
 
 
 # --- parser ----------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose usage errors exit with code 1, not 2."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="lossq",
         description=(
             "Point and interval estimates for finite-buffer loss-queue "
@@ -383,6 +370,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
+        # --help exits 0; a usage error (argparse's code 2) is a code 1 here
         return 0 if exc.code in (0, None) else 1
     try:
         return args.handler(args)

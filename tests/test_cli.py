@@ -785,7 +785,8 @@ def test_reproduce_prints_the_papers_two_bound_blocks(capsys, extra):
 @pytest.mark.parametrize("n_obs, seed", [(2000, 5), (30, 2)])
 def test_reproduce_sampled_bounds_are_the_interval_tables(capsys, n_obs, seed):
     # each bound block prints the columns of interval_table at confidence
-    # 0.95 on the sample's own size, next to the closed-form chain
+    # 0.95 on the sample's own size, next to the closed-form chain, and the
+    # table's flags last (an unflagged row's empty cell splits to nothing)
     assert main(["reproduce", "--n-obs", str(n_obs), "--seed", str(seed)]) == 0
     blocks = capsys.readouterr().out.split("\n\n")[1:]
     busy = CharacteristicSpec.busy_period(1.0, 1.0)
@@ -796,8 +797,24 @@ def test_reproduce_sampled_bounds_are_the_interval_tables(capsys, n_obs, seed):
         table = interval_table(busy, moments, 0.95, n_obs, method, 4)
         columns = zip(theory.tolist(), table.point.tolist(), table.lower.tolist(),
                       table.upper.tolist())
-        want = [[str(k), *map(_fmt, row)] for k, row in enumerate(columns)]
+        want = [[str(k), *map(_fmt, row), *([",".join(flags)] if flags else [])]
+                for k, (row, flags) in enumerate(zip(columns, table.flags()))]
         assert [line.split() for line in block.splitlines()[2:]] == want
+
+
+def test_reproduce_names_the_flags_of_each_bound(capsys):
+    # one observation: every upper bound past the seed diverges, and from
+    # level 2 the lower bounds are floored at zero
+    assert main(["reproduce", "--n-obs", "1", "--seed", "2"]) == 0
+    blocks = capsys.readouterr().out.split("\n\n")[1:]
+    assert len(blocks) == 2
+    for block in blocks:
+        lines = block.splitlines()
+        assert len(lines) == 7 and lines[1].split()[-1] == "flags"
+        assert lines[2].split() == ["0", *["1.000000"] * 4]
+        assert lines[3].split()[-1] == "upper-inf"
+        for line in lines[4:]:
+            assert line.split()[-3:] == ["0.000000", "inf", "upper-inf,clamped"]
 
 
 # ---------------------------------------------------------------------------
