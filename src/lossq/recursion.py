@@ -21,8 +21,8 @@ coefficients; it keeps the point chain of each moment vector for the next
 call on it.  The recursion is linear in the seed, so every characteristic
 is one seed map of that unit chain: ``spec.natural_scale(unit)``.  By
 Wald's identity busy = m * served and lost = (lambda m - 1) * served + 1.
-Estimates are returned raw — a negative value on a nonnegative
-characteristic is reported via sign-anomaly flags, never silently clamped.
+Estimates are returned raw: a negative value on a nonnegative
+characteristic is kept, never silently clamped (the CLI flags it ``sign``).
 """
 
 from __future__ import annotations
@@ -180,11 +180,9 @@ class BoundSequences:
 
 @dataclass(frozen=True, eq=False)
 class RecursionResult:
-    """Natural-scale values for levels 0..order; ``sign_anomalies`` lists
-    levels whose natural value is negative."""
+    """Natural-scale values for levels 0..order."""
 
     natural_values: np.ndarray
-    sign_anomalies: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         nat = np.asarray(self.natural_values, dtype=float)
@@ -382,8 +380,4 @@ def estimate_characteristic(
     The unit point chain is at least 1 at every level, so the loss
     probability's reciprocal always exists (0 where the chain overflows).
     """
-    natural = spec.natural_scale(spec.chains(moments, order).point)
-    return RecursionResult(
-        natural_values=natural,
-        sign_anomalies=tuple(np.flatnonzero(natural < 0.0).tolist()),
-    )
+    return RecursionResult(spec.natural_scale(spec.chains(moments, order).point))

@@ -11,9 +11,9 @@ SFC64 stream of ``SeedSequence(seed, spawn_key=(c,))``, the seed's c-th
 spawned child, in generation rounds: a round serves every running cycle's
 block, the customers present at the round's start (fewer when the round
 would serve more than ``REPLICATION_CHUNK``), and draws one Poisson arrival
-count per service.  A round of a few cycles and few services, which is
-never capped, runs on Python scalars with the same draws.  So a run is
-reproducible from its seed and replication count alone.  The generator
+count per service with one call.  A round of a few cycles and few services,
+which is never capped, runs on Python scalars with the same draws.  So a run
+is reproducible from its seed and replication count alone.  The generator
 identities are part of the reproducibility contract and are recorded in
 results.
 """
@@ -65,15 +65,9 @@ SIMULATION_GENERATOR = f"numpy-sfc64-chunk{REPLICATION_CHUNK}-service-counts"
 # a round of at most _SCALAR_TAIL cycles runs in Python when it serves at
 # most min(REPLICATION_CHUNK, _SCALAR_SERVICES) services.  The limit is a
 # speed choice, timed against the array rounds, and gates nothing else; a
-# round's draws are the same on either side of it.  There a round of at most
-# _SCALAR_DRAWS services draws its arrival counts one scalar call at a time,
-# and a larger one with one array call (the same values):
-# ``Generator.poisson`` on an array costs 8 to 12 us however short the
-# array, a scalar draw about 0.8 us (NumPy 2.4 on SFC64, one core of a
-# 2-vCPU VM)
+# round's draws are the same on either side of it
 _SCALAR_TAIL = 16
 _SCALAR_SERVICES = 1024
-_SCALAR_DRAWS = 16
 # the most services a run may expect to draw (replications times the mean
 # served per busy cycle).  On the same core a run draws 8.4e6 (erlang:2:2)
 # to 1.5e7 (det:1) services a second in full chunks at load 0.95, buffer
@@ -406,8 +400,8 @@ def simulate_busy_period(
 
     A round draws the blocks' service times with one ``dist.draw`` call,
     then the Poisson arrival count of each service, with mean the arrival
-    rate times its length, in replication order.  Every service drawn is
-    served.
+    rate times its length, in replication order, with one ``rng.poisson``
+    call.  Every service drawn is served.
 
     A round of at most ``_SCALAR_TAIL`` cycles that serves at most
     ``min(REPLICATION_CHUNK, _SCALAR_SERVICES)`` services is never capped.
@@ -560,9 +554,10 @@ def _run_cycles(
 
     A round draws its services and sums each block's (``np.add.reduceat``),
     then draws every a_j, one per service, and walks (``_near_arrivals``).
-    A block's counts may sum past int64, where their int64 sum wraps; a
-    round whose largest block mean passes NumPy's Poisson limit sums them
-    exactly and refuses such a block.
+    The walks run over one int64 running sum of the round's counts, so a
+    round of blocks is refused before its counts are drawn when their
+    summed mean passes the limit NumPy puts on one Poisson mean, within
+    which their total stays in int64.
 
     The rounds add into the running cycles' columns, ``ids``.  A round of
     at most ``_SCALAR_TAIL`` cycles that serves at most
@@ -586,12 +581,12 @@ def _run_cycles(
         # one service a block, as in a chunk's first round
         starts = None if size == present.size else np.cumsum(block) - block
         busy = s if starts is None else np.add.reduceat(s, starts)
-        # a block's arrival total is Poisson with mean arrival rate times its
-        # service sum, so it may pass int64 only where that mean passes the
-        # limit NumPy puts on a Poisson mean; such a round checks its blocks'
-        # totals exactly
-        exact = starts is not None and arrival_rate * busy.max() > _POISSON_LIMIT
-        arrived, loss = _near_arrivals(rng, arrival_rate, s, present, starts, buffer, exact)
+        # the round's arrival total is Poisson with mean the arrival rate
+        # times its service sum, and the walks' running sum reaches it
+        if starts is not None and (mean := arrival_rate * busy.sum()) > _POISSON_LIMIT:
+            raise _past_limit("summed arrival mean of a round of blocks (arrival rate times "
+                              "its total service time)", mean)
+        arrived, loss = _near_arrivals(rng, arrival_rate, s, present, starts, buffer)
         totals[0, ids] += busy
         totals[1, ids] += block
         if loss is not None:
@@ -605,19 +600,13 @@ def _run_cycles(
     return totals
 
 
-def _near_arrivals(rng, arrival_rate, s, present, starts, buffer, exact):
+def _near_arrivals(rng, arrival_rate, s, present, starts, buffer):
     """Arrivals and losses of the blocks whose services ``s`` lie one block
     after another from ``starts`` (``None`` for one service a block): one
     arrival count per service, and each block's walk.  The loss is ``None``
-    where no block reaches the buffer.  With ``exact``, a block whose
-    arrivals pass int64 is refused, where their int64 sum would wrap."""
-    try:
-        a = rng.poisson(arrival_rate * s)
-    except ValueError:
-        raise _past_limit(arrival_rate, s) from None
+    where no block reaches the buffer."""
+    a = _arrival_counts(rng, arrival_rate, s)
     arrived = a if starts is None else np.add.reduceat(a, starts)
-    if exact and max(np.add.reduceat(a.astype(object), starts)) > _INT64_MAX:
-        raise _past_limit(arrival_rate, s, counter=True)
     # the walk's peak is at most its start plus every arrival, less one,
     # and is that on a block of one service
     peak = present + arrived
@@ -641,26 +630,18 @@ def _scalar_rounds(
     columns ``ids`` of ``totals``, on Python scalars, while a round serves
     at most ``most``, ``min(REPLICATION_CHUNK, _SCALAR_SERVICES)``,
     services: such a round is never capped.  A round draws its services with
-    one ``dist.draw`` call, then one arrival count per service (one scalar
-    call each, or one array call for more than ``_SCALAR_DRAWS``: the same
-    values), and serves each block one customer at a time.  A cycle's time,
-    served and lost go to its column when it ends.  When a round would
-    serve more, the running cycles' go there too, and their
-    ``(present, ids)`` are returned."""
-    poisson = rng.poisson
+    one ``dist.draw`` call, then one arrival count per service with one
+    call, and serves each block one customer at a time on Python integers,
+    which do not wrap.  A cycle's time, served and lost go to its column
+    when it ends.  When a round would serve more, the running cycles' go
+    there too, and their ``(present, ids)`` are returned."""
     cycles = list(zip(present.tolist(), ids.tolist(), *totals[:, ids].tolist()))
     while cycles:
         size = sum(c[0] for c in cycles)
         if size > most:
             break
         services = dist.draw(rng, size)
-        draws = services.tolist()
-        try:
-            counts = (rng.poisson(arrival_rate * services).tolist() if size > _SCALAR_DRAWS
-                      else [poisson(arrival_rate * s) for s in draws])
-        except ValueError:
-            raise _past_limit(arrival_rate, services) from None
-        pairs = zip(draws, counts)
+        pairs = zip(services.tolist(), _arrival_counts(rng, arrival_rate, services).tolist())
         running = []
         for block, j, busy, served, lost in cycles:
             waiting = block - 1
@@ -683,13 +664,21 @@ def _scalar_rounds(
             np.array([c[1] for c in cycles], dtype=ids.dtype))
 
 
-def _past_limit(arrival_rate: float, services: np.ndarray, counter: bool = False) -> ValueError:
-    """A round's arrival mean passed the Poisson sampler, or with ``counter`` int64."""
-    mean = arrival_rate * services.max()
-    past = ("and one block of its services draws more arrivals than the counter's limit"
-            if counter else "past the Poisson sampler's limit")
-    return ValueError(f"the largest arrival mean of a round (arrival rate times service "
-                      f"time) is {mean:.3g}, {past} of about 9.2e18")
+def _arrival_counts(rng: np.random.Generator, arrival_rate: float,
+                    services: np.ndarray) -> np.ndarray:
+    """One Poisson arrival count per service, with mean the arrival rate
+    times its length, from one ``rng.poisson`` call."""
+    try:
+        return rng.poisson(arrival_rate * services)
+    except ValueError:
+        raise _past_limit("largest arrival mean of a round (arrival rate times service "
+                          "time)", arrival_rate * services.max()) from None
+
+
+def _past_limit(what: str, mean: float) -> ValueError:
+    """An arrival mean past the limit NumPy puts on a Poisson mean."""
+    return ValueError(f"the {what} is {mean:.3g}, past the Poisson sampler's limit of about "
+                      f"9.2e18")
 
 
 def ks_law_experiment(

@@ -590,7 +590,7 @@ def test_point_renderer_matches_the_reference_renderer(monkeypatch, capsys, fmt)
         want = _reference_render_points(args, result.natural_values)
         assert _estimate_output(monkeypatch, capsys, fmt, system, spec, moments, n_obs,
                                 order) == want
-        signs += len(result.sign_anomalies)
+        signs += int(np.count_nonzero(result.natural_values < 0.0))
     assert signs > 0
 
 

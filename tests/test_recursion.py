@@ -231,7 +231,6 @@ def test_unit_rate_exponential_busy_chain_is_integer():
     res = estimate_characteristic(CharacteristicSpec.busy_period(1.0, 1.0), moments, 4)
     assert np.array_equal(res.natural_values, [1.0, 2.0, 3.0, 4.0, 5.0])
     assert np.array_equal(solve_recursion(moments, 4).point, [2.0, 3.0, 4.0, 5.0])
-    assert res.sign_anomalies == ()
 
 
 def test_unit_rate_exponential_served_chain_is_integer():
@@ -315,7 +314,6 @@ def test_exact_exponential_moments_give_the_mm1n_closed_forms(rho, service_rate,
     assert served.natural_values == pytest.approx([float(w) for w in want], rel=1e-12)
     assert busy.natural_values == pytest.approx(
         [float(w / service_rate) for w in want], rel=1e-12)
-    assert busy.sign_anomalies == served.sign_anomalies == ()
 
 
 def _mpmath_chain(moments, levels):
@@ -543,7 +541,7 @@ def test_rate_mismatch_is_rejected():
         estimate_characteristic(CharacteristicSpec.loss_probability(0.5), moments, 4)
 
 
-def test_sign_anomalies_flag_negative_natural_values():
+def test_negative_natural_values_are_returned_raw():
     # A heavy leading coefficient with a strongly negative seed drives the
     # recursion below -1, so the shifted lost-count values go negative.
     moments = MomentVector(rate=0.3, values=np.array([0.5, 0.0, 0.0]))
@@ -552,7 +550,6 @@ def test_sign_anomalies_flag_negative_natural_values():
     )
     assert res.natural_values[0] == pytest.approx(0.3)
     assert res.natural_values[1] < 0.0 and res.natural_values[2] < 0.0
-    assert res.sign_anomalies == (1, 2)
 
 
 def test_healthy_estimates_carry_no_anomalies():
@@ -560,7 +557,6 @@ def test_healthy_estimates_carry_no_anomalies():
     res = estimate_characteristic(
         CharacteristicSpec.lost_customers(0.8, 1.0), moments, 5
     )
-    assert res.sign_anomalies == ()
     assert np.all(res.natural_values > 0.0)
 
 

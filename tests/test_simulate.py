@@ -453,13 +453,14 @@ def test_full_rounds_at_buffer_50_equal_one_customer_at_a_time(dist):
 
 
 class _CountingLaw:
-    """A law that counts every value it draws."""
+    """A law that counts its draw calls and every value it draws."""
 
     def __init__(self, law):
-        self.law, self.drawn = law, 0
+        self.law, self.calls, self.drawn = law, 0, 0
 
     def draw(self, rng, size):
         values = self.law.draw(rng, size)
+        self.calls += 1
         self.drawn += values.size
         return values
 
@@ -542,12 +543,14 @@ class _ScheduledLaw:
 
 
 class _RecordingStream:
-    """A generator that records every Poisson mean it is asked for."""
+    """A generator that counts its Poisson calls and records every mean it
+    is asked for."""
 
     def __init__(self, rng):
-        self.rng, self.means = rng, []
+        self.rng, self.calls, self.means = rng, 0, []
 
     def poisson(self, lam):
+        self.calls += 1
         self.means.extend(np.ravel(lam).tolist())
         return self.rng.poisson(lam)
 
@@ -564,33 +567,38 @@ def test_every_service_served_draws_one_poisson_count(dist):
     assert len(rng.means) == served.sum()
 
 
-@pytest.mark.parametrize("count", [1, 200])
-def test_a_block_whose_total_passes_the_poisson_limit_draws_per_service(monkeypatch, count):
-    # the first round fills the buffer, so the second serves blocks of eight
-    # services.  Each mean is within NumPy's Poisson limit, their sum is past
-    # it, and their counts still sum within int64.  With no scalar rounds,
-    # every round runs on arrays and draws one count per service
-    monkeypatch.setattr(lossq.simulate, "_SCALAR_SERVICES", 0)
-    limit = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
-    big, small = limit - 1e10, 2e9
-    assert big + 7 * small > limit
-    buffer = 8
+@pytest.mark.parametrize("count", [10, 300])
+@pytest.mark.parametrize("dist", [Exponential(1.0), Deterministic(1.0)], ids=lambda d: d.label())
+def test_every_round_draws_its_arrival_counts_with_one_poisson_call(dist, count):
+    # at load 0.95, buffer 5, ten cycles run every round on Python scalars,
+    # each serving at most 16 services on these streams; three hundred
+    # start on arrays and end on scalars
+    law = _CountingLaw(dist)
     rng = _RecordingStream(_stream(count))
-    got = _run_cycles(rng, 1.0, _ScheduledLaw([big], [big] + [small] * 7), buffer, count)
-    assert np.array_equal(got[1], np.full(count, 1 + 2 * buffer))
-    assert max(rng.means) == big and small in rng.means
+    served = _run_cycles(rng, 0.95, law, 5, count)[1]
+    assert rng.calls == law.calls
+    assert len(rng.means) == law.drawn == served.sum() > law.calls
 
 
-def test_a_block_whose_arrivals_pass_int64_is_refused():
-    # the first round fills the buffer, so the second serves blocks of three
-    # services, each within NumPy's Poisson limit: a block's counts sum
-    # past int64's largest, where an int64 sum wraps
-    limit = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
-    big, count, buffer = limit - 1e10, 40, 2
+_POISSON_LIMIT = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+
+
+@pytest.mark.parametrize("mean, total", [(_POISSON_LIMIT - 1e10, r"7\.38e\+20"),
+                                         (_POISSON_LIMIT / 2.5, r"2\.95e\+20")],
+                         ids=["block", "round"])
+def test_a_round_of_blocks_whose_summed_mean_passes_the_poisson_limit_is_refused(mean, total):
+    # the first round fills the buffer, so the second serves forty blocks of
+    # two services, each service within NumPy's Poisson limit.  Each block's
+    # summed mean passes the limit too, or only the round's, whose counts
+    # the walks take in one int64 running sum.  The round is refused before
+    # it draws a count
+    count, buffer = 40, 2
     assert count > lossq.simulate._SCALAR_TAIL
-    with pytest.raises(ValueError, match=r"mean of a round .* is 9\.22e\+18, and one block .* "
-                                         r"limit of about 9\.2e18"):
-        _run_cycles(_stream(count), 1.0, _ScheduledLaw([big], [big]), buffer, count)
+    rng = _RecordingStream(_stream(count))
+    with pytest.raises(ValueError, match=rf"summed arrival mean of a round of blocks .* is "
+                                         rf"{total}, past .* limit of about 9\.2e18"):
+        _run_cycles(rng, 1.0, _ScheduledLaw([mean], [mean]), buffer, count)
+    assert rng.means == [mean] * count
 
 
 @pytest.mark.parametrize("load, buffer", [(0.95, 50), (0.95, 5), (0.5, 5)])
