@@ -22,6 +22,13 @@ class Characteristic(enum.Enum):
     LOST_CUSTOMERS = "lost"
     LOSS_PROBABILITY = "loss-prob"
 
+    @property
+    def side(self) -> str:
+        """The side whose rate weights the sample: ``"service"`` for the loss
+        probability (GI/M/1/n, interarrival times), ``"arrival"`` for the
+        rest (M/GI/1/n, service times)."""
+        return "service" if self is Characteristic.LOSS_PROBABILITY else "arrival"
+
 
 class Method(enum.Enum):
     """Which sup-statistic drives the confidence widths."""

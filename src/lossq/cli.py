@@ -44,14 +44,14 @@ FIXTURE_WIDTHS = {
     LimitLaw.ONE_SIDED_SUM: 0.0208,
 }
 
-_SYSTEMS = ("mg1n", "gim1n")
+# the system whose sample each side's characteristics are estimated from
+_SYSTEMS = {"arrival": "mg1n", "service": "gim1n"}
 
 
 def _characteristic_spec(args: argparse.Namespace):
     """Cross-validate the estimate arguments and build the characteristic spec.
 
-    The loss probability is estimated from the service side (``gim1n``),
-    every other characteristic from the arrival side (``mg1n``), and
+    ``--system`` must be the system of the characteristic's side, and
     ``--rate`` is the rate of that side.  The spec itself says which
     characteristics need ``--mean-service``.
     """
@@ -62,15 +62,11 @@ def _characteristic_spec(args: argparse.Namespace):
         raise ValueError("--n must be at least 1")
     if args.confidence is not None and not 0.0 < args.confidence < 1.0:
         raise ValueError("--confidence must lie strictly between 0 and 1")
-    if characteristic is Characteristic.LOSS_PROBABILITY:
-        side, system, rate_field = "service", "gim1n", "service_rate"
-    else:
-        side, system, rate_field = "arrival", "mg1n", "arrival_rate"
+    system = _SYSTEMS[characteristic.side]
     if args.system != system:
-        raise ValueError(f"{characteristic.value} is estimated from the {side} side; "
-                         f"use --system {system}")
-    return CharacteristicSpec(characteristic, mean_service=args.mean_service,
-                              **{rate_field: args.rate})
+        raise ValueError(f"{characteristic.value} is estimated from the "
+                         f"{characteristic.side} side; use --system {system}")
+    return CharacteristicSpec(characteristic, args.rate, args.mean_service)
 
 
 def _seed(args: argparse.Namespace) -> int:
@@ -316,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "estimate", help="point/interval estimates from a sample file"
     )
-    p.add_argument("--system", choices=_SYSTEMS, required=True)
+    p.add_argument("--system", choices=tuple(_SYSTEMS.values()), required=True)
     p.add_argument(
         "--characteristic", choices=[c.value for c in Characteristic], required=True
     )

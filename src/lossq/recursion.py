@@ -50,64 +50,43 @@ __all__ = [
 class CharacteristicSpec:
     """Which characteristic to estimate, plus the rates that seed it.
 
-    The arrival-side characteristics (busy period, served, lost) need the
-    arrival rate; busy period and lost additionally need the mean service
-    time.  The lost count's seed lambda m - 1 must be finite, since an
-    infinite one meets a lower chain's zeros as ``inf * 0``.  The loss
-    probability is driven from the service side and needs the service rate
-    only.  Every input given must be positive and finite, whether the
-    characteristic uses it or not.
+    ``weighting_rate`` is the rate of the side ``kind.side`` names: the
+    arrival rate for the busy period, served and lost counts, the service
+    rate for the loss probability.  Busy period and lost also need the mean
+    service time, and the lost count's seed lambda m - 1 must be finite,
+    since an infinite one meets a lower chain's zeros as ``inf * 0``.  A
+    mean service time given must be positive and finite, used or not.
     """
 
     kind: Characteristic
-    arrival_rate: float | None = None
+    weighting_rate: float
     mean_service: float | None = None
-    service_rate: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind in (Characteristic.BUSY_PERIOD, Characteristic.LOST_CUSTOMERS):
-            required = ("arrival_rate", "mean_service")
-        elif self.kind is Characteristic.SERVED_CUSTOMERS:
-            required = ("arrival_rate",)
-        else:
-            required = ("service_rate",)
-        for name in required:
-            value = getattr(self, name)
-            if value is None:
-                raise ValueError(f"{self.kind.value} requires {name}")
-            check_positive(name, value)
-        for name in ("arrival_rate", "mean_service", "service_rate"):
-            value = getattr(self, name)
-            if value is not None:
-                check_positive(name, value)
+        check_positive(f"{self.kind.side}_rate", self.weighting_rate)
+        if self.mean_service is not None:
+            check_positive("mean_service", self.mean_service)
+        elif self.kind in (Characteristic.BUSY_PERIOD, Characteristic.LOST_CUSTOMERS):
+            raise ValueError(f"{self.kind.value} requires mean_service")
         if (self.kind is Characteristic.LOST_CUSTOMERS
-                and not math.isfinite(self.arrival_rate * self.mean_service)):
+                and not math.isfinite(self.weighting_rate * self.mean_service)):
             raise ValueError(f"{self.kind.value} requires a finite arrival_rate * mean_service")
 
     @classmethod
     def busy_period(cls, arrival_rate: float, mean_service: float) -> "CharacteristicSpec":
-        return cls(Characteristic.BUSY_PERIOD, arrival_rate=arrival_rate,
-                   mean_service=mean_service)
+        return cls(Characteristic.BUSY_PERIOD, arrival_rate, mean_service)
 
     @classmethod
     def served_customers(cls, arrival_rate: float) -> "CharacteristicSpec":
-        return cls(Characteristic.SERVED_CUSTOMERS, arrival_rate=arrival_rate)
+        return cls(Characteristic.SERVED_CUSTOMERS, arrival_rate)
 
     @classmethod
     def lost_customers(cls, arrival_rate: float, mean_service: float) -> "CharacteristicSpec":
-        return cls(Characteristic.LOST_CUSTOMERS, arrival_rate=arrival_rate,
-                   mean_service=mean_service)
+        return cls(Characteristic.LOST_CUSTOMERS, arrival_rate, mean_service)
 
     @classmethod
     def loss_probability(cls, service_rate: float) -> "CharacteristicSpec":
-        return cls(Characteristic.LOSS_PROBABILITY, service_rate=service_rate)
-
-    @property
-    def weighting_rate(self) -> float:
-        """Rate the moment coefficients must be weighted at."""
-        if self.kind is Characteristic.LOSS_PROBABILITY:
-            return self.service_rate
-        return self.arrival_rate
+        return cls(Characteristic.LOSS_PROBABILITY, service_rate)
 
     @property
     def seed(self) -> float:
@@ -115,7 +94,7 @@ class CharacteristicSpec:
         if self.kind is Characteristic.BUSY_PERIOD:
             return self.mean_service
         if self.kind is Characteristic.LOST_CUSTOMERS:
-            return self.arrival_rate * self.mean_service - 1.0
+            return self.weighting_rate * self.mean_service - 1.0
         return 1.0
 
     def natural_scale(self, chain: np.ndarray) -> np.ndarray:

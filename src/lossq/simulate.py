@@ -568,35 +568,37 @@ def _run_cycles(
     totals = np.zeros((3, count))
     ids = np.arange(count)
     most = min(REPLICATION_CHUNK, _SCALAR_SERVICES)
-    while present.size:
-        block, size = present, int(present.sum())
-        if present.size <= _SCALAR_TAIL and size <= most:
-            present, ids = _scalar_rounds(rng, arrival_rate, dist, buffer, present, ids, totals,
-                                          most)
-            continue
-        if size > REPLICATION_CHUNK:
-            block = np.minimum(present, max(1, REPLICATION_CHUNK // present.size))
-            size = int(block.sum())
-        s = dist.draw(rng, size)
-        # one service a block, as in a chunk's first round
-        starts = None if size == present.size else np.cumsum(block) - block
-        busy = s if starts is None else np.add.reduceat(s, starts)
-        # the round's arrival total is Poisson with mean the arrival rate
-        # times its service sum, and the walks' running sum reaches it
-        if starts is not None and (mean := arrival_rate * busy.sum()) > _POISSON_LIMIT:
-            raise _past_limit("summed arrival mean of a round of blocks (arrival rate times "
-                              "its total service time)", mean)
-        arrived, loss = _near_arrivals(rng, arrival_rate, s, present, starts, buffer)
-        totals[0, ids] += busy
-        totals[1, ids] += block
-        if loss is not None:
-            totals[2, ids] += loss
-            arrived = arrived - loss
-        present = arrived if block is present else present - block + arrived
-        keep = np.flatnonzero(present)
-        if keep.size < present.size:
-            # gathers by index: a boolean mask is several times slower here
-            present, ids = present.take(keep), ids.take(keep)
+    # an arrival mean past the largest double is inf: refused, and named so
+    with np.errstate(over="ignore"):
+        while present.size:
+            block, size = present, int(present.sum())
+            if present.size <= _SCALAR_TAIL and size <= most:
+                present, ids = _scalar_rounds(rng, arrival_rate, dist, buffer, present, ids,
+                                              totals, most)
+                continue
+            if size > REPLICATION_CHUNK:
+                block = np.minimum(present, max(1, REPLICATION_CHUNK // present.size))
+                size = int(block.sum())
+            s = dist.draw(rng, size)
+            # one service a block, as in a chunk's first round
+            starts = None if size == present.size else np.cumsum(block) - block
+            busy = s if starts is None else np.add.reduceat(s, starts)
+            # the round's arrival total is Poisson with mean the arrival rate
+            # times its service sum, and the walks' running sum reaches it
+            if starts is not None and (mean := arrival_rate * busy.sum()) > _POISSON_LIMIT:
+                raise _past_limit("summed arrival mean of a round of blocks (arrival rate times "
+                                  "its total service time)", mean)
+            arrived, loss = _near_arrivals(rng, arrival_rate, s, present, starts, buffer)
+            totals[0, ids] += busy
+            totals[1, ids] += block
+            if loss is not None:
+                totals[2, ids] += loss
+                arrived = arrived - loss
+            present = arrived if block is present else present - block + arrived
+            keep = np.flatnonzero(present)
+            if keep.size < present.size:
+                # gathers by index: a boolean mask is several times slower here
+                present, ids = present.take(keep), ids.take(keep)
     return totals
 
 

@@ -346,26 +346,21 @@ def test_estimate_rejects_a_lost_seed_past_the_largest_double(capsys, tmp_path):
     assert captured.err == "lossq: error: lost requires a finite arrival_rate * mean_service\n"
 
 
-def test_estimate_rejects_loss_probability_on_the_arrival_side(
-        capsys, unit_exp_sample):
+@pytest.mark.parametrize("characteristic, system, side, right", [
+    ("busy", "gim1n", "arrival", "mg1n"),
+    ("served", "gim1n", "arrival", "mg1n"),
+    ("lost", "gim1n", "arrival", "mg1n"),
+    ("loss-prob", "mg1n", "service", "gim1n"),
+], ids=["busy", "served", "lost", "loss-prob"])
+def test_estimate_rejects_a_characteristic_on_the_other_side(
+        capsys, unit_exp_sample, characteristic, system, side, right):
     path, _ = unit_exp_sample
-    assert main(["estimate", "--system", "mg1n",
-                 "--characteristic", "loss-prob", "--rate", "1.0",
-                 "--mean-service", "1.0", "--n", "4",
+    assert main(["estimate", "--system", system, "--characteristic", characteristic,
+                 "--rate", "1.0", "--mean-service", "1.0", "--n", "4",
                  "--input", str(path)]) == 1
     assert capsys.readouterr().err == (
-        "lossq: error: loss-prob is estimated from the service side; "
-        "use --system gim1n\n")
-
-
-def test_estimate_rejects_busy_period_on_the_service_side(
-        capsys, unit_exp_sample):
-    path, _ = unit_exp_sample
-    assert main(["estimate", "--system", "gim1n", "--characteristic", "busy",
-                 "--rate", "1.0", "--n", "4", "--input", str(path)]) == 1
-    assert capsys.readouterr().err == (
-        "lossq: error: busy is estimated from the arrival side; "
-        "use --system mg1n\n")
+        f"lossq: error: {characteristic} is estimated from the {side} side; "
+        f"use --system {right}\n")
 
 
 def test_estimate_rejects_zero_buffer(capsys, unit_exp_sample):
@@ -923,6 +918,9 @@ def _fuzz_argv(draw):
 @example(argv=["estimate", "--system", "mg1n", "--characteristic", "lost", "--rate", "2",
                "--mean-service", "1e308", "--n", "40", "--input", "good",
                "--confidence", "0.95", "--format", "csv"])
+# an arrival mean past the largest double once overflowed with a RuntimeWarning
+@example(argv=["simulate", "--dist", "det:1e19", "--rate", "1e300", "--n", "0",
+               "--replications", "3"])
 def test_fuzzed_arguments_exit_zero_one_or_two(fuzz_inputs, argv):
     argv = [fuzz_inputs.get(arg, arg) if option in ("--input", "--emit-samples") else arg
             for option, arg in zip(["", *argv], argv)]

@@ -1,5 +1,6 @@
 """Tests for the convolution recursion and characteristic point estimates."""
 
+import dataclasses
 import gc
 import math
 import warnings
@@ -32,44 +33,54 @@ from support import CANONICAL_POINTS, FIXTURE_R, REPORTED_POINTS
 
 
 def test_factories_set_kind_and_rates():
+    assert [f.name for f in dataclasses.fields(CharacteristicSpec)] == [
+        "kind", "weighting_rate", "mean_service"]
+
     busy = CharacteristicSpec.busy_period(2.0, 0.5)
     assert busy.kind is Characteristic.BUSY_PERIOD
-    assert busy.arrival_rate == 2.0 and busy.mean_service == 0.5
+    assert busy.weighting_rate == 2.0 and busy.mean_service == 0.5
 
     served = CharacteristicSpec.served_customers(1.5)
     assert served.kind is Characteristic.SERVED_CUSTOMERS
-    assert served.arrival_rate == 1.5 and served.mean_service is None
+    assert served.weighting_rate == 1.5 and served.mean_service is None
 
     lost = CharacteristicSpec.lost_customers(1.5, 2.0)
     assert lost.kind is Characteristic.LOST_CUSTOMERS
+    assert lost.weighting_rate == 1.5 and lost.mean_service == 2.0
 
     loss = CharacteristicSpec.loss_probability(3.0)
     assert loss.kind is Characteristic.LOSS_PROBABILITY
-    assert loss.service_rate == 3.0 and loss.arrival_rate is None
+    assert loss.weighting_rate == 3.0 and loss.mean_service is None
 
 
-@pytest.mark.parametrize(
-    "kind, kwargs, missing",
-    [
-        (Characteristic.BUSY_PERIOD, {"mean_service": 1.0}, "arrival_rate"),
-        (Characteristic.BUSY_PERIOD, {"arrival_rate": 1.0}, "mean_service"),
-        (Characteristic.SERVED_CUSTOMERS, {}, "arrival_rate"),
-        (Characteristic.LOST_CUSTOMERS, {"arrival_rate": 1.0}, "mean_service"),
-        (Characteristic.LOSS_PROBABILITY, {"arrival_rate": 1.0}, "service_rate"),
-    ],
-)
-def test_missing_required_rate_is_rejected(kind, kwargs, missing):
-    with pytest.raises(ValueError, match=missing):
-        CharacteristicSpec(kind, **kwargs)
+def test_only_the_loss_probability_is_estimated_from_the_service_side():
+    assert {kind: kind.side for kind in Characteristic} == {
+        Characteristic.BUSY_PERIOD: "arrival",
+        Characteristic.SERVED_CUSTOMERS: "arrival",
+        Characteristic.LOST_CUSTOMERS: "arrival",
+        Characteristic.LOSS_PROBABILITY: "service",
+    }
+
+
+@pytest.mark.parametrize("kind", [Characteristic.BUSY_PERIOD, Characteristic.LOST_CUSTOMERS])
+def test_missing_required_rate_is_rejected(kind):
+    with pytest.raises(ValueError, match="^(busy|lost) requires mean_service$"):
+        CharacteristicSpec(kind, 1.0)
+
+
+def test_a_spec_without_its_rate_is_refused_by_the_signature():
+    with pytest.raises(TypeError, match="weighting_rate"):
+        CharacteristicSpec(Characteristic.BUSY_PERIOD, mean_service=1.0)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
 def test_nonpositive_or_nonfinite_rates_are_rejected(bad):
-    with pytest.raises(ValueError):
+    # the rate is named by the side it weights
+    with pytest.raises(ValueError, match="^arrival_rate must be positive and finite$"):
         CharacteristicSpec.busy_period(bad, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^mean_service must be positive and finite$"):
         CharacteristicSpec.busy_period(1.0, bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^service_rate must be positive and finite$"):
         CharacteristicSpec.loss_probability(bad)
 
 

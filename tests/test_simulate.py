@@ -623,10 +623,12 @@ def test_simulated_served_and_lost_match_the_exact_chains(load, buffer, dist):
 @pytest.mark.parametrize("replications", [1, 100])
 def test_an_arrival_mean_past_the_poisson_limit_is_named(replications):
     # the budget passes (a zero buffer serves one customer a cycle); one
-    # cycle draws on Python scalars, a hundred start on arrays
-    with pytest.raises(ValueError,
-                       match=r"largest arrival mean .* is 1e\+20, past .* limit of about 9\.2e18"):
-        simulate_busy_period(1e10, Deterministic(1e10), 0, replications, seed=1)
+    # cycle draws on Python scalars, a hundred start on arrays.  A mean past
+    # the largest double is inf, named without an overflow warning
+    for rate, value, mean in ((1e10, 1e10, r"1e\+20"), (1e300, 1e19, "inf")):
+        with pytest.raises(ValueError, match=rf"largest arrival mean .* is {mean}, "
+                                             r"past .* limit of about 9\.2e18"):
+            simulate_busy_period(rate, Deterministic(value), 0, replications, seed=1)
 
 
 def test_a_run_that_cannot_finish_is_refused_before_any_draw(monkeypatch):

@@ -263,6 +263,10 @@ def _calls():
                "--replications", "2000", "--seed", "7"]
     yield {}, ["simulate", "--dist", "uniform:0:2", "--rate", "0.95", "--n", "50",
                "--replications", "100000", "--seed", "7"]
+    # load 1.5, buffer 5, one cycle past a chunk: the blocks of the first
+    # chunk's cycles outgrow REPLICATION_CHUNK, so a round is capped
+    yield {}, ["simulate", "--dist", "exp:1", "--rate", "1.5", "--n", "5",
+               "--replications", "16385", "--seed", "3"]
     # a narrow law far from zero, whose standard error a sum of squares
     # less N mean^2 cancels
     yield {}, ["simulate", "--dist", "uniform:1000000:1000000.001", "--rate", "5e-7",
