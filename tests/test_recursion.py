@@ -62,15 +62,26 @@ def test_only_the_loss_probability_is_estimated_from_the_service_side():
     }
 
 
-@pytest.mark.parametrize("kind", [Characteristic.BUSY_PERIOD, Characteristic.LOST_CUSTOMERS])
-def test_missing_required_rate_is_rejected(kind):
-    with pytest.raises(ValueError, match="^(busy|lost) requires mean_service$"):
-        CharacteristicSpec(kind, 1.0)
-
-
-def test_a_spec_without_its_rate_is_refused_by_the_signature():
-    with pytest.raises(TypeError, match="weighting_rate"):
-        CharacteristicSpec(Characteristic.BUSY_PERIOD, mean_service=1.0)
+@pytest.mark.parametrize(
+    "kind, kwargs, missing",
+    [
+        (Characteristic.BUSY_PERIOD, {"mean_service": 1.0}, "arrival_rate"),
+        (Characteristic.BUSY_PERIOD, {"weighting_rate": 1.0}, "mean_service"),
+        (Characteristic.SERVED_CUSTOMERS, {}, "arrival_rate"),
+        (Characteristic.LOST_CUSTOMERS, {"weighting_rate": 1.0}, "mean_service"),
+        (Characteristic.LOSS_PROBABILITY, {}, "service_rate"),
+    ],
+)
+def test_missing_required_rate_is_rejected(kind, kwargs, missing):
+    if missing == "mean_service":
+        with pytest.raises(ValueError, match=f"^{kind.value} requires mean_service$"):
+            CharacteristicSpec(kind, **kwargs)
+    else:
+        # the side's rate is the spec's one required field, so a spec built
+        # without it is refused by the constructor signature
+        assert missing == f"{kind.side}_rate"
+        with pytest.raises(TypeError, match="weighting_rate"):
+            CharacteristicSpec(kind, **kwargs)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
