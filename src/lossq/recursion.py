@@ -185,20 +185,20 @@ def _point_chain(moments: MomentVector) -> np.ndarray:
     """The unit point chain Q_0..Q_{m+1} of a vector of order m, cached."""
     chain = _POINT_CHAINS.get(moments)
     if chain is None:
-        chain = _tail_sum_chain(moments)
+        r = moments.values
+        # R_m..R_1 summed from the top: the tail beyond m, then r_m, ..., r_2
+        tails = np.cumsum(np.concatenate(([moments.tail], r[:1:-1]))[:moments.order])
+        chain = _unit_chain(float(r[0]), tails[::-1].copy())
         chain.setflags(write=False)
         _POINT_CHAINS[moments] = chain
     return chain
 
 
-def _tail_sum_chain(moments: MomentVector) -> np.ndarray:
-    """Q_0..Q_{m+1} from the positive recursion in the tail sums, solved
-    ``_BLOCK`` levels per step (see :func:`solve_recursion`)."""
-    r = moments.values
-    r0 = float(r[0])
-    levels = r.size  # the last level, m + 1
-    # R_0..R_m summed from the top: the tail beyond m, then r_m, ..., r_1
-    tails = np.cumsum(np.concatenate(([moments.tail], r[:0:-1])))[::-1].copy()
+def _unit_chain(r0: float, tails: np.ndarray) -> np.ndarray:
+    """Q_0..Q_{m+1} from the positive recursion on r_0 > 0 and the tail sums
+    R_1..R_m alone, solved ``_BLOCK`` levels per step (see
+    :func:`solve_recursion`).  Any nonnegative tails will do, monotone or not."""
+    levels = tails.size + 1  # the last level, m + 1
     d = np.zeros(levels + 1)
     stop = min(_BLOCK, levels) + 1
     overflowed = _sequential_steps(tails, r0, d, 1, stop)
@@ -211,7 +211,7 @@ def _tail_sum_chain(moments: MomentVector) -> np.ndarray:
             for start in range(stop, levels + 1, _BLOCK):
                 end = min(start + _BLOCK, levels + 1)
                 size = end - start
-                earlier = np.convolve(tails[1:end - 1], d[1:start], "valid")
+                earlier = np.convolve(tails[:end - 2], d[1:start], "valid")
                 block = inverse[:size, :size] @ earlier
                 if np.isfinite(block).all():
                     d[start:end] = block
@@ -229,7 +229,7 @@ def _sequential_steps(tails: np.ndarray, r0: float, d: np.ndarray, start: int, s
     D is inf, and the answer is True."""
     for k in range(start, stop):
         # Python floats: an overflow is a silent inf
-        dk = (float(np.dot(tails[1:k], d[k - 1:0:-1])) + (k == 1)) / r0
+        dk = (float(np.dot(tails[:k - 1], d[k - 1:0:-1])) + (k == 1)) / r0
         if dk == math.inf:
             d[k:] = math.inf
             return True

@@ -74,6 +74,10 @@ _SCALAR_SERVICES = 1024
 # 50, and 6.7e5 to 8.4e5 in a single cycle (det:1 at load 3, buffer 5, and
 # exp:1 at load 1.2, buffer 30): 7 s to 2.5 minutes
 _SERVICE_BUDGET = 1e8
+# _Pooled's unit for a row whose plain sums overflow: in it every double is
+# below 2^424, so the budget's 1e8 of them sum below 2^451 and their squares
+# below 2^875
+_UNIT = 2.0**600
 # the levels of the served chain that the budget check computes at most
 _BUDGET_LEVELS = 1000
 # a waiting count never comes near 2^62, so a larger buffer acts as this one
@@ -442,8 +446,7 @@ def simulate_busy_period(
         rng = np.random.Generator(np.random.SFC64(child))
         pooled.add(_run_cycles(rng, arrival_rate, dist, buffer, count))
 
-    means = pooled.mean
-    ses = np.sqrt(pooled.m2 / max(replications - 1, 1) / replications)
+    means, ses = pooled.mean, pooled.se
     return SimulationResult(
         busy_period=EstimateStat(float(means[0]), float(ses[0])),
         served=EstimateStat(float(means[1]), float(ses[1])),
@@ -503,31 +506,55 @@ class _Pooled:
     and then its squared deviations from its mean, and chunks are combined
     by the pairwise update of Chan, Golub & LeVeque (1983), so a variance is
     never the difference of two large sums of squares.  A mean is its sum
-    over the count, so a mean count is exact to the last bit."""
+    over the count, so a mean count is exact to the last bit.
 
-    __slots__ = ("count", "total", "m2")
+    A row whose sum or squares pass the largest double (busy times near it)
+    is pooled from then on in units of ``_UNIT``, its squares in units of
+    ``_UNIT`` squared: a power of two scales exactly, and in those units no
+    double's sum or square overflows.  Every other row keeps unit 1, and
+    with it the bits of the plain sums."""
+
+    __slots__ = ("count", "total", "m2", "unit")
 
     def __init__(self) -> None:
         self.count = 0
         self.total = np.zeros(3)
         self.m2 = np.zeros(3)
+        self.unit = np.ones(3)
 
     @property
     def mean(self) -> np.ndarray:
-        return self.total / self.count
+        return self.total / self.count * self.unit
+
+    @property
+    def se(self) -> np.ndarray:
+        return np.sqrt(self.m2 / max(self.count - 1, 1) / self.count) * self.unit
 
     def add(self, values: np.ndarray) -> None:
         """Fold a (3, k) chunk: the rows are busy time, served and lost."""
+        with np.errstate(over="ignore"):
+            total, m2 = self._folded(values)
+        over = ~(np.isfinite(total) & np.isfinite(m2))
+        if over.any():
+            unit = np.where(over, _UNIT, self.unit)
+            self.total *= self.unit / unit
+            self.m2 *= (self.unit / unit) ** 2
+            self.unit = unit
+            total, m2 = self._folded(values)
+        self.count += values.shape[1]
+        self.total, self.m2 = total, m2
+
+    def _folded(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The total and centred sum of squares with the chunk folded in."""
         count = values.shape[1]
+        values = values / self.unit[:, None]
         total = values.sum(axis=1)
         dev = values - (total / count)[:, None]
         m2 = np.einsum("ij,ij->i", dev, dev)
         if self.count:
-            delta = total / count - self.mean
+            delta = total / count - self.total / self.count
             m2 += delta * delta * (self.count * count / (self.count + count))
-        self.count += count
-        self.total += total
-        self.m2 += m2
+        return self.total + total, self.m2 + m2
 
 
 def _run_cycles(

@@ -616,6 +616,14 @@ def test_simulate_is_reproducible_by_seed(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_simulate_pools_busy_times_near_the_largest_double(capsys):
+    assert main(["simulate", "--dist", "det:1e308", "--rate", "1e-300", "--n", "0",
+                 "--replications", "3", "--seed", "7"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["busy_period"] == {"mean": 1e308, "se": 0.0}
+
+
 def test_simulate_rejects_bad_distribution(capsys):
     assert main(["simulate", "--dist", "gamma:1", "--rate", "1.0", "--n", "1",
                  "--replications", "10"]) == 1
@@ -920,6 +928,9 @@ def _fuzz_argv(draw):
                "--confidence", "0.95", "--format", "csv"])
 # an arrival mean past the largest double once overflowed with a RuntimeWarning
 @example(argv=["simulate", "--dist", "det:1e19", "--rate", "1e300", "--n", "0",
+               "--replications", "3"])
+# busy times near the largest double once overflowed their pooled sum
+@example(argv=["simulate", "--dist", "det:1e308", "--rate", "1e-300", "--n", "0",
                "--replications", "3"])
 def test_fuzzed_arguments_exit_zero_one_or_two(fuzz_inputs, argv):
     argv = [fuzz_inputs.get(arg, arg) if option in ("--input", "--emit-samples") else arg

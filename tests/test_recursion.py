@@ -411,23 +411,28 @@ def _random_moments(rng, rate, order=5):
 
 
 def _tail_sums(moments):
-    """R_0..R_m, summed from the top as the kernel sums them."""
+    """R_1..R_m, summed from the top as the point chain sums them."""
     r = moments.values
-    return np.cumsum(np.concatenate(([moments.tail], r[:0:-1])))[::-1]
+    return np.cumsum(np.concatenate(([moments.tail], r[:1:-1]))[:moments.order])[::-1]
 
 
 def _sequential_chain(moments, order, seed=1.0):
+    """Q_1..Q_order of a moment vector's positive recursion from Q_0 = seed."""
+    return _sequential_tail_chain(float(moments.values[0]), _tail_sums(moments), order, seed)
+
+
+def _sequential_tail_chain(r0, tails, order, seed=1.0):
     """Q_1..Q_order of the positive recursion from Q_0 = seed, one level at
     a time: r_0 D_k = [k = 1] seed + sum_{i=1}^{k-1} R_i D_{k-i} and
-    Q_k = D_1 + ... + D_k.  An overflowed D stays inf."""
-    tails, r0 = _tail_sums(moments), float(moments.values[0])
+    Q_k = D_1 + ... + D_k, with R_1.. in ``tails``.  An overflowed D stays
+    inf."""
     d = np.zeros(order + 1)
     d[1] = seed / r0
     for k in range(2, order + 1):
         if d[k - 1] == math.inf:
             d[k:] = math.inf
             break
-        d[k] = float(np.dot(tails[1:k], d[k - 1:0:-1])) / r0
+        d[k] = float(np.dot(tails[:k - 1], d[k - 1:0:-1])) / r0
     with np.errstate(over="ignore"):
         return np.cumsum(d[1:])
 
@@ -807,3 +812,53 @@ def test_equal_valued_vectors_do_not_share_an_entry():
     solve_recursion(b, 20)
     assert recursion._POINT_CHAINS[a] is not recursion._POINT_CHAINS[b]
     assert np.array_equal(recursion._POINT_CHAINS[a], recursion._POINT_CHAINS[b])
+
+
+# ---------------------------------------------------------------------------
+# The unit chain on a tail vector
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _tail_vectors(draw):
+    """r_0 in (0, 1] and tail sums R_1..R_m in [0, 1], in any order, up to
+    four blocks deep."""
+    r0 = draw(st.floats(0.0, 1.0, exclude_min=True))
+    size = draw(st.integers(0, 4 * recursion._BLOCK))
+    tails = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+    return r0, np.array(tails, dtype=float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector=_tail_vectors(), data=st.data())
+def test_the_unit_chain_never_falls_as_a_tail_sum_rises_or_r0_falls(vector, data):
+    # D_k is a polynomial with nonnegative coefficients in R_1..R_{k-1} and
+    # 1 / r_0, so every Q_k is nondecreasing in each; the lemma a box of
+    # tail sums rests on, held here by the kernel's own rounding too
+    r0, tails = vector
+    base = recursion._unit_chain(r0, tails)
+    lower = data.draw(st.floats(0.0, r0, exclude_min=True), label="lower r_0")
+    assert np.all(recursion._unit_chain(lower, tails) >= base)
+    if tails.size:
+        i = data.draw(st.integers(0, tails.size - 1), label="i")
+        raised = tails.copy()
+        raised[i] = data.draw(st.floats(tails[i], 1.0), label="raised R_i")
+        assert np.all(recursion._unit_chain(r0, raised) >= base)
+
+
+@pytest.mark.parametrize("r0, tails", [
+    # not nonincreasing: r_i = R_{i-1} - R_i would be negative
+    (0.5, 0.1 + 0.05 * (np.arange(100) % 3)),
+    # r_0 + R_1 > 1: the coefficients would sum past 1
+    (0.9, np.r_[0.5, np.full(99, 0.01)]),
+])
+def test_the_unit_chain_takes_tails_no_moment_vector_can_hold(r0, tails):
+    with pytest.raises(ValueError):
+        MomentVector(rate=1.0, values=np.r_[r0, 0.0, -np.diff(tails)], tail=tails[-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chain = recursion._unit_chain(r0, tails)
+    assert chain.size == tails.size + 2 and chain[0] == 1.0
+    assert np.all(np.isfinite(chain)) and np.all(np.diff(chain) >= 0.0)
+    want = _sequential_tail_chain(r0, tails, tails.size + 1)
+    np.testing.assert_allclose(chain[1:], want, rtol=1e-12, atol=0.0)

@@ -19,6 +19,7 @@ from lossq.simulate import (
     SAMPLE_GENERATOR,
     SIMULATION_GENERATOR,
     Deterministic,
+    EstimateStat,
     ErlangK,
     Exponential,
     Uniform,
@@ -527,6 +528,49 @@ def test_standard_error_of_a_narrow_law_far_from_zero(low, width, rate):
     # cancels to 0.0 on the first law and to 4 times that on the second
     sim = simulate_busy_period(rate, Uniform(low, low + width), 0, 20_000, seed=3)
     assert sim.busy_period.se == pytest.approx(width / math.sqrt(12.0 * 20_000), rel=0.03)
+
+
+@pytest.mark.parametrize("dist, replications", [
+    (Deterministic(1e308), 3),
+    (Uniform(0.0, 1e308), 10),
+    # two chunks: the chunk's sum and the pooled total both pass the largest double
+    (Deterministic(1e308), REPLICATION_CHUNK + 1),
+])
+def test_busy_times_near_the_largest_double_pool_without_overflow(dist, replications):
+    # with no waiting room a busy time is one service, so the busy row holds
+    # the chunks' draws.  Their plain sum passes the largest double, and so
+    # do uniform's squared deviations of about 5e307
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sim = simulate_busy_period(1e-300, dist, 0, replications, seed=7)
+    counts = (min(replications, REPLICATION_CHUNK), replications - REPLICATION_CHUNK)
+    busy = np.concatenate([
+        dist.draw(np.random.Generator(np.random.SFC64(child)), count)
+        for child, count in zip(np.random.SeedSequence(7).spawn(2), counts) if count > 0
+    ]) * 2.0**-600
+    mean, se = busy.mean() * 2.0**600, busy.std(ddof=1) / math.sqrt(replications) * 2.0**600
+    assert math.isfinite(sim.busy_period.mean) and math.isfinite(sim.busy_period.se)
+    assert sim.busy_period.mean == pytest.approx(mean, rel=1e-13)
+    assert sim.busy_period.se == pytest.approx(se, rel=1e-12, abs=1e-15 * mean)
+    assert sim.served == EstimateStat(1.0, 0.0)
+
+
+@pytest.mark.parametrize("chunks, mean, se", [
+    # finite chunk sums whose pooled total passes the largest double
+    ([[1e308], [1.5e308]], 1.25e308, 0.25e308),
+    # a finite sum whose squared deviations pass it
+    ([[0.0, 1e308]], 5e307, 5e307),
+])
+def test_a_pooled_row_that_overflows_is_kept_in_a_power_of_two_unit(chunks, mean, se):
+    pooled = _Pooled()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for busy in chunks:
+            pooled.add(np.array([busy, np.ones(len(busy)), np.zeros(len(busy))]))
+    assert pooled.mean.tolist() == pytest.approx([mean, 1.0, 0.0], rel=1e-15)
+    assert pooled.se.tolist() == pytest.approx([se, 0.0, 0.0], rel=1e-15)
+    # only the busy row left unit 1, so the others keep their plain sums' bits
+    assert pooled.unit[1:].tolist() == [1.0, 1.0]
 
 
 class _ScheduledLaw:

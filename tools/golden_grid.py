@@ -214,6 +214,11 @@ def _estimate_calls():
     yield ["estimate", "--system", "mg1n", "--characteristic", "lost", "--rate", "2",
            "--mean-service", "1e308", "--n", "40", "--input", "exp.txt", "--confidence",
            "0.95", "--format", "csv"]
+    # a served chain past the largest double from level 2: the point chain
+    # overflows within its first block and skips the blocked solves
+    for interval in ((), ("--confidence", "0.95", "--method", "one-sided")):
+        yield ["estimate", "--system", "mg1n", "--characteristic", "served", "--rate", "700",
+               "--n", "40", "--input", "det.txt", *interval]
 
 
 def _calls():
@@ -267,6 +272,9 @@ def _calls():
     # chunk's cycles outgrow REPLICATION_CHUNK, so a round is capped
     yield {}, ["simulate", "--dist", "exp:1", "--rate", "1.5", "--n", "5",
                "--replications", "16385", "--seed", "3"]
+    # busy times near the largest double, whose plain sum overflows
+    yield {}, ["simulate", "--dist", "det:1e308", "--rate", "1e-300", "--n", "0",
+               "--replications", "3", "--seed", "7"]
     # a narrow law far from zero, whose standard error a sum of squares
     # less N mean^2 cancels
     yield {}, ["simulate", "--dist", "uniform:1000000:1000000.001", "--rate", "5e-7",
