@@ -537,8 +537,11 @@ class _Pooled:
         over = ~(np.isfinite(total) & np.isfinite(m2))
         if over.any():
             unit = np.where(over, _UNIT, self.unit)
-            self.total *= self.unit / unit
-            self.m2 *= (self.unit / unit) ** 2
+            ratio = self.unit / unit
+            self.total *= ratio
+            # two steps: the squared ratio, 2^-1200, would round to 0
+            self.m2 *= ratio
+            self.m2 *= ratio
             self.unit = unit
             total, m2 = self._folded(values)
         self.count += values.shape[1]

@@ -834,16 +834,18 @@ def _tail_vectors(draw):
 def test_the_unit_chain_never_falls_as_a_tail_sum_rises_or_r0_falls(vector, data):
     # D_k is a polynomial with nonnegative coefficients in R_1..R_{k-1} and
     # 1 / r_0, so every Q_k is nondecreasing in each; the lemma a box of
-    # tail sums rests on, held here by the kernel's own rounding too
+    # tail sums rests on.  Every rounded step is monotone too, but a block
+    # that overflows in one chain alone is redone one level per step there,
+    # which rounds its finite levels differently: so within rounding
     r0, tails = vector
-    base = recursion._unit_chain(r0, tails)
+    floor = recursion._unit_chain(r0, tails) * (1.0 - 1e-12)
     lower = data.draw(st.floats(0.0, r0, exclude_min=True), label="lower r_0")
-    assert np.all(recursion._unit_chain(lower, tails) >= base)
+    assert np.all(recursion._unit_chain(lower, tails) >= floor)
     if tails.size:
         i = data.draw(st.integers(0, tails.size - 1), label="i")
         raised = tails.copy()
         raised[i] = data.draw(st.floats(tails[i], 1.0), label="raised R_i")
-        assert np.all(recursion._unit_chain(r0, raised) >= base)
+        assert np.all(recursion._unit_chain(r0, raised) >= floor)
 
 
 @pytest.mark.parametrize("r0, tails", [

@@ -535,18 +535,21 @@ def test_standard_error_of_a_narrow_law_far_from_zero(low, width, rate):
     (Uniform(0.0, 1e308), 10),
     # two chunks: the chunk's sum and the pooled total both pass the largest double
     (Deterministic(1e308), REPLICATION_CHUNK + 1),
+    # four chunks whose squares, about 5.5e307 each, pass it only when pooled
+    (Uniform(0.0, 2e152), 4 * REPLICATION_CHUNK),
 ])
 def test_busy_times_near_the_largest_double_pool_without_overflow(dist, replications):
     # with no waiting room a busy time is one service, so the busy row holds
     # the chunks' draws.  Their plain sum passes the largest double, and so
-    # do uniform's squared deviations of about 5e307
+    # do uniform's squared deviations of about 5e307, or their pooled sum
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sim = simulate_busy_period(1e-300, dist, 0, replications, seed=7)
-    counts = (min(replications, REPLICATION_CHUNK), replications - REPLICATION_CHUNK)
+    counts = [min(REPLICATION_CHUNK, replications - start)
+              for start in range(0, replications, REPLICATION_CHUNK)]
     busy = np.concatenate([
         dist.draw(np.random.Generator(np.random.SFC64(child)), count)
-        for child, count in zip(np.random.SeedSequence(7).spawn(2), counts) if count > 0
+        for child, count in zip(np.random.SeedSequence(7).spawn(len(counts)), counts)
     ]) * 2.0**-600
     mean, se = busy.mean() * 2.0**600, busy.std(ddof=1) / math.sqrt(replications) * 2.0**600
     assert math.isfinite(sim.busy_period.mean) and math.isfinite(sim.busy_period.se)
@@ -560,6 +563,9 @@ def test_busy_times_near_the_largest_double_pool_without_overflow(dist, replicat
     ([[1e308], [1.5e308]], 1.25e308, 0.25e308),
     # a finite sum whose squared deviations pass it
     ([[0.0, 1e308]], 5e307, 5e307),
+    # chunks whose squares, 5e307 each, pass it only when pooled: the
+    # squares pooled before the switch carry into the new unit
+    ([[0.0, 1e154]] * 4, 5e153, 1e154 / math.sqrt(28.0)),
 ])
 def test_a_pooled_row_that_overflows_is_kept_in_a_power_of_two_unit(chunks, mean, se):
     pooled = _Pooled()
