@@ -230,7 +230,6 @@ def _run_reproduce(args: argparse.Namespace) -> int:
     from .moments import MomentVector, moments_exponential
     from .recursion import CharacteristicSpec, estimate_characteristic
 
-    seed = _seed(args)
     order = 4
     busy = CharacteristicSpec.busy_period(1.0, 1.0)
     theory = moments_exponential(1.0, 1.0, order)
@@ -247,6 +246,7 @@ def _run_reproduce(args: argparse.Namespace) -> int:
         from .moments import moments_empirical
         from .simulate import Exponential, draw_samples
 
+        seed = _seed(args)
         sample = draw_samples(Exponential(1.0), args.n_obs, seed)
         empirical = moments_empirical(build_ecdf(sample), 1.0, order)
         source = f"simulated sample (N = {args.n_obs}, seed = {seed})"

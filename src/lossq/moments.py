@@ -150,11 +150,12 @@ def moments_empirical(ecdf: EmpiricalCdf, rate: float, order: int) -> MomentVect
     more than 128, rounding the left part down to a multiple of 8, so the
     leaves' sums added up in the same tree (``_pairwise``) have the bits
     of one ``np.add.reduce`` over the window; a window of at most 2^15
-    observations is one leaf.  The first block takes ``rate x`` and the
-    weights from the sorted values a leaf at a time, and keeps the weights
-    of the window that survives it only when another block follows.  A
-    window in one leaf keeps its ``rate x`` too; a wider one takes it
-    again from the sorted values a leaf at a time, the same products.
+    observations is one leaf.  A window in one leaf holds its weights and
+    ``rate x``; a sample in one leaf starts as one, with the r_0 pass's.
+    A wider sample's first block takes both from the sorted values a leaf
+    at a time and keeps the surviving window's weights only when another
+    block follows; a wider window takes its ``rate x`` again, the same
+    products.
     Beyond the sorted sample the call holds the surviving window's weights,
     at most one more copy of the sample and often far less, and a few
     leaves.
@@ -191,22 +192,19 @@ def moments_empirical(ecdf: EmpiricalCdf, rate: float, order: int) -> MomentVect
         late += int(np.searchsorted(w[::-1], _TINY))
     out[0] = _pairwise(parts, n) / n
     hi = n - late
-    # the last leaf's weights and rate x serve the first block's leaves
-    # that lie inside it
-    stash = a, w, ax
-    # the window is lo..hi; after the first block its weights are held from
-    # lo on, and its rate x too (axw) only when it lies in one leaf
-    lo, window, axw, buf = 0, None, None, None
+    # the window is lo..hi, its weights held from lo on, and its rate x too
+    # (axw) only when it lies in one leaf: a sample in one leaf starts with
+    # the r_0 pass's, and a wider one streams its first block from x
+    lo, buf = 0, None
+    window, axw = (w, ax) if n <= _LEAF else (None, None)
+    w = ax = None
 
     def leaf(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        if window is not None:
-            if axw is None:
-                return window[a:b], rate * x[lo + a:lo + b]
-            return window[a:b], axw[a:b]
-        start, w, ax = stash
-        if start <= a and b - start <= w.size:
-            return w[a - start:b - start], ax[a - start:b - start]
-        return _weights(rate, x[a:b])
+        if window is None:
+            return _weights(rate, x[a:b])
+        if axw is None:
+            return window[a:b], rate * x[lo + a:lo + b]
+        return window[a:b], axw[a:b]
 
     for i in range(1, order + 1, _BLOCK):
         # an empty first window: every observation is late
@@ -258,10 +256,9 @@ def moments_empirical(ecdf: EmpiricalCdf, rate: float, order: int) -> MomentVect
             kept[last - first:] = w_last
             window = kept
         lo += first
-        stash = None
     # the weights and every view of them are released first, so that the
     # late sums' and the tails' temporaries can reuse their memory
-    stash = window = axw = buf = w = ax = w_last = ax_last = kept = None
+    window = axw = buf = w = ax = w_last = ax_last = kept = None
     if hi < n:
         out += _late_sums(_scaled(rate, x[hi:]), order) / n
     tail = 0.0

@@ -169,10 +169,8 @@ class ErlangK:
         saddle-point form (``_poisson_pmf``).  Every term of their exponents
         is small where the coefficient is not, so a coefficient keeps its
         relative accuracy at large shapes, where a difference of log-gammas
-        (near 5,900 at k = 1000) would lose about 1e-12.  The coefficients
-        fall from the mean k a / m on, so past it the tail is their sum
-        (``_sum_past``); below it the tail is 1 minus the coefficients'
-        sum, which is at most about two thirds there."""
+        (near 5,900 at k = 1000) would lose about 1e-12.  The tail is
+        ``_sum_past``'s, from the mean count k a / m."""
         _check_rate_order(rate, order)
         k = self.shape
         p, q = self.rate / (rate + self.rate), rate / (rate + self.rate)
@@ -187,10 +185,8 @@ class ErlangK:
                         * _poisson_pmf(j, n * q) / _poisson_pmf(n, n))
             return out
 
-        # below the mean, MomentVector's default: 1 minus the coefficients
-        tail = _sum_past(coefficients, order) if order >= k * rate / self.rate else None
         return MomentVector(rate=rate, values=coefficients(np.arange(order + 1, dtype=float)),
-                            tail=tail)
+                            tail=_sum_past(coefficients, order, k * rate / self.rate))
 
     def label(self) -> str:
         return f"erlang:{self.shape}:{_number(self.rate)}"
@@ -264,10 +260,8 @@ class Uniform:
         mpmath).
 
         The tail beyond the order is the same quadrature of the upper
-        Poisson tail on narrow laws.  On wide ones the coefficients fall
-        from the mean a (l + h) / 2 on, so past it the tail is their sum
-        (``_sum_past``); below it the tail is 1 minus the coefficients'
-        sum, which is at most about two thirds there."""
+        Poisson tail on narrow laws, and on wide ones ``_sum_past``'s, from
+        the mean count a (l + h) / 2."""
         _check_rate_order(rate, order)
         al, ah = rate * self.low, rate * self.high
         width = rate * (self.high - self.low)
@@ -284,9 +278,8 @@ class Uniform:
             lower_h, upper_h = _poisson_tails(i + 1.0, ah)
             return np.where(i < 0.5 * (al + ah), lower_l - lower_h, upper_h - upper_l) / width
 
-        # below the mean, MomentVector's default: 1 minus the coefficients
-        tail = _sum_past(coefficients, order) if order >= 0.5 * (al + ah) else None
-        return MomentVector(rate=rate, values=coefficients(i), tail=tail)
+        return MomentVector(rate=rate, values=coefficients(i),
+                            tail=_sum_past(coefficients, order, 0.5 * (al + ah)))
 
     def label(self) -> str:
         return f"uniform:{_number(self.low)}:{_number(self.high)}"
@@ -295,12 +288,16 @@ class Uniform:
 ServiceDistribution = Exponential | ErlangK | Deterministic | Uniform
 
 
-def _sum_past(coefficients, order: int) -> float:
+def _sum_past(coefficients, order: int, mean: float) -> float | None:
     """sum_{i > order} coefficients(i) for coefficients that are log-concave
-    in i and fall from ``order`` on or soon after.  They are summed in
-    chunks of doubling length, from ``_TAIL_CHUNK``, until the geometric
-    bound on the rest at the ratio of the chunk's last two terms,
-    ``last^2 / (prev - last)``, is below ``_TAIL_REST`` of the sum."""
+    in i and fall from their ``mean`` count on, for an order at or past it.
+    They are summed in chunks of doubling length, from ``_TAIL_CHUNK``,
+    until the geometric bound on the rest at the ratio of the chunk's last
+    two terms, ``last^2 / (prev - last)``, is below ``_TAIL_REST`` of the
+    sum.  Below the mean it is ``None``, MomentVector's default: 1 minus
+    the coefficients' sum, which is at most about two thirds there."""
+    if order < mean:
+        return None
     total, start, size = 0.0, order + 1, _TAIL_CHUNK
     while math.isfinite(total):
         terms = coefficients(np.arange(start, start + size, dtype=float))
@@ -426,7 +423,8 @@ def simulate_busy_period(
     from the served-customers point chain on ``dist.moments``.  That chain
     is computed up to level ``_BUDGET_LEVELS`` at most; a larger buffer is
     charged the last level times the ratio of the last two levels to the
-    power of the levels left.
+    power of the levels left.  A drawn service time or busy time past the
+    largest double ends the run with :class:`ValueError`, named as such.
     """
     check_positive("arrival_rate", arrival_rate)
     buffer = _integer("buffer", buffer)
@@ -614,11 +612,16 @@ def _run_cycles(
             starts = None if size == present.size else np.cumsum(block) - block
             busy = s if starts is None else np.add.reduceat(s, starts)
             # the round's arrival total is Poisson with mean the arrival rate
-            # times its service sum, and the walks' running sum reaches it
+            # times its service sum, and the walks' running sum reaches it;
+            # that sum can overflow where the blocks' own means do not
             if starts is not None and (mean := arrival_rate * busy.sum()) > _POISSON_LIMIT:
-                raise _past_limit("summed arrival mean of a round of blocks (arrival rate times "
-                                  "its total service time)", mean)
-            arrived, loss = _near_arrivals(rng, arrival_rate, s, present, starts, buffer)
+                if busy.max() == math.inf:
+                    raise _past_double(dist)
+                if (mean := (arrival_rate * busy).sum()) > _POISSON_LIMIT:
+                    raise _past_limit("summed arrival mean of a round of blocks (arrival rate "
+                                      "times its total service time)", mean)
+            a = _arrival_counts(rng, arrival_rate, dist, s)
+            arrived, loss = _near_arrivals(a, present, starts, buffer)
             totals[0, ids] += busy
             totals[1, ids] += block
             if loss is not None:
@@ -629,15 +632,17 @@ def _run_cycles(
             if keep.size < present.size:
                 # gathers by index: a boolean mask is several times slower here
                 present, ids = present.take(keep), ids.take(keep)
+    # the scalar rounds and the totals add busy times without a check
+    if totals[0].max() == math.inf:
+        raise _past_double(dist)
     return totals
 
 
-def _near_arrivals(rng, arrival_rate, s, present, starts, buffer):
-    """Arrivals and losses of the blocks whose services ``s`` lie one block
-    after another from ``starts`` (``None`` for one service a block): one
-    arrival count per service, and each block's walk.  The loss is ``None``
-    where no block reaches the buffer."""
-    a = _arrival_counts(rng, arrival_rate, s)
+def _near_arrivals(a, present, starts, buffer):
+    """Arrivals and losses of the blocks whose services' arrival counts
+    ``a`` lie one block after another from ``starts`` (``None`` for one
+    service a block), by each block's walk.  The loss is ``None`` where no
+    block reaches the buffer."""
     arrived = a if starts is None else np.add.reduceat(a, starts)
     # the walk's peak is at most its start plus every arrival, less one,
     # and is that on a block of one service
@@ -647,7 +652,7 @@ def _near_arrivals(rng, arrival_rate, s, present, starts, buffer):
     if starts is None:
         peak -= 1
     else:
-        walk = np.empty(s.size + 1, dtype=np.int64)
+        walk = np.empty(a.size + 1, dtype=np.int64)
         walk[0] = 0
         np.cumsum(np.subtract(a, 1, out=a), out=walk[1:])
         peak = present + np.maximum.reduceat(walk[1:], starts) - walk[starts]
@@ -673,7 +678,7 @@ def _scalar_rounds(
         if size > most:
             break
         services = dist.draw(rng, size)
-        pairs = zip(services.tolist(), _arrival_counts(rng, arrival_rate, services).tolist())
+        pairs = zip(services.tolist(), _arrival_counts(rng, arrival_rate, dist, services).tolist())
         running = []
         for block, j, busy, served, lost in cycles:
             waiting = block - 1
@@ -697,14 +702,21 @@ def _scalar_rounds(
 
 
 def _arrival_counts(rng: np.random.Generator, arrival_rate: float,
-                    services: np.ndarray) -> np.ndarray:
+                    dist: ServiceDistribution, services: np.ndarray) -> np.ndarray:
     """One Poisson arrival count per service, with mean the arrival rate
     times its length, from one ``rng.poisson`` call."""
     try:
         return rng.poisson(arrival_rate * services)
     except ValueError:
+        if services.max() == math.inf:
+            raise _past_double(dist) from None
         raise _past_limit("largest arrival mean of a round (arrival rate times service "
                           "time)", arrival_rate * services.max()) from None
+
+
+def _past_double(dist: ServiceDistribution) -> ValueError:
+    """A service time or busy period past the largest double."""
+    return ValueError(f"a busy period of {dist.label()} passed the largest double")
 
 
 def _past_limit(what: str, mean: float) -> ValueError:

@@ -624,6 +624,22 @@ def test_simulate_pools_busy_times_near_the_largest_double(capsys):
     assert json.loads(captured.out)["busy_period"] == {"mean": 1e308, "se": 0.0}
 
 
+@pytest.mark.parametrize("dist, rate, n, replications, seed, label", [
+    ("exp:1e-308", "1e-300", "0", "1000", "7", "exp:1e-308"),
+    ("erlang:2:1e-308", "1e-300", "0", "1000", "7", "erlang:2:1e-308"),
+    ("det:1e308", "1e-308", "1", "10", "3", "det:1e+308"),
+    ("det:1e308", "2e-308", "3", "1000", "3", "det:1e+308"),
+], ids=["exp", "erlang", "cycle", "block"])
+def test_simulate_names_a_busy_period_past_the_largest_double(
+        capsys, dist, rate, n, replications, seed, label):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--dist", dist, "--rate", rate, "--n", n,
+                     "--replications", replications, "--seed", seed]) == 1
+    assert capsys.readouterr() == (
+        "", f"lossq: error: a busy period of {label} passed the largest double\n")
+
+
 def test_simulate_rejects_bad_distribution(capsys):
     assert main(["simulate", "--dist", "gamma:1", "--rate", "1.0", "--n", "1",
                  "--replications", "10"]) == 1
@@ -736,6 +752,16 @@ def test_a_negative_seed_environment_variable_names_it(capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 # reproduce
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value, extra", [("abc", ["--fixture", "published"]),
+                                          ("-1", ["--theoretical"])])
+def test_reproduce_reads_the_seed_only_when_it_samples(capsys, monkeypatch, value, extra):
+    assert main(["reproduce", *extra]) == 0
+    expected = capsys.readouterr()
+    monkeypatch.setenv(SEED_ENV_VAR, value)
+    assert main(["reproduce", *extra]) == 0
+    assert capsys.readouterr() == expected
 
 
 def test_reproduce_theoretical_columns(capsys):

@@ -1,6 +1,7 @@
 """Tests for the service distributions, busy-cycle simulator and oracles."""
 
 import math
+import re
 import warnings
 from decimal import Decimal, localcontext
 
@@ -679,6 +680,40 @@ def test_an_arrival_mean_past_the_poisson_limit_is_named(replications):
         with pytest.raises(ValueError, match=rf"largest arrival mean .* is {mean}, "
                                              r"past .* limit of about 9\.2e18"):
             simulate_busy_period(rate, Deterministic(value), 0, replications, seed=1)
+
+
+@pytest.mark.parametrize("dist, unit", [(Deterministic(1e305), Deterministic(1.0)),
+                                        (Exponential(1e-305), Exponential(1.0))],
+                         ids=["det", "exp"])
+def test_a_round_whose_busy_sum_overflows_sums_its_blocks_arrival_means(dist, unit):
+    # the law at rate 2 in a unit of 1e305: a round of blocks sums busy
+    # times past the largest double, while its blocks' own arrival means sum
+    # to thousands
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sim = simulate_busy_period(2e-305, dist, 3, 1000, seed=3)
+    ref = simulate_busy_period(2.0, unit, 3, 1000, seed=3)
+    assert (sim.served, sim.lost) == (ref.served, ref.lost)
+    assert sim.busy_period.mean == pytest.approx(1e305 * ref.busy_period.mean, rel=1e-12)
+    assert sim.busy_period.se == pytest.approx(1e305 * ref.busy_period.se, rel=1e-12)
+
+
+@pytest.mark.parametrize("rate, dist, buffer, replications, seed", [
+    # a drawn service time
+    (1e-300, Exponential(1e-308), 0, 1000, 7),
+    (1e-300, ErlangK(2, 1e-308), 0, 1000, 7),
+    # a cycle's busy time, summed on Python scalars
+    (1e-308, Deterministic(1e308), 1, 10, 3),
+    # a block's in a round of blocks
+    (2e-308, Deterministic(1e308), 3, 1000, 3),
+], ids=["exp", "erlang", "cycle", "block"])
+def test_a_busy_period_past_the_largest_double_is_one_named_error(
+        rate, dist, buffer, replications, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^a busy period of {re.escape(dist.label())} "
+                                             rf"passed the largest double$"):
+            simulate_busy_period(rate, dist, buffer, replications, seed)
 
 
 def test_a_run_that_cannot_finish_is_refused_before_any_draw(monkeypatch):

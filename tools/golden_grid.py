@@ -275,6 +275,18 @@ def _calls():
     # busy times near the largest double, whose plain sum overflows
     yield {}, ["simulate", "--dist", "det:1e308", "--rate", "1e-300", "--n", "0",
                "--replications", "3", "--seed", "7"]
+    # det:1 at rate 2 in a unit of 1e305: a round's busy sum overflows, and
+    # its blocks' own arrival means do not
+    yield {}, ["simulate", "--dist", "det:1e305", "--rate", "2e-305", "--n", "3",
+               "--replications", "1000", "--seed", "3"]
+    # a busy period past the largest double: a drawn service time, a
+    # cycle's busy time and a block's in a round of blocks
+    for dist in ("exp:1e-308", "erlang:2:1e-308"):
+        yield {}, ["simulate", "--dist", dist, "--rate", "1e-300", "--n", "0",
+                   "--replications", "1000", "--seed", "7"]
+    for rate, n, replications in (("1e-308", "1", "10"), ("2e-308", "3", "1000")):
+        yield {}, ["simulate", "--dist", "det:1e308", "--rate", rate, "--n", n,
+                   "--replications", replications, "--seed", "3"]
     # a narrow law far from zero, whose standard error a sum of squares
     # less N mean^2 cancels
     yield {}, ["simulate", "--dist", "uniform:1000000:1000000.001", "--rate", "5e-7",
@@ -294,6 +306,9 @@ def _calls():
     yield {SEED_ENV_VAR: "9"}, ["reproduce", "--n-obs", "500"]
     yield {SEED_ENV_VAR: "x"}, ["reproduce"]
     yield {}, ["reproduce", "--seed", "-1"]
+    # runs that draw no sample read no seed
+    yield {SEED_ENV_VAR: "abc"}, ["reproduce", "--fixture", "published"]
+    yield {SEED_ENV_VAR: "-1"}, ["reproduce", "--theoretical"]
     for argv in ([], ["frobnicate"], ["--help"], ["quantile", "--help"]):
         yield {}, argv
     for sample in _PARSE_EDGES:
