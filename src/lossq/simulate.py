@@ -74,10 +74,6 @@ _SCALAR_SERVICES = 1024
 # 50, and 6.7e5 to 8.4e5 in a single cycle (det:1 at load 3, buffer 5, and
 # exp:1 at load 1.2, buffer 30): 7 s to 2.5 minutes
 _SERVICE_BUDGET = 1e8
-# _Pooled's unit for a row whose plain sums overflow: in it every double is
-# below 2^424, so the budget's 1e8 of them sum below 2^451 and their squares
-# below 2^875
-_UNIT = 2.0**600
 # the levels of the served chain that the budget check computes at most
 _BUDGET_LEVELS = 1000
 # a waiting count never comes near 2^62, so a larger buffer acts as this one
@@ -506,11 +502,14 @@ class _Pooled:
     never the difference of two large sums of squares.  A mean is its sum
     over the count, so a mean count is exact to the last bit.
 
-    A row whose sum or squares pass the largest double (busy times near it)
-    is pooled from then on in units of ``_UNIT``, its squares in units of
-    ``_UNIT`` squared: a power of two scales exactly, and in those units no
-    double's sum or square overflows.  Every other row keeps unit 1, and
-    with it the bits of the plain sums."""
+    A row whose largest value in the first chunk is positive and outside
+    [2^-256, 2^256] is pooled in units of the power of two at or below that
+    value, its squares in that unit squared: a power of two scales exactly.
+    Inside the band the budget's 1e8 cycles can neither overflow a sum or
+    square nor push a square into subnormals, so every other row keeps unit
+    1 and the bits of its plain sums; outside it the values sit in [1, 2) of
+    the unit, so busy times near the largest double and far below 1 keep
+    their mean and standard error."""
 
     __slots__ = ("count", "total", "m2", "unit")
 
@@ -530,18 +529,11 @@ class _Pooled:
 
     def add(self, values: np.ndarray) -> None:
         """Fold a (3, k) chunk: the rows are busy time, served and lost."""
-        with np.errstate(over="ignore"):
-            total, m2 = self._folded(values)
-        over = ~(np.isfinite(total) & np.isfinite(m2))
-        if over.any():
-            unit = np.where(over, _UNIT, self.unit)
-            ratio = self.unit / unit
-            self.total *= ratio
-            # two steps: the squared ratio, 2^-1200, would round to 0
-            self.m2 *= ratio
-            self.m2 *= ratio
-            self.unit = unit
-            total, m2 = self._folded(values)
+        if not self.count:
+            top = values.max(axis=1)
+            far = (top > 2.0**256) | ((top > 0.0) & (top < 2.0**-256))
+            self.unit = np.where(far, np.ldexp(1.0, np.frexp(top)[1] - 1), 1.0)
+        total, m2 = self._folded(values)
         self.count += values.shape[1]
         self.total, self.m2 = total, m2
 

@@ -624,6 +624,26 @@ def test_simulate_pools_busy_times_near_the_largest_double(capsys):
     assert json.loads(captured.out)["busy_period"] == {"mean": 1e308, "se": 0.0}
 
 
+def test_simulate_keeps_the_standard_error_of_busy_times_far_below_one(capsys):
+    # det:1 at rate 2 in a time unit of 1e-200; squared deviations of its
+    # busy times, about 1e-398, are below the smallest double
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--dist", "det:1e-200", "--rate", "2e200", "--n", "3",
+                     "--replications", "1000", "--seed", "3"]) == 0
+        tiny = capsys.readouterr()
+        assert main(["simulate", "--dist", "det:1", "--rate", "2", "--n", "3",
+                     "--replications", "1000", "--seed", "3"]) == 0
+        unit = json.loads(capsys.readouterr().out)["busy_period"]["se"]
+        # uniform:0:1e-320 draws subnormal service times
+        assert main(["simulate", "--dist", "uniform:0:1e-320", "--rate", "1", "--n", "3",
+                     "--replications", "100", "--seed", "3"]) == 0
+        subnormal = capsys.readouterr()
+    assert tiny.err == "" and subnormal.err == ""
+    assert json.loads(tiny.out)["busy_period"]["se"] == pytest.approx(1e-200 * unit, rel=1e-12)
+    assert json.loads(subnormal.out)["busy_period"]["se"] > 0.0
+
+
 @pytest.mark.parametrize("dist, rate, n, replications, seed, label", [
     ("exp:1e-308", "1e-300", "0", "1000", "7", "exp:1e-308"),
     ("erlang:2:1e-308", "1e-300", "0", "1000", "7", "erlang:2:1e-308"),
@@ -958,6 +978,11 @@ def _fuzz_argv(draw):
 # busy times near the largest double once overflowed their pooled sum
 @example(argv=["simulate", "--dist", "det:1e308", "--rate", "1e-300", "--n", "0",
                "--replications", "3"])
+# busy times far below 1 once pooled a standard error of 0
+@example(argv=["simulate", "--dist", "det:1e-200", "--rate", "2e200", "--n", "3",
+               "--replications", "1000", "--seed", "3"])
+@example(argv=["simulate", "--dist", "uniform:0:1e-320", "--rate", "1", "--n", "3",
+               "--replications", "100", "--seed", "3"])
 def test_fuzzed_arguments_exit_zero_one_or_two(fuzz_inputs, argv):
     argv = [fuzz_inputs.get(arg, arg) if option in ("--input", "--emit-samples") else arg
             for option, arg in zip(["", *argv], argv)]

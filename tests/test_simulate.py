@@ -559,14 +559,34 @@ def test_busy_times_near_the_largest_double_pool_without_overflow(dist, replicat
     assert sim.served == EstimateStat(1.0, 0.0)
 
 
+@pytest.mark.parametrize("dist, reference", [
+    (Deterministic(1e-200), Deterministic(1.0)),
+    (Exponential(1e200), Exponential(1.0)),
+], ids=["det", "exp"])
+def test_busy_times_far_below_one_keep_their_standard_error(dist, reference):
+    # the run is the reference's in a time unit of 1e-200: the same arrival
+    # counts, so the same served and lost, and busy times 1e-200 as long,
+    # whose squared deviations of about 1e-398 are below the smallest double
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sim = simulate_busy_period(2e200, dist, 3, 1000, seed=3)
+    ref = simulate_busy_period(2.0, reference, 3, 1000, seed=3)
+    assert (sim.served, sim.lost) == (ref.served, ref.lost)
+    assert sim.busy_period.mean == pytest.approx(1e-200 * ref.busy_period.mean, rel=1e-12)
+    assert sim.busy_period.se == pytest.approx(1e-200 * ref.busy_period.se, rel=1e-12)
+    assert sim.busy_period.se > 0.0
+
+
 @pytest.mark.parametrize("chunks, mean, se", [
     # finite chunk sums whose pooled total passes the largest double
     ([[1e308], [1.5e308]], 1.25e308, 0.25e308),
     # a finite sum whose squared deviations pass it
     ([[0.0, 1e308]], 5e307, 5e307),
-    # chunks whose squares, 5e307 each, pass it only when pooled: the
-    # squares pooled before the switch carry into the new unit
+    # chunks whose squares, 5e307 each, pass it only when pooled: every
+    # chunk folds in the unit the first one fixed
     ([[0.0, 1e154]] * 4, 5e153, 1e154 / math.sqrt(28.0)),
+    # values whose squared deviations, 2^-2000, are below the smallest double
+    ([[2.0**-1000, 3 * 2.0**-1000]], 2.0**-999, 2.0**-1000),
 ])
 def test_a_pooled_row_that_overflows_is_kept_in_a_power_of_two_unit(chunks, mean, se):
     pooled = _Pooled()
@@ -574,8 +594,9 @@ def test_a_pooled_row_that_overflows_is_kept_in_a_power_of_two_unit(chunks, mean
         warnings.simplefilter("error")
         for busy in chunks:
             pooled.add(np.array([busy, np.ones(len(busy)), np.zeros(len(busy))]))
-    assert pooled.mean.tolist() == pytest.approx([mean, 1.0, 0.0], rel=1e-15)
-    assert pooled.se.tolist() == pytest.approx([se, 0.0, 0.0], rel=1e-15)
+    # abs=0: approx's default absolute slack of 1e-12 would pass any tiny row
+    assert pooled.mean.tolist() == pytest.approx([mean, 1.0, 0.0], rel=1e-15, abs=0)
+    assert pooled.se.tolist() == pytest.approx([se, 0.0, 0.0], rel=1e-15, abs=0)
     # only the busy row left unit 1, so the others keep their plain sums' bits
     assert pooled.unit[1:].tolist() == [1.0, 1.0]
 

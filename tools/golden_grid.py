@@ -279,6 +279,16 @@ def _calls():
     # its blocks' own arrival means do not
     yield {}, ["simulate", "--dist", "det:1e305", "--rate", "2e-305", "--n", "3",
                "--replications", "1000", "--seed", "3"]
+    # busy times far below 1, whose squared deviations are below the
+    # smallest double: det:1 at rate 2 in a unit of 1e-200, and a law that
+    # draws subnormal times
+    yield {}, ["simulate", "--dist", "det:1e-200", "--rate", "2e200", "--n", "3",
+               "--replications", "1000", "--seed", "3"]
+    yield {}, ["simulate", "--dist", "uniform:0:1e-320", "--rate", "1", "--n", "3",
+               "--replications", "100", "--seed", "3"]
+    # four chunks of squares past 2^256, pooled in one unit
+    yield {}, ["simulate", "--dist", "uniform:0:2e152", "--rate", "1e-300", "--n", "0",
+               "--replications", "65536", "--seed", "7"]
     # a busy period past the largest double: a drawn service time, a
     # cycle's busy time and a block's in a round of blocks
     for dist in ("exp:1e-308", "erlang:2:1e-308"):
