@@ -547,7 +547,8 @@ def _estimate_output(monkeypatch, capsys, fmt, system, spec, moments, n_obs, ord
                      *interval):
     """What ``lossq estimate`` prints for these moments: the file is not read
     and the moments are stubbed, so any vector and sample size can go in."""
-    monkeypatch.setattr(lossq.ecdf, "read_ecdf", lambda path: SimpleNamespace(n_obs=n_obs))
+    monkeypatch.setattr(lossq.ecdf, "read_ecdf",
+                        lambda path, cache=None: SimpleNamespace(n_obs=n_obs))
     monkeypatch.setattr(lossq.moments, "moments_empirical", lambda ecdf, rate, n: moments)
     argv = ["estimate", "--system", system, "--characteristic", spec.kind.value,
             "--rate", repr(spec.weighting_rate), "--n", str(order), "--input", "unread",

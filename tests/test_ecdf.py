@@ -560,13 +560,15 @@ def _traced_peak(fn, *args):
     return out, tracemalloc.get_traced_memory()[1]
 
 
+def _write_sample_file(path, n):
+    values = np.random.default_rng(2024).exponential(1.0, n)
+    path.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+    return path, n
+
+
 @pytest.fixture()
 def large_sample_file(tmp_path):
-    n = 200_000
-    values = np.random.default_rng(2024).exponential(1.0, n)
-    p = tmp_path / "large.txt"
-    p.write_text("".join(f"{v!r}\n" for v in values.tolist()))
-    return p, n
+    return _write_sample_file(tmp_path / "large.txt", 200_000)
 
 
 def test_ingest_holds_few_copies_of_the_sample(large_sample_file):
@@ -601,18 +603,21 @@ def test_ingest_holds_few_copies_of_the_sample(large_sample_file):
     assert moments_peaks[10] <= 1.0 * copy, moments_peaks[10] / copy
 
 
-def test_read_ecdf_holds_one_copy_of_the_sample(large_sample_file):
+def test_read_ecdf_holds_one_copy_of_the_sample(tmp_path):
     # the reader's result is sorted in place and adopted, so the peak is the
-    # read's own: that result and the block scratch
-    path, n = large_sample_file
-    gc.collect()
-    tracemalloc.start()
-    try:
-        ecdf, peak = _traced_peak(read_ecdf, path)
-    finally:
-        tracemalloc.stop()
-    assert ecdf.n_obs == n
-    assert peak <= 1.25 * 8 * n, peak / (8 * n)
+    # read's own: that result and the block scratch, whose block grows with
+    # the file (2^15 bytes at 2e5 lines, 2^17 at 1e6)
+    for n in (200_000, 1_000_000):
+        path, n = _write_sample_file(tmp_path / "large.txt", n)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            ecdf, peak = _traced_peak(read_ecdf, path)
+        finally:
+            tracemalloc.stop()
+        assert ecdf.n_obs == n
+        assert peak <= 1.25 * 8 * n, (n, peak / (8 * n))
+        del ecdf
 
 
 def test_read_ecdf_matches_build_ecdf(large_sample_file):

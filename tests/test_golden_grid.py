@@ -66,3 +66,18 @@ def test_every_late_observation_grid_call_runs_to_a_digest_and_an_exit_code(grid
                 calls.append((env, argv))
     assert len(calls) >= 10
     _runs_to_a_digest_and_an_exit_code(grid, calls)
+
+
+def test_each_cached_call_prints_the_same_cold_warm_and_uncached(grid, monkeypatch, tmp_path):
+    # the file is past 8 MiB, so the reader's blocks are 2^16 bytes
+    assert (tmp_path / "cached.txt").stat().st_size >= 8 << 20
+    for i, argv in enumerate(grid._cached_calls()):
+        home = tmp_path / f"cache-home-{i}"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+        cold = grid._run({}, argv)
+        assert cold[1] == 0, argv
+        assert len(list((home / "lossq").iterdir())) == 1
+        assert grid._run({}, argv) == cold, argv
+        # a regular file where the cache would go: the plain read
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cached.txt"))
+        assert grid._run({}, argv) == cold, argv

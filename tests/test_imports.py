@@ -289,3 +289,26 @@ def test_estimate_on_a_plain_file_loads_nothing_beyond_its_layers(tmp_path):
         "print(json.dumps(sorted(set(sys.modules) - before)))"
     )
     assert set(_run(code)) <= {"_locale", "locale"}
+
+
+def test_cached_estimates_on_a_large_file_load_only_the_builtin_blake2(tmp_path):
+    # the cache key is a digest from the built-in _blake2 module; hashlib's
+    # import would map OpenSSL into every large read
+    sample = tmp_path / "sample.txt"
+    sample.write_text("".join(f"{0.1 * (i % 17) + 0.05!r}\n" for i in range(200_000)))
+    argv = ["estimate", "--system", "mg1n", "--characteristic", "busy", "--rate", "0.8",
+            "--mean-service", "0.9", "--n", "6", "--input", str(sample)]
+    code = (
+        "import contextlib, io, json, os, sys\n"
+        "import lossq.cli, lossq.ecdf, lossq.intervals, lossq.moments, lossq.recursion\n"
+        "before = set(sys.modules)\n"
+        "for _ in range(2):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        assert lossq.cli.main({argv!r}) == 0\n"
+        "entries = os.listdir(os.path.join(os.environ['XDG_CACHE_HOME'], 'lossq'))\n"
+        "print(json.dumps([len(entries), sorted(set(sys.modules) - before)]))"
+    )
+    entries, loaded = _run(code)
+    assert entries == 1
+    assert "_blake2" in loaded
+    assert set(loaded) <= {"_blake2", "_locale", "locale"}

@@ -1,7 +1,8 @@
 """Golden grid of CLI outputs: a digest per call and one for the whole grid.
 
 Runs every subcommand in-process through ``lossq.cli.main`` on seeded sample
-files written to a temporary directory, and prints, per call, the sha256 of
+files written to a temporary directory, which also holds the CLI's cache of
+sorted samples (``XDG_CACHE_HOME``), and prints, per call, the sha256 of
 its stdout, stderr and exit code, followed by the sha256 of all those lines.
 A refactor that must not change behaviour gives the same output before and
 after.
@@ -73,6 +74,9 @@ def _sample_files() -> dict[str, str]:
         # several leaves of the moment kernel, late observations at rate 40
         # and a window no cut narrows
         "heavy-40k.txt": lines(np.random.default_rng(20093).lognormal(0.0, 1.5, 40_000)),
+        # past 8 MiB: the CLI caches its sorted sample, and the reader's
+        # blocks are 2^16 bytes
+        "cached.txt": lines(np.random.default_rng(20094).gamma(2.0, 0.5, 450_000)),
         **_parse_edge_files(),
     }
 
@@ -341,6 +345,22 @@ def _calls():
     yield {}, ["estimate", "--system", "mg1n", "--characteristic", "busy", "--mean-service", "1",
                "--rate", "40", "--n", "50", "--input", "heavy-40k.txt", "--confidence", "0.95",
                "--format", "json"]
+    for argv in _cached_calls():
+        yield {}, argv
+        yield {}, argv
+
+
+def _cached_calls():
+    """Calls on the file the CLI caches, which the grid runs twice each: the
+    first run of the first one reads the file, every other run loads it."""
+    yield ["moments", "--input", "cached.txt", "--rate", "1", "--order", "10"]
+    common = ["--rate", "0.8", "--n", "50", "--input", "cached.txt"]
+    busy = ["estimate", "--system", "mg1n", "--characteristic", "busy", "--mean-service", "1",
+            *common]
+    yield [*busy, "--format", "table"]
+    yield [*busy, "--confidence", "0.95", "--format", "csv"]
+    yield ["estimate", "--system", "gim1n", "--characteristic", "loss-prob", *common,
+           "--confidence", "0.9", "--method", "one-sided", "--format", "json"]
 
 
 def _run(env: dict, argv: list[str]) -> tuple[str, int]:
@@ -368,6 +388,8 @@ def run_grid() -> list[str]:
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
+        # the CLI's cache of sorted samples starts empty, away from the user's
+        os.environ["XDG_CACHE_HOME"] = os.path.join(tmp, "cache-home")
         try:
             for name, text in _sample_files().items():
                 Path(name).write_text(text, encoding="utf-8")
