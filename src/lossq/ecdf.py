@@ -9,11 +9,13 @@ the two-sided statistic is their maximum.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 import os
 import stat
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -148,46 +150,57 @@ _CACHE_TAG = b"lossq sorted float64 .npy 1.0\0"
 def _read_sorted(path, cache: str) -> np.ndarray | None:
     """The sorted sample of ``path`` through the cache in ``cache``: loaded
     from its entry, or read, sorted and stored; None when the file bypasses
-    the cache (not a regular file, or below the floor)."""
+    the cache (not a regular file, or below the floor) or the cache
+    directory is not this user's alone (another's, writable by group or
+    others, or a symbolic link)."""
     st = os.stat(path)
     if not stat.S_ISREG(st.st_mode) or st.st_size < _CACHE_FLOOR:
         return None
-    with open(path, "rb") as fh:
-        st = os.fstat(fh.fileno())
-        before = _identity(st)
-        entry = os.path.join(cache, _digest(fh, st.st_size) + ".npy")
-        values = _load_entry(entry)
-        if values is not None:
-            return values
-        fh.seek(0)
-        values, by_kernel = _read(fh, path)
-    values.setflags(write=True)
-    values.sort()
-    # the line scan also reads by the Unicode tables of the running Python,
-    # which the key does not cover
-    if by_kernel and _identity(os.stat(path)) == before:
-        _store(cache, entry, values)
-    return values
+    os.makedirs(cache, mode=0o700, exist_ok=True)
+    fd = os.open(cache, os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW)
+    try:
+        # an entry planted in a directory that another user owns or may
+        # write to would pass every check
+        st = os.fstat(fd)
+        if st.st_uid != os.geteuid() or st.st_mode & 0o022:
+            return None
+        with open(path, "rb") as fh:
+            st = os.fstat(fh.fileno())
+            before = _identity(st)
+            key = _cache_key()
+            counted = _count_lines(fh, key)  # one pass for the count and the key
+            name = key.hexdigest() + ".npy"
+            values = _load_entry(fd, name)
+            if values is not None:
+                return values
+            fh.seek(0)
+            values, by_kernel = _read(fh, path, counted)
+        values.setflags(write=True)
+        values.sort()
+        # the line scan also reads by the Unicode tables of the running
+        # Python, which the key does not cover; an entry past the budget
+        # would only evict every other one and then itself
+        if (by_kernel and _identity(os.stat(path)) == before
+                and 128 + values.nbytes <= _CACHE_BUDGET):
+            _store(fd, name, values)
+        return values
+    finally:
+        os.close(fd)
 
 
 def _identity(st: os.stat_result) -> tuple:
     return st.st_dev, st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino
 
 
-def _digest(fh, size: int) -> str:
-    """The cache key of the file open as ``fh``, which is ``size`` bytes
-    long: a BLAKE2b digest of the tag, this module's source and the file's
-    bytes.  ``_blake2`` is built in; ``hashlib`` would map OpenSSL."""
+def _cache_key():
+    """A BLAKE2b hash of the tag and this module's source, to be updated with
+    a file's bytes.  ``_blake2`` is built in; ``hashlib`` would map
+    OpenSSL."""
     from _blake2 import blake2b
 
     with open(__file__, "rb") as src:
         source = src.read()
-    key = blake2b(_CACHE_TAG + len(source).to_bytes(8, "little") + source, digest_size=32)
-    buf = bytearray(_block_size(size))
-    view = memoryview(buf)
-    while got := fh.readinto(buf):
-        key.update(view[:got])
-    return key.hexdigest()
+    return blake2b(_CACHE_TAG + len(source).to_bytes(8, "little") + source, digest_size=32)
 
 
 def _entry_header(n: int) -> bytes:
@@ -200,13 +213,14 @@ def _entry_header(n: int) -> bytes:
     return header.getvalue()
 
 
-def _load_entry(entry: str) -> np.ndarray | None:
-    """The sorted sample held at ``entry``, its mtime refreshed, or None when
-    there is none or it is not one: the header written for its size, then a
-    non-empty, nondecreasing, positive and finite vector (so a NaN anywhere
-    fails).  The header is compared, not parsed."""
+def _load_entry(fd: int, name: str) -> np.ndarray | None:
+    """The sorted sample held in the entry ``name`` of the directory open as
+    ``fd``, its mtime refreshed, or None when there is none or it is not
+    one: the header written for its size, then a non-empty, nondecreasing,
+    positive and finite vector (so a NaN anywhere fails).  The header is
+    compared, not parsed."""
     try:
-        with open(entry, "rb") as fh:
+        with open(name, "rb", opener=partial(os.open, dir_fd=fd)) as fh:
             n, extra = divmod(os.fstat(fh.fileno()).st_size - 128, 8)
             if n < 1 or extra or fh.read(128) != _entry_header(n):
                 return None
@@ -216,35 +230,35 @@ def _load_entry(entry: str) -> np.ndarray | None:
         if not ((values[1:] >= values[:-1]).all()
                 and values[0] > 0.0 and values[-1] < np.inf):
             return None
-        os.utime(entry)
+        os.utime(name, dir_fd=fd)
     except OSError:
         return None
     return values
 
 
-def _store(cache: str, entry: str, values: np.ndarray) -> None:
-    """Write ``values`` to ``entry`` atomically, then trim the cache to its
-    budget, oldest mtime first; any ``OSError`` leaves the cache as it is."""
-    tmp = f"{entry}.{os.urandom(8).hex()}.tmp"
+def _store(fd: int, name: str, values: np.ndarray) -> None:
+    """Write ``values`` to the entry ``name`` of the directory open as ``fd``
+    atomically, then trim the directory to its budget, oldest mtime first;
+    any ``OSError`` leaves the cache as it is."""
+    tmp = f"{name}.{os.urandom(8).hex()}.tmp"
     try:
-        os.makedirs(cache, mode=0o700, exist_ok=True)
         try:
-            with open(tmp, "xb") as fh:
+            with open(tmp, "xb", opener=partial(os.open, dir_fd=fd)) as fh:
                 fh.write(_entry_header(values.size))
                 values.tofile(fh)
-            os.replace(tmp, entry)
+            os.replace(tmp, name, src_dir_fd=fd, dst_dir_fd=fd)
         except OSError:
-            if os.path.exists(tmp):
-                os.remove(tmp)
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp, dir_fd=fd)
             raise
-        with os.scandir(cache) as it:
-            files = sorted((e.stat().st_mtime_ns, e.stat().st_size, e.path)
+        with os.scandir(fd) as it:
+            files = sorted((e.stat().st_mtime_ns, e.stat().st_size, e.name)
                            for e in it if e.is_file(follow_symlinks=False))
         total = sum(size for _, size, _ in files)
-        for _, size, name in files:
+        for _, size, entry in files:
             if total <= _CACHE_BUDGET:
                 break
-            os.remove(name)
+            os.remove(entry, dir_fd=fd)
             total -= size
     except OSError:
         pass
@@ -492,18 +506,30 @@ def _block_size(size: int) -> int:
     return 1 << min(max((size // 128).bit_length() - 1, 15), 18)
 
 
-def _read_decimals(fh) -> np.ndarray | None:
+def _count_lines(fh, key=None) -> tuple[bytearray, int]:
+    """The kernel's buffer for the seekable binary handle ``fh``, its head
+    filled, and the file's newlines, counted from its start in that
+    buffer's blocks; each block also updates the hash ``key``, if any."""
+    buf = bytearray(_HEAD + _block_size(fh.seek(0, io.SEEK_END)) + 1)  # + 1: a last newline
+    buf[:_HEAD] = b"0" * _HEAD
+    fh.seek(0)
+    view = memoryview(buf)[_HEAD:-1]
+    lines = 0
+    while got := fh.readinto(view):
+        lines += np.count_nonzero(np.frombuffer(buf, np.uint8, got, _HEAD) == ord("\n"))
+        if key is not None:
+            key.update(view[:got])
+    return buf, lines
+
+
+def _read_decimals(fh, counted: tuple[bytearray, int] | None = None) -> np.ndarray | None:
     """The decimal kernel over a seekable binary handle, from its start:
     every row's value, or None when the line scan must read the file
-    instead."""
-    block = _block_size(fh.seek(0, io.SEEK_END))
-    fh.seek(0)
-    buf = bytearray(_HEAD + block + 1)  # + 1: room for a last newline
-    buf[:_HEAD] = b"0" * _HEAD
+    instead.  ``counted`` is what :func:`_count_lines` returned for
+    ``fh``, if the caller has it."""
+    buf, lines = counted or _count_lines(fh)
+    block = len(buf) - _HEAD - 1
     view = memoryview(buf)
-    lines = 0
-    while got := fh.readinto(view[_HEAD:_HEAD + block]):
-        lines += np.count_nonzero(np.frombuffer(buf, np.uint8, got, _HEAD) == ord("\n"))
     fh.seek(0)
     out = np.empty(lines + 1)
     filled = 0
@@ -578,11 +604,12 @@ def read_sample_file(path) -> Sample:
     return _adopt(Sample, "values", values)
 
 
-def _read(fh, path) -> tuple[np.ndarray, bool]:
+def _read(fh, path, counted=None) -> tuple[np.ndarray, bool]:
     """The values of the file ``path`` open as ``fh`` at its start, and
-    whether the decimal kernel read them."""
+    whether the decimal kernel read them (``counted`` as for
+    :func:`_read_decimals`)."""
     if fh.seekable():
-        decimals = _read_decimals(fh)
+        decimals = _read_decimals(fh, counted)
         if decimals is not None:
             return decimals, True
         fh.seek(0)

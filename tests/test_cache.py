@@ -52,7 +52,7 @@ def _stdout(capsys, argv):
 
 
 def _warm_run_must_not_parse(monkeypatch):
-    def refuse(fh, path):
+    def refuse(*args):
         raise AssertionError("a warm run parsed the file")
     monkeypatch.setattr(lossq.ecdf, "_read", refuse)
 
@@ -115,8 +115,8 @@ def test_a_file_rewritten_at_the_same_size_and_mtime_is_read_anew(sample, cache_
 def test_a_file_that_changes_while_it_is_read_writes_no_entry(monkeypatch, sample, cache_dir):
     read = lossq.ecdf._read
 
-    def read_then_touch(fh, path):
-        out = read(fh, path)
+    def read_then_touch(fh, path, *args):
+        out = read(fh, path, *args)
         st = os.stat(path)
         os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
         return out
@@ -307,6 +307,53 @@ def test_trimming_keeps_the_cache_within_its_budget(monkeypatch, tmp_path, cache
     monkeypatch.setattr(lossq.ecdf, "_CACHE_BUDGET", 2 * entry_size)
     read_ecdf(paths[0], cache_dir)
     assert _entries(cache_dir) == sorted([entries[0], entries[2]])
+
+
+def test_a_sample_past_the_budget_writes_no_entry_and_evicts_none(monkeypatch, tmp_path,
+                                                                 cache_dir):
+    small = _write(tmp_path / "small.txt", 60_000, seed=1)
+    read_ecdf(small, cache_dir)
+    [kept] = _entries(cache_dir)
+    large = _write(tmp_path / "large.txt", 120_000, seed=2)
+    monkeypatch.setattr(lossq.ecdf, "_CACHE_BUDGET", 128 + 8 * 120_000 - 1)
+    for _ in range(2):
+        got = read_ecdf(large, cache_dir).sorted_values
+        assert got.tobytes() == _plain(large).tobytes()
+        assert _entries(cache_dir) == [kept]
+
+
+def _planted(cache_dir, path):
+    """The entry ``path`` would take, holding twice its values: sorted,
+    positive and finite, so only where it lies can reject it."""
+    read_ecdf(path, cache_dir)
+    [entry] = _entries(cache_dir)
+    _save(entry, 2.0 * _plain(path))
+    assert read_ecdf(path, cache_dir).sorted_values.tobytes() == (2.0 * _plain(path)).tobytes()
+    return entry
+
+
+@pytest.mark.parametrize("mode", [0o777, 0o1777, 0o720, 0o702], ids=oct)
+def test_a_cache_others_may_write_to_is_not_used(sample, cache_dir, mode):
+    entry = _planted(cache_dir, sample)
+    cache_dir.chmod(mode)
+    for _ in range(2):
+        assert read_ecdf(sample, cache_dir).sorted_values.tobytes() == _plain(sample).tobytes()
+    assert _entries(cache_dir) == [entry]
+    assert np.load(entry).tobytes() == (2.0 * _plain(sample)).tobytes()
+
+
+@pytest.mark.skipif(os.geteuid() != 0, reason="only root can give a directory away")
+def test_a_cache_another_user_owns_is_not_used(sample, cache_dir):
+    _planted(cache_dir, sample)
+    os.chown(cache_dir, os.geteuid() + 4242, -1)
+    assert read_ecdf(sample, cache_dir).sorted_values.tobytes() == _plain(sample).tobytes()
+
+
+def test_a_cache_reached_by_a_symlink_is_not_used(tmp_path, sample, cache_dir):
+    _planted(cache_dir, sample)
+    link = tmp_path / "link"
+    link.symlink_to(cache_dir, target_is_directory=True)
+    assert read_ecdf(sample, link).sorted_values.tobytes() == _plain(sample).tobytes()
 
 
 @pytest.mark.parametrize("size, block", [

@@ -25,7 +25,7 @@ from lossq import (
     moments_empirical,
     read_sample_file,
 )
-from lossq.ecdf import _read_decimals, read_ecdf
+from lossq.ecdf import _block_size, _read_decimals, read_ecdf
 from lossq.errors import ParseError
 from lossq.kolmogorov import kolmogorov_cdf
 from lossq.simulate import Exponential
@@ -409,6 +409,17 @@ def test_the_kernel_reads_midpoint_decimals_as_the_line_scan(tmp_path):
     p = tmp_path / "obs.txt"
     p.write_text("".join(f"{_midpoint_string(v, int(d), int(s))}\n"
                          for v, d, s in zip(values, digits, shifts)))
+    _kernel_matches_the_line_scan(p)
+
+
+def test_the_kernel_reads_a_file_in_blocks_of_2_16_as_the_line_scan(tmp_path):
+    # past 8 MiB, with a row longer than a 2^15-byte block, which the kernel
+    # now reads itself, between rows that cross the larger blocks' edges
+    values = np.exp(np.random.default_rng(21).uniform(-40.0, 40.0, 450_000)).tolist()
+    p = tmp_path / "obs.txt"
+    p.write_text("".join(f"{v!r}\n" for v in values[:200_000]) + "0" * 40_000 + "1.5\n"
+                 + "".join(f"{v!r}\n" for v in values[200_000:]))
+    assert _block_size(p.stat().st_size) == 2**16
     _kernel_matches_the_line_scan(p)
 
 
